@@ -1,0 +1,6 @@
+"""The benchmark's tests import hsforge from this checkout's src/."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
