@@ -219,7 +219,11 @@ def cmd_metric(args) -> int:
     except (FileFormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
-    distance = rho(p, q)
+    try:
+        distance = rho(p, q)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INVALID
     _emit({"rho": str(distance)}, args.json, [f"rho = {distance}"])
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from math import lcm
 
 from .partition import CosetPartition, DEFAULT_STATE_CAP, big_n, order_rel
 from .perm import eval_word, transition_group
-from .schreier import CosetTable, trace, transversal, w_graph
+from .schreier import CosetTable, cycles, transversal, w_graph
 from .words import Word
 
 __all__ = ["HSLoop", "HSColoredGraph", "build_hs_graph", "loop_z_partition",
@@ -61,10 +61,8 @@ class HSColoredGraph:
 
     def loops(self) -> list[HSLoop]:
         """Cycles ordered by minimal vertex; each starts at its minimal vertex."""
-        out = []
-        for cycle in w_graph(self.table, self.w).cycles():
-            out.append(HSLoop(cycle, tuple(self.color[v] for v in cycle)))
-        return out
+        return [HSLoop(cycle, tuple(self.color[v] for v in cycle))
+                for cycle in cycles(self.step)]
 
 
 def build_hs_graph(

@@ -15,24 +15,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import getitem
 from typing import Iterable, Sequence
 
-from .perm import (
-    CapExceeded,
-    PermGroup,
-    Permutation,
-    eval_word,
-    transition_group,
-)
+from .perm import PermGroup, Permutation
 from .schreier import (
+    CapExceeded,
     CosetTable,
+    Orbit,
     canonicalize,
     coset_of,
+    orbit,
     order_at,
-    trace,
-    transversal,
 )
-from .words import Word, identity, letter_from_column, multiply, word
+from .words import Word, multiply
 
 __all__ = [
     "StateCapExceeded",
@@ -136,20 +132,22 @@ def coset_partition(rank: int, specs: Iterable[CosetSpec]) -> CosetPartition:
 
 @dataclass(frozen=True)
 class ProductAutomaton:
-    """Reachable part of the synchronous product of several tables."""
+    """Reachable part of the synchronous product of several tables: the
+    orbit of the base tuple, each table stepping its own coordinate."""
 
     tables: tuple[CosetTable, ...]
-    base: tuple[int, ...]
-    states: tuple[tuple[int, ...], ...]
-    delta: tuple[tuple[int, ...], ...]
-    words: tuple[Word, ...]  # BFS discovery word per state
+    orbit: Orbit
 
     @property
     def state_count(self) -> int:
-        return len(self.states)
+        return len(self.orbit.states)
+
+    def word(self, i: int) -> Word:
+        """BFS discovery word of state i."""
+        return self.orbit.word(i)
 
     def as_table(self) -> CosetTable:
-        return CosetTable(self.tables[0].rank, self.delta)
+        return CosetTable(self.tables[0].rank, tuple(self.orbit.rows))
 
 
 def product(
@@ -165,30 +163,15 @@ def product(
             raise ValueError("tables must share one rank")
     if len(base) != len(tables):
         raise ValueError("one base vertex per table required")
-    start = tuple(base)
-    number: dict[tuple[int, ...], int] = {start: 0}
-    states = [start]
-    words: list[Word] = [identity(rank)]
-    rows: list[tuple[int, ...]] = []
-    head = 0
-    while head < len(states):
-        state = states[head]
-        state_word = words[head]
-        head += 1
-        row = []
-        for column in range(2 * rank):
-            target = tuple(t.delta[v][column] for t, v in zip(tables, state))
-            if target not in number:
-                if len(states) >= cap:
-                    raise StateCapExceeded(cap)
-                number[target] = len(states)
-                states.append(target)
-                words.append(word(
-                    rank, state_word.letters + (letter_from_column(column),)))
-            row.append(number[target])
-        rows.append(tuple(row))
-    return ProductAutomaton(
-        tuple(tables), start, tuple(states), tuple(rows), tuple(words))
+    columns = [[tuple(row[c] for row in t.delta) for t in tables]
+               for c in range(2 * rank)]
+    actions = [lambda state, images=images: tuple(map(getitem, images, state))
+               for images in columns]
+    try:
+        reached = orbit(tuple(base), actions, cap)
+    except CapExceeded:
+        raise StateCapExceeded(cap) from None
+    return ProductAutomaton(tuple(tables), reached)
 
 
 @dataclass(frozen=True)
@@ -210,14 +193,15 @@ def validate(p: CosetPartition, cap: int = DEFAULT_STATE_CAP) -> ValidationRepor
         return p._report
     auto = product([spec.table for spec in p.specs], [0] * p.size, cap)
     marked = tuple(spec.marked for spec in p.specs)
-    for state, state_word in zip(auto.states, auto.words):
+    for position, state in enumerate(auto.orbit.states):
         hits = [i for i, (v, m) in enumerate(zip(state, marked)) if v == m]
         if not hits:
-            return ValidationReport(False, auto.state_count, gap_witness=state_word)
+            return ValidationReport(
+                False, auto.state_count, gap_witness=auto.word(position))
         if len(hits) > 1:
             return ValidationReport(
                 False, auto.state_count,
-                overlap_witness=(state_word, hits[0], hits[1]))
+                overlap_witness=(auto.word(position), hits[0], hits[1]))
     report = ValidationReport(True, auto.state_count)
     p._report = report
     return report
@@ -247,23 +231,15 @@ def normal_core(table: CosetTable, cap: int = 10**6) -> CosetTable:
     """Table of the largest normal subgroup inside the table's subgroup.
 
     This is the Cayley graph of the transition group acting on itself by
-    right multiplication, so the core's index equals the group order.
+    right multiplication: the orbit of the vertex tuple (0, ..., d-1) in the
+    product of d copies of the table, so the core's index equals the group
+    order.  BFS numbering from the identity makes it canonical.
     """
-    group = transition_group(table)
-    elements = group.enumerate(cap)
-    order = list(elements)
-    number = {element: i for i, element in enumerate(order)}
-    steps = []
-    for j in range(group.rank):
-        steps.append(group.gens[j])
-        steps.append(group.gens[j].inverse())
-    rows = []
-    for element in order:
-        rows.append(tuple(number[element * step] for step in steps))
-    raw = CosetTable(table.rank, tuple(rows))
-    # enumeration order is already the BFS order from the identity, but
-    # renumber anyway so the result is canonical by construction
-    return canonicalize(raw, 0)
+    d = table.degree
+    try:
+        return product([table] * d, range(d), cap).as_table()
+    except StateCapExceeded:
+        raise CapExceeded(cap, "transition group larger than cap") from None
 
 
 def big_n(
@@ -273,13 +249,15 @@ def big_n(
 ) -> CosetTable:
     """Table of N = intersection of the normal cores of all blocks.
 
-    Cached on the partition after the first success, like validate's report.
+    Blocks sharing a table share a core, so the product runs over the cores
+    of the distinct tables.  Cached on the partition after the first
+    success, like validate's report.
     """
     if p._n is not None:
         return p._n
-    cores = [normal_core(spec.table, group_cap) for spec in p.specs]
-    auto = product(cores, [0] * len(cores), state_cap)
-    p._n = canonicalize(auto.as_table(), 0)
+    tables = list(dict.fromkeys(spec.table for spec in p.specs))
+    cores = [normal_core(t, group_cap) for t in tables]
+    p._n = product(cores, [0] * len(cores), state_cap).as_table()
     return p._n
 
 
@@ -434,22 +412,10 @@ def lift_partition(
 def _coset_action_table(
     rank: int, quotient: PermGroup, sub: frozenset[Permutation]
 ) -> CosetTable:
-    elements = quotient.enumerate()
-    cosets: dict[Permutation, frozenset[Permutation]] = {}
-    number: dict[frozenset[Permutation], int] = {}
-    for element in elements:
-        coset = frozenset(x * element for x in sub)
-        cosets[element] = coset
-        if coset not in number:
-            number[coset] = len(number)
-    base = number[cosets[Permutation.identity(quotient.degree)]]
-    steps = []
-    for j in range(rank):
-        steps.append(quotient.gens[j])
-        steps.append(quotient.gens[j].inverse())
-    reps = {number[coset]: min(coset, key=lambda x: x.images) for coset in number}
-    rows = []
-    for v in range(len(number)):
-        rep = reps[v]
-        rows.append(tuple(number[cosets[rep * step]] for step in steps))
-    return canonicalize(CosetTable(rank, tuple(rows)), base)
+    """The orbit of the coset K = sub under right multiplication by the
+    generators and their inverses, numbered by BFS from K."""
+    actions = [lambda coset, step=step: frozenset(
+                   tuple(map(step.__getitem__, images)) for images in coset)
+               for g in quotient.gens for step in (g.images, g.inverse().images)]
+    start = frozenset(x.images for x in sub)
+    return CosetTable(rank, tuple(orbit(start, actions, quotient.order()).rows))

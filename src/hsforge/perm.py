@@ -2,10 +2,9 @@
 
 Permutations act on the right: evaluating a word letter by letter composes
 the letter permutations left to right, so eval(g, u*v) = eval(g, u) followed
-by eval(g, v).  Groups are enumerated breadth-first from the identity over
-the signed letters in column order, on plain image tuples, recording for
-every element only its BFS parent and the letter that reached it; a shortest
-witness word that evaluates to the element is rebuilt from these parent
+by eval(g, v).  A group is enumerated as the orbit of the identity's image
+tuple under the signed letters in column order (``schreier.orbit``); a
+shortest witness word for an element is rebuilt from the orbit's parent
 pointers when the element is looked up, so the same element always gets the
 same word.  Enumeration past a cap raises CapExceeded.
 """
@@ -16,8 +15,8 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from math import lcm
 
-from .schreier import CosetTable, word_step
-from .words import Word, letter_from_column
+from .schreier import CapExceeded, CosetTable, Orbit, cycles, orbit
+from .words import Word
 
 __all__ = [
     "CapExceeded",
@@ -31,12 +30,6 @@ __all__ = [
 ]
 
 DEFAULT_GROUP_CAP = 10**6
-
-
-class CapExceeded(Exception):
-    def __init__(self, cap: int, message: str = "enumeration exceeded cap"):
-        super().__init__(f"{message} ({cap})")
-        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -73,20 +66,7 @@ class Permutation:
         return Permutation(tuple(out))
 
     def cycles(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            v = self.images[start]
-            while v != start:
-                seen[v] = True
-                cycle.append(v)
-                v = self.images[v]
-            out.append(tuple(cycle))
-        return out
+        return cycles(self.images)
 
     def cycle_through(self, point: int) -> int:
         """Length of the cycle containing point."""
@@ -102,39 +82,21 @@ class Permutation:
 
 
 class _Closure(Mapping[Permutation, Word]):
-    """Enumerated group elements in BFS order, mapped to their witness words.
+    """Enumerated group elements in BFS order, mapped to their witness words,
+    which the orbit rebuilds from its parent pointers on lookup."""
 
-    Only the parent position and the column of the last letter are stored
-    per element; a lookup walks the parent pointers back to the identity.
-    """
-
-    def __init__(
-        self,
-        rank: int,
-        elements: list[Permutation],
-        index: dict[tuple[int, ...], int],
-        parent: list[int],
-        column: list[int],
-    ):
-        self._rank = rank
-        self._elements = elements
-        self._index = index
-        self._parent = parent
-        self._column = column
+    def __init__(self, reached: Orbit):
+        self._orbit = reached
+        self._elements = [Permutation(images) for images in reached.states]
 
     def __getitem__(self, element: Permutation) -> Word:
         if not isinstance(element, Permutation):
             raise KeyError(element)
-        position = self._index[element.images]
-        letters = []
-        while position:
-            letters.append(letter_from_column(self._column[position]))
-            position = self._parent[position]
-        return Word(self._rank, tuple(reversed(letters)))
+        return self._orbit.word(self._orbit.index[element.images])
 
     def __contains__(self, element: object) -> bool:
         return (isinstance(element, Permutation)
-                and element.images in self._index)
+                and element.images in self._orbit.index)
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self._elements)
@@ -167,38 +129,17 @@ class PermGroup:
         """
         if self._elements is not None:
             return self._elements
-        steps = []
-        for g in self.gens:
-            steps.append(g.images)
-            steps.append(g.inverse().images)
-        start = tuple(range(self.degree))
-        index = {start: 0}
-        order = [start]
-        parent = [0]
-        column = [-1]
-        head = 0
-        while head < len(order):
-            current = order[head]
-            for c, step in enumerate(steps):
-                image = tuple(map(step.__getitem__, current))
-                if image not in index:
-                    if len(order) >= cap:
-                        raise CapExceeded(cap, "transition group larger than cap")
-                    index[image] = len(order)
-                    order.append(image)
-                    parent.append(head)
-                    column.append(c)
-            head += 1
-        self._elements = _Closure(
-            self.rank, [Permutation(images) for images in order],
-            index, parent, column)
+        actions = [lambda images, step=step: tuple(map(step.__getitem__, images))
+                   for g in self.gens for step in (g.images, g.inverse().images)]
+        try:
+            reached = orbit(tuple(range(self.degree)), actions, cap)
+        except CapExceeded:
+            raise CapExceeded(cap, "transition group larger than cap") from None
+        self._elements = _Closure(reached)
         return self._elements
 
     def order(self, cap: int = DEFAULT_GROUP_CAP) -> int:
         return len(self.enumerate(cap))
-
-    def witness(self, element: Permutation, cap: int = DEFAULT_GROUP_CAP) -> Word:
-        return self.enumerate(cap)[element]
 
 
 def transition_group(table: CosetTable) -> PermGroup:
@@ -217,10 +158,6 @@ def eval_word(group: PermGroup, w: Word) -> Permutation:
         g = group.gens[letter.generator - 1]
         out = out * (g if letter.sign > 0 else g.inverse())
     return out
-
-
-def table_permutation(table: CosetTable, w: Word) -> Permutation:
-    return Permutation(word_step(table, w))
 
 
 def max_cycle_length(

@@ -12,8 +12,8 @@ import random
 
 from .partition import CosetPartition, lift_partition
 from .perm import CapExceeded, PermGroup, Permutation
-from .schreier import CosetTable, canonicalize, transversal
-from .words import Word, identity, letter_from_column, multiply, word
+from .schreier import CosetTable, canonical_rows, transversal
+from .words import Word, letter_from_column, multiply, word
 from .zcover import ZPartition, split_class, zpartition
 
 __all__ = [
@@ -33,41 +33,17 @@ def random_word(rng: random.Random, rank: int, max_len: int) -> Word:
     return word(rank, letters)
 
 
-def random_nonempty_word(rng: random.Random, rank: int, max_len: int) -> Word:
-    while True:
-        w = random_word(rng, rank, max_len)
-        if not w.is_identity:
-            return w
-
-
 def random_table(rng: random.Random, rank: int, max_index: int) -> CosetTable:
     """Transitive component of the basepoint under random permutations."""
     d = rng.randint(1, max_index)
-    perms = []
+    steps = []
     for _ in range(rank):
         images = list(range(d))
         rng.shuffle(images)
-        perms.append(Permutation(tuple(images)))
-    rows = []
-    for v in range(d):
-        row = []
-        for g in perms:
-            row.append(g.images[v])
-            row.append(g.inverse().images[v])
-        rows.append(tuple(row))
-    component = {0}
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        for target in rows[v]:
-            if target not in component:
-                component.add(target)
-                queue.append(target)
-    order = sorted(component)
-    number = {v: i for i, v in enumerate(order)}
-    sub_rows = tuple(
-        tuple(number[t] for t in rows[v]) for v in order)
-    return canonicalize(CosetTable(rank, sub_rows), 0)
+        g = Permutation(tuple(images))
+        steps += [g.images, g.inverse().images]
+    rows = [tuple(step[v] for step in steps) for v in range(d)]
+    return CosetTable(rank, canonical_rows(rows, 0))
 
 
 def spanning_generators(table: CosetTable) -> list[Word]:
@@ -104,21 +80,6 @@ def random_quotient(
         return group
 
 
-def _closure_in(
-    seed: list[Permutation], one: Permutation
-) -> frozenset[Permutation]:
-    elements = {one}
-    queue = [one]
-    while queue:
-        current = queue.pop()
-        for g in seed:
-            for image in (current * g, current * g.inverse()):
-                if image not in elements:
-                    elements.add(image)
-                    queue.append(image)
-    return frozenset(elements)
-
-
 def random_quotient_partition(
     rng: random.Random, quotient: PermGroup, max_refinements: int = 3
 ) -> list[tuple[frozenset[Permutation], Permutation]]:
@@ -137,7 +98,8 @@ def random_quotient_partition(
         smaller = frozenset([one])
         for _ in range(4):
             seed = [rng.choice(members) for _ in range(rng.randint(1, 2))]
-            candidate = _closure_in(seed, one)
+            candidate = frozenset(
+                PermGroup(quotient.degree, tuple(seed)).enumerate())
             if candidate < sub:
                 smaller = candidate
                 break

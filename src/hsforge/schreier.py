@@ -1,22 +1,31 @@
-"""Coset automata of finitely generated subgroups of free groups.
+"""Coset automata of subgroups of free groups, and the one orbit routine.
 
-A subgroup given by generator words is turned into a folded labeled graph
-(vertices = cosets reached so far, edges = generator transitions).  When the
-folded graph is complete the subgroup has finite index and the graph is a
-complete deterministic transition table on d vertices; vertices are numbered
-canonically by breadth-first search from the basepoint in column order
-(a < a^-1 < b < b^-1 < ...), so two tables are equal as values exactly when
-they describe the same subgroup.
+``orbit(start, actions, cap)`` is the breadth-first search behind every
+search in hsforge: coset tables and their renumbering, transition groups,
+normal cores, product automata and coset actions are all orbits of one start
+state under one action per letter column (a < a^-1 < b < b^-1 < ...).  It
+records each state's BFS parent and column, so a shortest word reaching a
+state is built from these pointers only when a caller asks for it.
+
+Folding a subgroup's generator words gives its transition graph; when that is
+complete the subgroup has finite index d and the graph is a complete table on
+d vertices, numbered by BFS from the basepoint in column order, so two tables
+are equal as values exactly when they describe the same subgroup.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
-from math import lcm
 
-from .words import Letter, Word, identity, letter_from_column, word
+from .words import Letter, Word, letter_from_column
 
 __all__ = [
+    "CapExceeded",
+    "Orbit",
+    "orbit",
+    "cycles",
+    "canonical_rows",
     "InfiniteIndex",
     "StallingsGraph",
     "CosetTable",
@@ -31,6 +40,104 @@ __all__ = [
     "WFunctionalGraph",
     "w_graph",
 ]
+
+
+class CapExceeded(Exception):
+    def __init__(self, cap: int, message: str = "enumeration exceeded cap"):
+        super().__init__(f"{message} ({cap})")
+        self.cap = cap
+
+
+@dataclass(frozen=True)
+class Orbit:
+    """States reached from ``states[0]``, in breadth-first discovery order.
+
+    ``index`` maps a state to its position.  ``parent[i]`` and ``column[i]``
+    are the position of the state that first reached state i and the column
+    it took (-1 for the start); ``rows[i][c]`` is the position of state i's
+    image under column c, or None where that action has no edge.
+    """
+
+    states: list
+    index: dict
+    parent: list[int]
+    column: list[int]
+    rows: list[tuple[int | None, ...]]
+
+    def word(self, position: int) -> Word:
+        """The discovery word of a state: a shortest word reaching it."""
+        letters = []
+        while position:
+            letters.append(letter_from_column(self.column[position]))
+            position = self.parent[position]
+        # a row has one entry per column, two columns per generator
+        return Word(len(self.rows[0]) // 2, tuple(reversed(letters)))
+
+
+def orbit(
+    start: Hashable,
+    actions: Sequence[Callable[[Hashable], Hashable | None]],
+    cap: int,
+) -> Orbit:
+    """Breadth-first orbit of start, trying the actions in column order.
+
+    An action returns the image of a state, or None for no edge.  Raises
+    CapExceeded when more than cap states would be reached.
+    """
+    index = {start: 0}
+    states = [start]
+    parent = [-1]
+    column = [-1]
+    rows = []
+    for head, state in enumerate(states):
+        row = []
+        for c, action in enumerate(actions):
+            target = action(state)
+            if target is None:
+                row.append(None)
+                continue
+            position = index.get(target)
+            if position is None:
+                if len(states) >= cap:
+                    raise CapExceeded(cap)
+                position = index[target] = len(states)
+                states.append(target)
+                parent.append(head)
+                column.append(c)
+            row.append(position)
+        rows.append(tuple(row))
+    return Orbit(states, index, parent, column, rows)
+
+
+def cycles(images: Sequence[int]) -> list[tuple[int, ...]]:
+    """Cycle decomposition of a permutation given by its images; each cycle
+    starts at its minimal point, cycles listed in order of that point."""
+    seen = [False] * len(images)
+    out = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        v = images[start]
+        while v != start:
+            seen[v] = True
+            cycle.append(v)
+            v = images[v]
+        out.append(tuple(cycle))
+    return out
+
+
+def canonical_rows(
+    rows: Sequence[Sequence[int | None]], basepoint: int
+) -> tuple[tuple[int | None, ...], ...]:
+    """Renumber by BFS from the basepoint in column order; drop unreachable.
+
+    ``None`` marks a missing transition and stays in place.
+    """
+    actions = [tuple(row[c] for row in rows).__getitem__
+               for c in range(len(rows[basepoint]))]
+    return tuple(orbit(basepoint, actions, len(rows)).rows)
 
 
 class InfiniteIndex(Exception):
@@ -88,29 +195,6 @@ class CosetTable:
         return tuple(t for row in self.delta for t in row)
 
 
-def _canonical_rows(
-    rank: int, rows: list[dict[int, int]], basepoint: int
-) -> tuple[tuple[int | None, ...], ...]:
-    """Renumber by BFS from the basepoint in column order; drop unreachable."""
-    columns = 2 * rank
-    number = {basepoint: 0}
-    order = [basepoint]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for c in range(columns):
-            target = rows[v].get(c)
-            if target is not None and target not in number:
-                number[target] = len(order)
-                order.append(target)
-    out = []
-    for v in order:
-        out.append(tuple(
-            number[rows[v][c]] if c in rows[v] else None for c in range(columns)))
-    return tuple(out)
-
-
 class _Folder:
     """Union-find folding of a partial transition graph."""
 
@@ -165,14 +249,12 @@ class _Folder:
                 self._set_edge(a, column, target)
 
     def graph(self, basepoint: int) -> StallingsGraph:
-        roots = sorted({self.find(v) for v in range(len(self.parent))})
-        index = {root: i for i, root in enumerate(roots)}
+        columns = range(2 * self.rank)
         rows = [
-            {column: index[self.find(t)] for column, t in self.out[root].items()}
-            for root in roots
+            tuple(None if (t := out.get(c)) is None else self.find(t) for c in columns)
+            for out in self.out
         ]
-        canonical = _canonical_rows(self.rank, rows, index[self.find(basepoint)])
-        return StallingsGraph(self.rank, canonical)
+        return StallingsGraph(self.rank, canonical_rows(rows, self.find(basepoint)))
 
 
 def fold_from_generators(rank: int, generators: list[Word]) -> StallingsGraph:
@@ -191,18 +273,6 @@ def fold_from_generators(rank: int, generators: list[Word]) -> StallingsGraph:
             prev = nxt
         folder.add_edge(prev, gen.letters[-1], base)
     return folder.graph(base)
-
-
-def refold(graph: StallingsGraph) -> StallingsGraph:
-    """Re-run folding on the edges of an already folded graph (idempotence)."""
-    folder = _Folder(graph.rank)
-    for _ in range(graph.vertex_count):
-        folder.new_vertex()
-    for v, row in enumerate(graph.rows):
-        for column in range(0, 2 * graph.rank, 2):
-            if row[column] is not None:
-                folder.add_edge(v, letter_from_column(column), row[column])
-    return folder.graph(folder.find(0))
 
 
 def try_complete(graph: StallingsGraph) -> CosetTable:
@@ -227,24 +297,10 @@ def table_from_generators(rank: int, generators: list[Word]) -> CosetTable:
 
 def canonicalize(table: CosetTable, basepoint: int = 0) -> CosetTable:
     """Renumber by BFS from the basepoint; fails if not connected."""
-    columns = 2 * table.rank
-    number = {basepoint: 0}
-    order = [basepoint]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for c in range(columns):
-            t = table.delta[v][c]
-            if t not in number:
-                number[t] = len(order)
-                order.append(t)
-    if len(order) != table.degree:
+    rows = canonical_rows(table.delta, basepoint)
+    if len(rows) != table.degree:
         raise ValueError("table is not connected from the basepoint")
-    rows = []
-    for v in order:
-        rows.append(tuple(number[table.delta[v][c]] for c in range(columns)))
-    return CosetTable(table.rank, tuple(rows))
+    return CosetTable(table.rank, rows)
 
 
 def trace(table: CosetTable, start: int, w: Word) -> int:
@@ -266,20 +322,11 @@ def transversal(table: CosetTable) -> list[Word]:
     Canonical numbering makes ``transversal(t)[i]`` the BFS discovery word
     of vertex i; each word has minimal length among words reaching i.
     """
-    reps: list[Word | None] = [None] * table.degree
-    reps[0] = identity(table.rank)
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for column in range(2 * table.rank):
-            target = table.delta[v][column]
-            if reps[target] is None:
-                reps[target] = word(
-                    table.rank, reps[v].letters + (letter_from_column(column),))
-                queue.append(target)
-    return [rep for rep in reps if rep is not None]
+    columns = [tuple(row[c] for row in table.delta).__getitem__
+               for c in range(2 * table.rank)]
+    reached = orbit(0, columns, table.degree)
+    reps = {v: reached.word(i) for i, v in enumerate(reached.states)}
+    return [reps[v] for v in sorted(reps)]
 
 
 def word_step(table: CosetTable, w: Word) -> tuple[int, ...]:
@@ -289,30 +336,22 @@ def word_step(table: CosetTable, w: Word) -> tuple[int, ...]:
 
 def order_at(table: CosetTable, w: Word, vertex: int) -> int:
     """Minimal k >= 1 with trace(vertex, w^k) == vertex."""
-    step = word_step(table, w)
-    k = 1
-    v = step[vertex]
-    while v != vertex:
-        v = step[v]
-        k += 1
-    return k
+    return len(visited_set(table, w, vertex))
 
 
 def visited_set(table: CosetTable, w: Word, vertex: int) -> frozenset[int]:
     """Orbit {vertex * w^k} of the vertex under the w-step.
 
     Its size equals order_at(table, w, vertex), and the orbits of any two
-    vertices are equal or disjoint, partitioning the vertex set.
+    vertices are equal or disjoint, partitioning the vertex set.  Only the
+    cycle through the vertex is traced.
     """
-    if not 0 <= vertex < table.degree:
-        raise ValueError(f"vertex {vertex} out of range")
-    step = word_step(table, w)
-    seen = {vertex}
-    v = step[vertex]
+    cycle = [vertex]
+    v = trace(table, vertex, w)
     while v != vertex:
-        seen.add(v)
-        v = step[v]
-    return frozenset(seen)
+        cycle.append(v)
+        v = trace(table, v, w)
+    return frozenset(cycle)
 
 
 @dataclass(frozen=True)
@@ -324,28 +363,9 @@ class WFunctionalGraph:
     step: tuple[int, ...]
 
     def cycles(self) -> list[tuple[int, ...]]:
-        """Cycle decomposition; each cycle starts at its minimal vertex,
-        cycles listed in order of that vertex."""
-        seen = [False] * len(self.step)
-        out = []
-        for start in range(len(self.step)):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            v = self.step[start]
-            while v != start:
-                seen[v] = True
-                cycle.append(v)
-                v = self.step[v]
-            out.append(tuple(cycle))
-        return out
+        """Cycle decomposition of the w-step, ordered as by ``cycles``."""
+        return cycles(self.step)
 
 
 def w_graph(table: CosetTable, w: Word) -> WFunctionalGraph:
     return WFunctionalGraph(table, w, word_step(table, w))
-
-
-def orders_lcm(table: CosetTable, w: Word) -> int:
-    """lcm of order_at over all vertices = order of the induced permutation."""
-    return lcm(*(len(c) for c in w_graph(table, w).cycles()))

@@ -10,6 +10,7 @@ empty word prints as "1".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, NamedTuple
 
 # The text form only has 26 letter pairs; core types accept any rank.
@@ -39,6 +40,7 @@ class Letter(NamedTuple):
         return chr(base) if self.sign > 0 else chr(base).upper()
 
 
+@cache  # one shared Letter per column: words rebuilt from parent pointers
 def letter_from_column(column: int) -> Letter:
     return Letter(column // 2 + 1, 1 if column % 2 == 0 else -1)
 

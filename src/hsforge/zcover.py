@@ -114,9 +114,6 @@ def smallest_prime_factor(n: int) -> int:
     return n
 
 
-_smallest_prime_factor = smallest_prime_factor
-
-
 @dataclass(frozen=True)
 class StructReport:
     o_max: int
@@ -150,7 +147,7 @@ def erdos_checks(z: ZPartition) -> StructReport:
         raise InvalidPartition("modulus 1 only allowed in the one-class partition")
 
     o_max = moduli[-1]
-    p = _smallest_prime_factor(o_max)
+    p = smallest_prime_factor(o_max)
     o_max_count = moduli.count(o_max)
 
     not_pairwise_coprime = any(

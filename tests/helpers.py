@@ -1,16 +1,29 @@
 """Independent brute-force oracles used to pin down library behavior.
 
-Everything here recomputes results from first principles (letter-by-letter
+Most of this recomputes results from first principles (letter-by-letter
 tracing, exhaustive scans, repeated-pass reduction) so the tests do not
-reuse the code paths they are checking.
+reuse the code paths they are checking.  At the end are library helpers
+that only the tests use, and the earlier constructions of normal cores, N,
+coset-action tables and transversals, kept as references that the
+orbit-based library code must agree with.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from hsforge.schreier import CosetTable
-from hsforge.words import Letter, Word, word
+from hsforge.partition import product
+from hsforge.perm import PermGroup, Permutation, transition_group
+from hsforge.schreier import (
+    CosetTable,
+    StallingsGraph,
+    _Folder,
+    canonicalize,
+    w_graph,
+    word_step,
+)
+from hsforge.words import Letter, Word, identity, letter_from_column, word
 from hsforge.zcover import ZPartition
 
 
@@ -86,6 +99,28 @@ def closure_by_bfs(
     return out
 
 
+def first_bad_state_by_bfs(p) -> tuple[tuple[Letter, ...], list[int]] | None:
+    """The first product state, in BFS order from the basepoint tuple, that
+    lies in no block or in several: its discovery letters and the blocks it
+    lies in.  None when every reachable state lies in exactly one block."""
+    tables = [spec.table for spec in p.specs]
+    marked = [trace_letters(spec.table, 0, spec.rep) for spec in p.specs]
+    start = tuple(0 for _ in tables)
+    queue = [(start, ())]
+    seen = {start}
+    for state, letters in queue:
+        hits = [i for i, (v, m) in enumerate(zip(state, marked)) if v == m]
+        if len(hits) != 1:
+            return letters, hits
+        for c in range(2 * p.rank):
+            target = tuple(t.delta[v][c] for t, v in zip(tables, state))
+            if target not in seen:
+                seen.add(target)
+                letter = Letter(c // 2 + 1, 1 if c % 2 == 0 else -1)
+                queue.append((target, letters + (letter,)))
+    return None
+
+
 def order_by_iteration(table: CosetTable, w: Word, vertex: int) -> int:
     """Smallest k >= 1 with vertex·w^k = vertex, by stepping one w at a time."""
     v = trace_letters(table, vertex, w)
@@ -135,3 +170,85 @@ def rho_recomputed(p, q) -> Fraction:
 def partition_signature(p) -> tuple:
     """Blocks as (table delta, marked vertex) pairs, order-independent."""
     return tuple(sorted((s.table.delta, s.marked) for s in p.specs))
+
+
+# -- library code only the tests use ----------------------------------------
+
+
+def refold(graph: StallingsGraph) -> StallingsGraph:
+    """Re-run folding on the edges of an already folded graph (idempotence)."""
+    folder = _Folder(graph.rank)
+    for _ in range(graph.vertex_count):
+        folder.new_vertex()
+    for v, row in enumerate(graph.rows):
+        for column in range(0, 2 * graph.rank, 2):
+            if row[column] is not None:
+                folder.add_edge(v, letter_from_column(column), row[column])
+    return folder.graph(folder.find(0))
+
+
+def orders_lcm(table: CosetTable, w: Word) -> int:
+    """lcm of order_at over all vertices = order of the induced permutation."""
+    return lcm(*(len(c) for c in w_graph(table, w).cycles()))
+
+
+def table_permutation(table: CosetTable, w: Word) -> Permutation:
+    return Permutation(word_step(table, w))
+
+
+# -- reference constructions the orbit-based code must agree with ----------
+
+
+def normal_core_by_cayley(table: CosetTable, cap: int = 10**6) -> CosetTable:
+    """Cayley table of the enumerated transition group, then canonicalized."""
+    group = transition_group(table)
+    order = list(group.enumerate(cap))
+    number = {element: i for i, element in enumerate(order)}
+    steps = []
+    for g in group.gens:
+        steps += [g, g.inverse()]
+    rows = tuple(tuple(number[element * step] for step in steps)
+                 for element in order)
+    return canonicalize(CosetTable(table.rank, rows), 0)
+
+
+def big_n_by_cores(p, group_cap: int = 10**6, state_cap: int = 10**6) -> CosetTable:
+    """Product of every block's core (duplicates included), canonicalized."""
+    cores = [normal_core_by_cayley(spec.table, group_cap) for spec in p.specs]
+    return canonicalize(product(cores, [0] * len(cores), state_cap).as_table(), 0)
+
+
+def coset_action_table_by_cosets(
+    rank: int, quotient: PermGroup, sub: frozenset[Permutation]
+) -> CosetTable:
+    """Right cosets K*x built element by element, numbered in enumeration
+    order, then canonicalized from the coset of the identity."""
+    cosets: dict[Permutation, frozenset[Permutation]] = {}
+    number: dict[frozenset[Permutation], int] = {}
+    for element in quotient.enumerate():
+        coset = frozenset(x * element for x in sub)
+        cosets[element] = coset
+        number.setdefault(coset, len(number))
+    base = number[cosets[Permutation.identity(quotient.degree)]]
+    steps = []
+    for g in quotient.gens:
+        steps += [g, g.inverse()]
+    reps = {number[coset]: min(coset, key=lambda x: x.images) for coset in number}
+    rows = tuple(tuple(number[cosets[reps[v] * step]] for step in steps)
+                 for v in range(len(number)))
+    return canonicalize(CosetTable(rank, rows), base)
+
+
+def transversal_by_words(table: CosetTable) -> list[Word]:
+    """BFS from vertex 0 that builds and reduces a word per vertex."""
+    reps: list[Word | None] = [None] * table.degree
+    reps[0] = identity(table.rank)
+    queue = [0]
+    for v in queue:
+        for column in range(2 * table.rank):
+            target = table.delta[v][column]
+            if reps[target] is None:
+                reps[target] = word(
+                    table.rank, reps[v].letters + (letter_from_column(column),))
+                queue.append(target)
+    return [rep for rep in reps if rep is not None]

@@ -222,6 +222,15 @@ def test_metric_same_file_is_zero(capsys):
     assert out == "rho = 0\n"
 
 
+def test_metric_rejects_mixed_ranks(capsys, tmp_path):
+    rank3 = tmp_path / "rank3.partition"
+    rank3.write_text("rank 3\nsub F = a, b, c\ncoset F rep 1\n")
+    code, out, err = run_cli(capsys, ["metric", THREES, str(rank3)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: partitions must share one rank\n"
+
+
 def test_entrypoint_raises_systemexit(capsys, monkeypatch):
     monkeypatch.setattr("sys.argv", ["hsforge", "validate", MIXED])
     with pytest.raises(SystemExit) as excinfo:

@@ -8,9 +8,9 @@ from math import lcm
 import pytest
 
 from conftest import P
+from helpers import table_permutation
 from hsforge.hsgraph import build_hs_graph, fiber_loop_count, loop_z_partition
 from hsforge.partition import CosetPartition, CosetSpec, coset_partition, validate
-from hsforge.perm import table_permutation
 from hsforge.sampling import random_lifted_partition, random_word
 from hsforge.schreier import table_from_generators
 from hsforge.words import identity

@@ -4,17 +4,23 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import P, nonempty_words, words
 from helpers import (
+    big_n_by_cores,
+    coset_action_table_by_cosets,
     covering_counts,
+    first_bad_state_by_bfs,
+    normal_core_by_cayley,
     partition_signature,
     reduced_words_up_to,
     rho_recomputed,
 )
+from hsforge.files import load_partition
 from hsforge.partition import (
     CosetPartition,
     CosetSpec,
@@ -35,11 +41,31 @@ from hsforge.partition import (
     rho,
     separating_subgroup,
     validate,
+    _coset_action_table,
 )
 from hsforge.perm import PermGroup, Permutation, transition_group
-from hsforge.sampling import random_lifted_partition, random_word
+from hsforge.sampling import (
+    random_lifted_partition,
+    random_quotient,
+    random_quotient_partition,
+    random_table,
+    random_word,
+)
 from hsforge.schreier import coset_of, table_from_generators, transversal
 from hsforge.words import identity, multiply
+
+BUNDLED = sorted((Path(__file__).resolve().parents[1] / "data").glob("*.partition"))
+
+
+def lifted_draws(seed: int, count: int):
+    """(rank, quotient, blocks) triples from the sampling generator."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        rank = rng.choice((2, 2, 3))
+        quotient = random_quotient(rng, rank, 6, 64)
+        out.append((rank, quotient, random_quotient_partition(rng, quotient, 3)))
+    return out
 
 
 def test_spec_marked_and_contains(k_table):
@@ -382,3 +408,62 @@ def test_validation_cap(p44):
     with pytest.raises(StateCapExceeded):
         fresh = coset_partition(2, list(p44.specs))
         validate(fresh, cap=2)
+
+
+def test_normal_core_matches_cayley_table(g_table, k_table, h1_table, m_table):
+    rng = random.Random(301)
+    tables = [g_table, k_table, h1_table, m_table]
+    tables += [random_table(rng, rng.choice((1, 2, 3)), 6) for _ in range(300)]
+    for table in tables:
+        assert normal_core(table) == normal_core_by_cayley(table)
+
+
+def test_coset_action_tables_and_n_match_references():
+    # lifted partitions: the orbit of K equals the table built coset by coset,
+    # and N over the distinct tables equals the product over every block
+    for rank, quotient, blocks in lifted_draws(302, 60):
+        for sub, _ in blocks:
+            assert (_coset_action_table(rank, quotient, sub)
+                    == coset_action_table_by_cosets(rank, quotient, sub))
+        p = lift_partition(rank, quotient, blocks)
+        assert big_n(p) == big_n_by_cores(p)
+    assert len(BUNDLED) == 5
+    for path in BUNDLED:
+        p = load_partition(str(path))
+        assert big_n(p) == big_n_by_cores(p)
+
+
+def test_validation_witnesses_match_bfs_oracle():
+    # drop a block (a gap), add a moved copy of one (usually an overlap), or
+    # add two copies of one (a state in three blocks)
+    rng = random.Random(303)
+    kinds = set()
+    for rank, quotient, blocks in lifted_draws(304, 60):
+        specs = list(lift_partition(rank, quotient, blocks).specs)
+        spec = rng.choice(specs)
+        change = rng.choice(("drop", "move", "twice"))
+        if change == "drop" and len(specs) > 1:
+            specs.remove(spec)
+        elif change == "twice":
+            specs += [spec, spec]
+        else:
+            specs.append(CosetSpec(
+                spec.table, multiply(spec.rep, random_word(rng, rank, 3))))
+        p = CosetPartition(rank, specs)
+        report = validate(p)
+        expected = first_bad_state_by_bfs(p)
+        if expected is None:
+            assert report.valid
+            continue
+        letters, hits = expected
+        assert not report.valid
+        if not hits:
+            kinds.add("gap")
+            assert report.gap_witness.letters == letters
+            assert report.overlap_witness is None
+        else:
+            kinds.add("overlap" if len(hits) == 2 else "triple")
+            assert report.gap_witness is None
+            w, i, j = report.overlap_witness
+            assert (w.letters, [i, j]) == (letters, hits[:2])
+    assert kinds == {"gap", "overlap", "triple"}

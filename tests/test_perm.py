@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 
 from conftest import P, words
-from helpers import closure_by_bfs, perm_by_tracing
+from helpers import closure_by_bfs, perm_by_tracing, table_permutation
+from hsforge.partition import StateCapExceeded, normal_core, product
 from hsforge.perm import (
     CapExceeded,
     PermGroup,
@@ -18,7 +19,6 @@ from hsforge.perm import (
     eval_word,
     has_k_cycle_at,
     max_cycle_length,
-    table_permutation,
     transition_group,
 )
 from hsforge.sampling import random_table
@@ -82,21 +82,37 @@ def test_enumeration_cap(g_table):
 
 def test_enumeration_matches_bfs_oracle(g_table, k_table, h1_table, m_table):
     # same elements in the same order, the same discovery words, and the cap
-    # hit exactly when one more element would be needed
+    # hit exactly when one more element would be needed; the normal core and
+    # the product of d copies of the table run the same orbit, so they take
+    # the same cap, each raising its own exception type
     rng = random.Random(114)
     tables = [g_table, k_table, h1_table, m_table]
     tables += [random_table(rng, rng.choice((2, 3)), 6) for _ in range(30)]
     for table in tables:
         expected = closure_by_bfs(table)
-        closure = transition_group(table).enumerate(len(expected))
+        size = len(expected)
+        closure = transition_group(table).enumerate(size)
         assert [e.images for e in closure] == [images for images, _ in expected]
         for element, (_, letters) in zip(closure, expected):
             witness = closure[element]
             assert witness.letters == letters
             assert tuple(perm_by_tracing(table, witness)) == element.images
-        if len(expected) > 1:
-            with pytest.raises(CapExceeded):
-                transition_group(table).enumerate(len(expected) - 1)
+        d = table.degree
+        auto = product([table] * d, range(d), size)
+        assert auto.orbit.states == [images for images, _ in expected]
+        assert [auto.word(i).letters for i in range(size)] == [
+            letters for _, letters in expected]
+        assert normal_core(table, size).degree == size
+        if size > 1:
+            with pytest.raises(CapExceeded) as enumerated:
+                transition_group(table).enumerate(size - 1)
+            with pytest.raises(CapExceeded) as core:
+                normal_core(table, size - 1)
+            for err in (enumerated.value, core.value):
+                assert type(err) is CapExceeded
+                assert str(err) == f"transition group larger than cap ({size - 1})"
+            with pytest.raises(StateCapExceeded):
+                product([table] * d, range(d), size - 1)
 
 
 def test_eval_word_is_a_homomorphism(g_table):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -15,17 +16,26 @@ from conftest import (
     gens,
     words,
 )
-from helpers import order_by_iteration, perm_by_tracing, trace_letters
+from helpers import (
+    order_by_iteration,
+    orders_lcm,
+    perm_by_tracing,
+    refold,
+    trace_letters,
+    transversal_by_words,
+)
 from hsforge.partition import normal_core
+from hsforge.sampling import random_table
 from hsforge.schreier import (
+    CapExceeded,
     CosetTable,
     InfiniteIndex,
+    canonical_rows,
     canonicalize,
     coset_of,
     fold_from_generators,
+    orbit,
     order_at,
-    orders_lcm,
-    refold,
     table_from_generators,
     trace,
     transversal,
@@ -259,3 +269,38 @@ def test_key_orders_tables(g_table, k_table, h1_table):
 def test_word_step_matches_letter_tracing(w):
     table = CosetTable(2, K_DELTA)
     assert list(word_step(table, w)) == perm_by_tracing(table, w)
+
+
+def test_transversal_matches_word_building_bfs(g_table, k_table, h1_table, m_table):
+    rng = random.Random(300)
+    tables = [g_table, k_table, h1_table, m_table]
+    tables += [random_table(rng, rng.choice((1, 2, 3)), 12) for _ in range(300)]
+    for table in tables:
+        assert transversal(table) == transversal_by_words(table)
+    # a table not numbered by BFS still gets one word per vertex, in vertex order
+    shuffled = CosetTable(1, ((2, 1), (0, 2), (1, 0)))
+    assert [str(w) for w in transversal(shuffled)] == ["1", "A", "a"]
+    assert transversal(shuffled) == transversal_by_words(shuffled)
+
+
+def test_order_and_visited_set_reject_vertices_out_of_range(g_table):
+    for vertex in (-1, g_table.degree):
+        with pytest.raises(ValueError):
+            order_at(g_table, P("ab"), vertex)
+        with pytest.raises(ValueError):
+            visited_set(g_table, P("ab"), vertex)
+
+
+def test_orbit_records_discovery_words_partial_edges_and_cap():
+    # a path 0 - 1 - 2 under the letter a; b has no edges at all
+    rows = ((1, None, None, None), (2, 0, None, None), (None, 1, None, None))
+    actions = [lambda v, c=c: rows[v][c] for c in range(4)]
+    reached = orbit(0, actions, 3)
+    assert reached.states == [0, 1, 2]
+    assert reached.rows == [(1, None, None, None), (2, 0, None, None),
+                            (None, 1, None, None)]
+    assert [str(reached.word(i)) for i in range(3)] == ["1", "a", "aa"]
+    assert canonical_rows(rows, 2) == (
+        (None, 1, None, None), (0, 2, None, None), (1, None, None, None))
+    with pytest.raises(CapExceeded):
+        orbit(0, actions, 2)
