@@ -27,7 +27,7 @@ from .partition import DEFAULT_STATE_CAP, rho, validate
 from .perm import CapExceeded, DEFAULT_GROUP_CAP
 from .theorems import analyze
 from .words import WordError, parse_word
-from .zcover import InvalidPartition, erdos_checks, parse_zpartition, validate_z
+from .zcover import InvalidPartition, erdos_checks, parse_zpartition
 
 __all__ = ["main", "entrypoint"]
 
@@ -174,10 +174,14 @@ def cmd_graph(args) -> int:
         outputs.append((f"hs_{word_text}.dot", hs_dot(graph)))
     if args.dot_dir:
         directory = Path(args.dot_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        for name, content in outputs:
-            (directory / name).write_text(content, encoding="utf-8")
-            print(f"wrote {directory / name}")
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            for name, content in outputs:
+                (directory / name).write_text(content, encoding="utf-8")
+                print(f"wrote {directory / name}")
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_INVALID
     else:
         for _, content in outputs:
             print(content, end="")
@@ -190,24 +194,21 @@ def cmd_zcheck(args) -> int:
     except InvalidPartition as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
-    check = validate_z(z)
-    payload: dict = {"valid": check.valid, "witness": check.witness}
-    lines = [f"valid: {check.valid}"]
-    if not check.valid:
-        lines.append(f"witness: {check.witness}")
-        _emit(payload, args.json, lines)
+    try:
+        report = erdos_checks(z)
+    except InvalidPartition as err:
+        _emit({"valid": False, "witness": err.witness}, args.json,
+              ["valid: False", f"witness: {err.witness}"])
         return EXIT_INVALID
-    report = erdos_checks(z)
+    payload: dict = {"valid": True, "witness": None, "o_max": report.o_max}
+    lines = ["valid: True", f"o_max: {report.o_max} (x{report.o_max_count})"]
     payload["checks"] = {
         "not_pairwise_coprime": report.not_pairwise_coprime,
         "o_max_repeats": report.o_max_repeats,
         "every_modulus_divides_another": report.every_modulus_divides_another,
         "non_divisors_repeat": report.non_divisors_repeat,
     }
-    payload["o_max"] = report.o_max
-    lines.append(f"o_max: {report.o_max} (x{report.o_max_count})")
-    for key, value in payload["checks"].items():
-        lines.append(f"{key}: {value}")
+    lines.extend(f"{key}: {value}" for key, value in payload["checks"].items())
     _emit(payload, args.json, lines)
     return EXIT_OK
 

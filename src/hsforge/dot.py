@@ -1,4 +1,4 @@
-"""Deterministic DOT renderings of tables, folded graphs, and loop graphs.
+"""Deterministic DOT renderings of tables and colored loop graphs.
 
 Vertices are labeled with their minimal representative words, edges carry
 positive letters only (inverse edges are implied), and the basepoint is drawn
@@ -8,23 +8,15 @@ as a double circle.  All output is sorted, so equal inputs give equal bytes.
 from __future__ import annotations
 
 from .hsgraph import HSColoredGraph
-from .schreier import CosetTable, StallingsGraph, WFunctionalGraph, transversal
+from .schreier import CosetTable, transversal
 from .words import letter_from_column
 
-__all__ = ["table_dot", "stallings_dot", "wgraph_dot", "hs_dot"]
+__all__ = ["table_dot", "hs_dot"]
 
 _PALETTE = (
     "lightblue", "lightsalmon", "palegreen", "gold", "plum", "khaki",
     "lightcyan", "mistyrose", "lavender", "wheat",
 )
-
-
-def _positive_edges(rows, rank: int):
-    for v, row in enumerate(rows):
-        for column in range(0, 2 * rank, 2):
-            target = row[column]
-            if target is not None:
-                yield v, letter_from_column(column).char(), target
 
 
 def table_dot(table: CosetTable, name: str = "table") -> str:
@@ -33,31 +25,11 @@ def table_dot(table: CosetTable, name: str = "table") -> str:
     for v in range(table.degree):
         shape = "doublecircle" if v == 0 else "circle"
         lines.append(f'  v{v} [label="{reps[v]}", shape={shape}];')
-    for v, char, target in sorted(_positive_edges(table.delta, table.rank)):
+    edges = sorted((v, letter_from_column(column).char(), row[column])
+                   for v, row in enumerate(table.delta)
+                   for column in range(0, 2 * table.rank, 2))
+    for v, char, target in edges:
         lines.append(f'  v{v} -> v{target} [label="{char}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def stallings_dot(graph: StallingsGraph, name: str = "folded") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    for v in range(graph.vertex_count):
-        shape = "doublecircle" if v == 0 else "circle"
-        lines.append(f'  v{v} [label="{v}", shape={shape}];')
-    for v, char, target in sorted(_positive_edges(graph.rows, graph.rank)):
-        lines.append(f'  v{v} -> v{target} [label="{char}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def wgraph_dot(graph: WFunctionalGraph, name: str = "wstep") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    reps = transversal(graph.table)
-    for v in range(graph.table.degree):
-        shape = "doublecircle" if v == 0 else "circle"
-        lines.append(f'  v{v} [label="{reps[v]}", shape={shape}];')
-    for v, target in enumerate(graph.step):
-        lines.append(f'  v{v} -> v{target} [label="{graph.w}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

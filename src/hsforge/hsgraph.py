@@ -7,6 +7,8 @@ for the step Ng -> Ngw.  The edges decompose into loops whose common length
 is the order of w modulo N; inside a loop each participating color i occupies
 an arithmetic progression with gap equal to the block's relative order of w,
 so every loop induces a partition of the integers into residue classes.
+A coset of N lies in block i when its product state, which carries every
+block table's coordinate, is at block i's marked vertex in that table.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 from math import lcm
 
 from .partition import CosetPartition, DEFAULT_STATE_CAP, big_n, order_rel
-from .perm import eval_word, transition_group
-from .schreier import CosetTable, cycles, transversal, w_graph
+from .perm import eval_word
+from .schreier import CosetTable, cycles, w_graph
 from .words import Word
 
 __all__ = ["HSLoop", "HSColoredGraph", "build_hs_graph", "loop_z_partition",
@@ -77,21 +79,21 @@ def build_hs_graph(
     of the permutations w induces on the individual blocks.
     """
     table = big_n(p, group_cap, state_cap)
-    reps = transversal(table)
+    position = {t: len(p.groups) + j for j, t in enumerate(p.groups)}
+    marks = [(position[spec.table], spec.marked) for spec in p.specs]
     color = []
-    for rep in reps:
-        hits = [i for i, spec in enumerate(p.specs) if spec.contains(rep)]
+    for v, state in enumerate(p._n_orbit.states):
+        hits = [i for i, (j, m) in enumerate(marks) if state[j] == m]
         if len(hits) != 1:
-            raise ValueError(
-                f"coset of {rep} lies in {len(hits)} blocks; partition invalid")
+            raise ValueError(f"coset of {p._n_orbit.word(v)} lies in "
+                             f"{len(hits)} blocks; partition invalid")
         color.append(hits[0])
     graph = w_graph(table, w)
     lengths = {len(c) for c in graph.cycles()}
     if len(lengths) != 1:
         raise AssertionError(f"normal table has uneven loop lengths {lengths}")
     o_n = lengths.pop()
-    per_block = lcm(*(
-        eval_word(transition_group(spec.table), w).order() for spec in p.specs))
+    per_block = lcm(*(eval_word(g, w).order() for g in p.groups.values()))
     if per_block != o_n:
         raise AssertionError(
             f"order of w modulo N is {o_n} but blockwise lcm is {per_block}")

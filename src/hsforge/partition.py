@@ -5,7 +5,9 @@ representative word; its marked vertex is the coset containing alpha.  A
 family of blocks partitions the group exactly when, in the product automaton
 of all tables started at the basepoint tuple, every reachable state sits at
 the marked vertex of exactly one block.  On top of validation this module
-computes normal cores, the common refinement subgroup N, the right action of
+computes normal cores (the Cayley table of a transition group, which a
+partition holds once per distinct table), the common refinement subgroup N
+(whose product states also carry every block's vertex), the right action of
 words on partitions, a prefix metric on partitions, and partitions lifted
 from finite quotient groups.
 """
@@ -18,7 +20,7 @@ from math import lcm
 from operator import getitem
 from typing import Iterable, Sequence
 
-from .perm import PermGroup, Permutation
+from .perm import PermGroup, Permutation, transition_group
 from .schreier import (
     CapExceeded,
     CosetTable,
@@ -97,7 +99,8 @@ class CosetSpec:
 
 class CosetPartition:
     """Blocks sorted ascending by (index, table); reps keep the given order
-    among blocks with equal table."""
+    among blocks with equal table.  ``groups`` maps each distinct table, in
+    first-seen order, to its transition group."""
 
     def __init__(self, rank: int, specs: Sequence[CosetSpec]):
         if not specs:
@@ -109,8 +112,12 @@ class CosetPartition:
         self.rank = rank
         self.specs = tuple(
             sorted(specs, key=lambda s: (s.table.degree, s.table.key())))
+        self.groups = {t: transition_group(t)
+                       for t in dict.fromkeys(spec.table for spec in self.specs)}
         self._report: ValidationReport | None = None
         self._n: CosetTable | None = None
+        self._n_orbit: Orbit | None = None
+        self._index_all: int | None = None
 
     @property
     def size(self) -> int:
@@ -187,9 +194,11 @@ def validate(p: CosetPartition, cap: int = DEFAULT_STATE_CAP) -> ValidationRepor
 
     Witness words are the BFS discovery words of the first bad product state:
     a gap witness lies in no block, an overlap witness in two (reported with
-    the two block positions).
+    the two block positions).  A cached report still respects the cap.
     """
     if p._report is not None:
+        if p._report.state_count > cap:
+            raise StateCapExceeded(cap)
         return p._report
     auto = product([spec.table for spec in p.specs], [0] * p.size, cap)
     marked = tuple(spec.marked for spec in p.specs)
@@ -228,18 +237,10 @@ def o_max_and_sharp(p: CosetPartition, w: Word) -> tuple[int, int]:
 
 
 def normal_core(table: CosetTable, cap: int = 10**6) -> CosetTable:
-    """Table of the largest normal subgroup inside the table's subgroup.
-
-    This is the Cayley graph of the transition group acting on itself by
-    right multiplication: the orbit of the vertex tuple (0, ..., d-1) in the
-    product of d copies of the table, so the core's index equals the group
-    order.  BFS numbering from the identity makes it canonical.
-    """
-    d = table.degree
-    try:
-        return product([table] * d, range(d), cap).as_table()
-    except StateCapExceeded:
-        raise CapExceeded(cap, "transition group larger than cap") from None
+    """Table of the largest normal subgroup inside the table's subgroup: the
+    Cayley table of the transition group, so the core's index equals the
+    group order.  BFS numbering from the identity makes it canonical."""
+    return transition_group(table).cayley_table(cap)
 
 
 def big_n(
@@ -249,27 +250,29 @@ def big_n(
 ) -> CosetTable:
     """Table of N = intersection of the normal cores of all blocks.
 
-    Blocks sharing a table share a core, so the product runs over the cores
-    of the distinct tables.  Cached on the partition after the first
-    success, like validate's report.
+    The product runs over the cores of the distinct tables and then the
+    tables themselves; N lies in every block's subgroup, so the table
+    coordinates follow from the core ones and leave N's numbering unchanged.
+    N and its orbit are cached on the partition after the first success,
+    like validate's report, and raise as a fresh computation would.
     """
     if p._n is not None:
+        for group in p.groups.values():
+            group.enumerate(group_cap)
+        if p._n.degree > state_cap:
+            raise StateCapExceeded(state_cap)
         return p._n
-    tables = list(dict.fromkeys(spec.table for spec in p.specs))
-    cores = [normal_core(t, group_cap) for t in tables]
-    p._n = product(cores, [0] * len(cores), state_cap).as_table()
+    cores = [group.cayley_table(group_cap) for group in p.groups.values()]
+    auto = product(cores + list(p.groups), [0] * (2 * len(cores)), state_cap)
+    p._n, p._n_orbit = auto.as_table(), auto.orbit
     return p._n
 
 
 def act(p: CosetPartition, w: Word) -> CosetPartition:
     """Right action: every representative is multiplied by w."""
-    out = CosetPartition(
+    return CosetPartition(
         p.rank,
         [CosetSpec(spec.table, multiply(spec.rep, w)) for spec in p.specs])
-    # tables unchanged: validity and N are preserved
-    out._report = p._report
-    out._n = p._n
-    return out
 
 
 def orbit_size_under(p: CosetPartition, w: Word) -> int:
@@ -298,6 +301,7 @@ def intersection_conditions(
     product automata are based at the marked tuples.  If omitting the pair
     strictly lowers the index, or lcm(d_j, d_k) fails to divide the partial
     index, the two subgroups must coincide; that is verified on the spot.
+    The index of all blocks is cached on the partition like validate's report.
     """
     if p.size < 3:
         raise ValueError("needs at least three blocks")
@@ -305,17 +309,20 @@ def intersection_conditions(
         raise ValueError(f"bad pair ({j}, {k})")
     tables = [spec.table for spec in p.specs]
     marked = [spec.marked for spec in p.specs]
-    index_all = product(tables, marked, cap).state_count
+    if p._index_all is None:
+        p._index_all = product(tables, marked, cap).state_count
+    elif p._index_all > cap:
+        raise StateCapExceeded(cap)
     rest_tables = [t for i, t in enumerate(tables) if i not in (j, k)]
     rest_marked = [v for i, v in enumerate(marked) if i not in (j, k)]
     index_without = product(rest_tables, rest_marked, cap).state_count
-    strict = index_all > index_without
+    strict = p._index_all > index_without
     pair_lcm = lcm(tables[j].degree, tables[k].degree)
     obstruction = index_without % pair_lcm != 0
     holds = strict or obstruction
     equal = (tables[j] == tables[k]) if holds else None
     return PairIntersectionReport(
-        (j, k), index_all, index_without, strict, obstruction, holds, equal)
+        (j, k), p._index_all, index_without, strict, obstruction, holds, equal)
 
 
 def rho(p: CosetPartition, q: CosetPartition) -> Fraction:

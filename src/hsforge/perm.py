@@ -6,7 +6,9 @@ by eval(g, v).  A group is enumerated as the orbit of the identity's image
 tuple under the signed letters in column order (``schreier.orbit``); a
 shortest witness word for an element is rebuilt from the orbit's parent
 pointers when the element is looked up, so the same element always gets the
-same word.  Enumeration past a cap raises CapExceeded.
+same word.  The orbit's rows are the group's Cayley table, which is the
+normal core of any table whose transition group it is.  Enumeration past a
+cap raises CapExceeded, also when the closure is already cached.
 """
 
 from __future__ import annotations
@@ -128,6 +130,8 @@ class PermGroup:
         path, a shortest word, and the same on every lookup.
         """
         if self._elements is not None:
+            if len(self._elements) > cap:
+                raise CapExceeded(cap, "transition group larger than cap")
             return self._elements
         actions = [lambda images, step=step: tuple(map(step.__getitem__, images))
                    for g in self.gens for step in (g.images, g.inverse().images)]
@@ -137,6 +141,12 @@ class PermGroup:
             raise CapExceeded(cap, "transition group larger than cap") from None
         self._elements = _Closure(reached)
         return self._elements
+
+    def cayley_table(self, cap: int = DEFAULT_GROUP_CAP) -> CosetTable:
+        """The group acting on itself by right multiplication, in enumeration
+        order: the normal core of any table whose transition group this is."""
+        self.enumerate(cap)
+        return CosetTable(self.rank, tuple(self._elements._orbit.rows))
 
     def order(self, cap: int = DEFAULT_GROUP_CAP) -> int:
         return len(self.enumerate(cap))

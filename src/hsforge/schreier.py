@@ -84,6 +84,8 @@ def orbit(
     An action returns the image of a state, or None for no edge.  Raises
     CapExceeded when more than cap states would be reached.
     """
+    if cap < 1:
+        raise CapExceeded(cap)
     index = {start: 0}
     states = [start]
     parent = [-1]

@@ -31,10 +31,10 @@ from .perm import (
     DEFAULT_GROUP_CAP,
     cycle_type_census,
     has_k_cycle_at,
-    transition_group,
+    max_cycle_length,
 )
 from .words import Word, parse_word
-from .zcover import erdos_checks, smallest_prime_factor, validate_z
+from .zcover import InvalidPartition, erdos_checks, smallest_prime_factor
 
 __all__ = [
     "TheoremReport",
@@ -82,8 +82,8 @@ class TheoremReport:
 
 
 def _require_valid(p: CosetPartition) -> None:
-    report = validate(p)
-    if not report.valid:
+    # any cached report shows validity; only a fresh validation needs a cap
+    if p._report is None and not validate(p).valid:
         raise ValueError("partition is not valid; run validation first")
 
 
@@ -109,7 +109,7 @@ def check_full_cycle(
     witness: Word | None = None
     witness_block: int | None = None
     for i in candidates:
-        group = transition_group(p.specs[i].table)
+        group = p.groups[p.specs[i].table]
         try:
             found = has_k_cycle_at(group, d_max, p.specs[i].marked, cap)
         except CapExceeded:
@@ -187,18 +187,14 @@ def check_cycle_bounds(
         return TheoremReport(
             "cycle_bounds", NOT_APPLICABLE,
             details={"reason": "needs at least three blocks"})
-    groups = [transition_group(spec.table) for spec in p.specs]
     try:
-        longest = []
-        for group in groups:
-            elements = group.enumerate(cap)
-            longest.append(max(
-                max(len(c) for c in e.cycles()) for e in elements))
+        longest = {table: max_cycle_length(group, cap)[0]
+                   for table, group in p.groups.items()}
     except CapExceeded:
         return TheoremReport(
             "cycle_bounds", UNKNOWN,
             details={"reason": "transition group enumeration capped"})
-    k = max(longest)
+    k = max(longest.values())
     details: dict[str, Any] = {"k": k, "indices": list(p.indices)}
     if k < 2:
         details["reason"] = "no nontrivial cycles"
@@ -207,10 +203,10 @@ def check_cycle_bounds(
     details["smallest_prime"] = prime
     candidates = []
     fired_any = []
-    for i in range(p.size):
-        if longest[i] != k:
+    for i, spec in enumerate(p.specs):
+        if longest[spec.table] != k:
             continue
-        u = has_k_cycle_at(groups[i], k, p.specs[i].marked, cap)
+        u = has_k_cycle_at(p.groups[spec.table], k, spec.marked, cap)
         if u is None:
             raise AssertionError(
                 f"block {i}: a {k}-cycle exists but none passes the marked "
@@ -408,10 +404,12 @@ def loop_consistency(
                 f"expected {graph.o_n}")
             continue
         z = loop_z_partition(graph, loop)
-        if not validate_z(z).valid:
+        try:
+            struct = erdos_checks(z)
+        except InvalidPartition:
             problems.append(f"loop {number}: classes {z} do not partition Z")
             continue
-        if not erdos_checks(z).all_hold:
+        if not struct.all_hold:
             problems.append(f"loop {number}: classes {z} fail a structural check")
     return {
         "word": str(w),
@@ -424,12 +422,12 @@ def loop_consistency(
     }
 
 
-def default_word_sample(p: CosetPartition) -> list[Word]:
-    """Generators, two-generator products, then theorem witnesses."""
+def default_word_sample(p: CosetPartition, reports: list[TheoremReport]) -> list[Word]:
+    """Generators, two-generator products, then the reports' witnesses."""
     alphabet = [chr(ord("a") + j) for j in range(min(p.rank, 26))]
     texts = list(alphabet)
     texts.extend(x + y for x in alphabet for y in alphabet)
-    for report in (check_full_cycle(p), check_cycle_bounds(p)):
+    for report in reports:
         texts.append(report.details.get("witness"))
         for candidate in report.details.get("candidates", []):
             texts.append(candidate.get("witness"))
@@ -450,9 +448,10 @@ def default_word_sample(p: CosetPartition) -> list[Word]:
 def _block_summaries(
     p: CosetPartition, group_cap: int
 ) -> tuple[list[dict[str, Any]], bool]:
-    """Per-block index, representative, and cycle-type census."""
+    """Per-block index, representative, and cycle-type census (one per table)."""
     blocks = []
     capped = False
+    censuses: dict[Any, list[dict[str, Any]]] = {}
     for i, spec in enumerate(p.specs):
         entry: dict[str, Any] = {
             "block": i,
@@ -460,16 +459,17 @@ def _block_summaries(
             "rep": str(spec.rep),
             "marked": spec.marked,
         }
-        group = transition_group(spec.table)
+        group = p.groups[spec.table]
         try:
-            census = cycle_type_census(group, group_cap)
+            if spec.table not in censuses:
+                censuses[spec.table] = [
+                    {"type": "+".join(map(str, shape)),
+                     "count": count,
+                     "witness": str(wit)}
+                    for shape, count, wit in cycle_type_census(group, group_cap)
+                ]
             entry["group_order"] = group.order(group_cap)
-            entry["cycle_types"] = [
-                {"type": "+".join(map(str, shape)),
-                 "count": count,
-                 "witness": str(wit)}
-                for shape, count, wit in census
-            ]
+            entry["cycle_types"] = censuses[spec.table]
         except CapExceeded:
             entry["capped"] = True
             capped = True
@@ -543,7 +543,7 @@ def analyze(
         unknown = True
     if m is not None:
         try:
-            sample = words if words is not None else default_word_sample(p)
+            sample = words if words is not None else default_word_sample(p, reports)
             for w in sample:
                 check = loop_consistency(p, w, group_cap, state_cap)
                 loop_checks.append(check)

@@ -32,7 +32,12 @@ __all__ = [
 
 
 class InvalidPartition(ValueError):
-    """The classes do not form a partition of Z, or moduli are malformed."""
+    """The classes do not form a partition of Z, or moduli are malformed;
+    ``witness`` is the smallest integer not covered once, if that is why."""
+
+    def __init__(self, message: str, witness: int | None = None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class SpacingViolation(ValueError):
@@ -139,7 +144,8 @@ def erdos_checks(z: ZPartition) -> StructReport:
     check = validate_z(z)
     if not check.valid:
         raise InvalidPartition(
-            f"not a partition of Z: integer {check.witness} not covered once")
+            f"not a partition of Z: integer {check.witness} not covered once",
+            check.witness)
     moduli = sorted(z.moduli)
     if len(moduli) == 1:
         return StructReport(moduli[0], None, 1, True, True, True, True)

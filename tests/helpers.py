@@ -5,7 +5,8 @@ tracing, exhaustive scans, repeated-pass reduction) so the tests do not
 reuse the code paths they are checking.  At the end are library helpers
 that only the tests use, and the earlier constructions of normal cores, N,
 coset-action tables and transversals, kept as references that the
-orbit-based library code must agree with.
+orbit-based library code must agree with, and the coloring of N's cosets
+by tracing words through every block.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hsforge.schreier import (
     StallingsGraph,
     _Folder,
     canonicalize,
+    transversal,
     w_graph,
     word_step,
 )
@@ -252,3 +254,17 @@ def transversal_by_words(table: CosetTable) -> list[Word]:
                     table.rank, reps[v].letters + (letter_from_column(column),))
                 queue.append(target)
     return [rep for rep in reps if rep is not None]
+
+
+def coloring_by_words(p, n_table: CosetTable) -> tuple[int, ...]:
+    """Each coset of N colored by the block containing its transversal word,
+    membership found by tracing the word through every block's table; an
+    invalid partition fails with the library's message."""
+    color = []
+    for rep in transversal(n_table):
+        hits = [i for i, spec in enumerate(p.specs) if spec.contains(rep)]
+        if len(hits) != 1:
+            raise ValueError(
+                f"coset of {rep} lies in {len(hits)} blocks; partition invalid")
+        color.append(hits[0])
+    return tuple(color)

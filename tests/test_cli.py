@@ -20,6 +20,16 @@ MIXED = str(ROOT / "data" / "ex_two_four_four.partition")
 NORMAL = str(ROOT / "data" / "ex_two_normal_four.partition")
 THREES = str(ROOT / "data" / "ex_three_threes.partition")
 GOLDEN = ROOT / "data" / "golden"
+# GAP leaves the coset of ab in no block; the two blocks of OVERLAP coincide.
+GAP = ("rank 2\n"
+       "sub H = b, aa, abA\n"
+       "sub K = b, aa, abba, abaaba, abababa\n"
+       "coset H rep 1\n"
+       "coset K rep a\n")
+OVERLAP = ("rank 2\n"
+           "sub H = b, aa, abA\n"
+           "coset H rep 1\n"
+           "coset H rep 1\n")
 
 # Every bundled example round-trips: it validates and reproduces its golden
 # report byte-for-byte.
@@ -64,12 +74,7 @@ def test_validate_text_mode(capsys):
 
 def test_validate_gap_exits_one(capsys, tmp_path):
     target = tmp_path / "gap.partition"
-    target.write_text(
-        "rank 2\n"
-        "sub H = b, aa, abA\n"
-        "sub K = b, aa, abba, abaaba, abababa\n"
-        "coset H rep 1\n"
-        "coset K rep a\n")
+    target.write_text(GAP)
     code, out, _ = run_cli(capsys, ["validate", str(target), "--json"])
     assert code == 1
     payload = json.loads(out)
@@ -84,11 +89,7 @@ def test_validate_gap_exits_one(capsys, tmp_path):
 
 def test_validate_overlap_exits_one(capsys, tmp_path):
     target = tmp_path / "overlap.partition"
-    target.write_text(
-        "rank 2\n"
-        "sub H = b, aa, abA\n"
-        "coset H rep 1\n"
-        "coset H rep 1\n")
+    target.write_text(OVERLAP)
     code, out, _ = run_cli(capsys, ["validate", str(target), "--json"])
     assert code == 1
     payload = json.loads(out)
@@ -184,6 +185,30 @@ def test_graph_dot_dir_writes_files(capsys, tmp_path):
     assert code == 0
     assert (tmp_path / "hs_ab.dot").read_text() == (
         GOLDEN / "graph_hs_mixed.dot").read_text()
+
+
+def test_graph_dot_dir_that_is_a_file_exits_one(capsys, tmp_path):
+    target = tmp_path / "taken"
+    target.write_text("")
+    code, out, err = run_cli(capsys, ["graph", MIXED, "--target", "sub",
+                                      "--dot-dir", str(target)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
+    assert target.read_text() == ""
+
+
+def test_graph_hs_on_invalid_partition_exits_one(capsys, tmp_path):
+    for name, text, message in (
+            ("gap", GAP, "coset of ab lies in 0 blocks"),
+            ("overlap", OVERLAP, "coset of 1 lies in 2 blocks")):
+        target = tmp_path / f"{name}.partition"
+        target.write_text(text)
+        code, out, err = run_cli(capsys, ["graph", str(target), "--target", "hs"])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}; partition invalid\n"
 
 
 def test_graph_rejects_bad_word(capsys):

@@ -4,13 +4,21 @@ from __future__ import annotations
 
 import random
 from math import lcm
+from pathlib import Path
 
 import pytest
 
 from conftest import P
-from helpers import table_permutation
+from helpers import coloring_by_words, table_permutation
+from hsforge.files import load_partition
 from hsforge.hsgraph import build_hs_graph, fiber_loop_count, loop_z_partition
-from hsforge.partition import CosetPartition, CosetSpec, coset_partition, validate
+from hsforge.partition import (
+    CosetPartition,
+    CosetSpec,
+    big_n,
+    coset_partition,
+    validate,
+)
 from hsforge.sampling import random_lifted_partition, random_word
 from hsforge.schreier import table_from_generators
 from hsforge.words import identity
@@ -153,3 +161,30 @@ def test_fuzzed_lifted_partitions(p44):
             z = loop_z_partition(graph, loop)
             assert validate_z(z).valid
             assert erdos_checks(z).all_hold
+
+
+def test_colors_match_word_tracing_reference():
+    # colors read off N's product states equal the blocks found by tracing
+    # each coset's transversal word; after dropping or repeating a block, the
+    # first coset outside exactly one block is named by the same word
+    rng = random.Random(405)
+    partitions = [random_lifted_partition(rng, rng.choice((2, 2, 3)), max_order=64)
+                  for _ in range(60)]
+    bundled = sorted((Path(__file__).resolve().parents[1] / "data").glob("*.partition"))
+    assert len(bundled) == 5
+    partitions += [load_partition(str(path)) for path in bundled]
+    invalid = 0
+    for p in partitions:
+        graph = build_hs_graph(p, random_word(rng, p.rank, 3))
+        assert graph.color == coloring_by_words(p, graph.table)
+        for specs in (p.specs[1:], p.specs + p.specs[:1]):
+            if not specs:
+                continue
+            bad = CosetPartition(p.rank, specs)
+            with pytest.raises(ValueError) as expected:
+                coloring_by_words(bad, big_n(bad))
+            with pytest.raises(ValueError) as got:
+                build_hs_graph(bad, identity(p.rank))
+            assert str(got.value) == str(expected.value)
+            invalid += 1
+    assert invalid > 100

@@ -82,16 +82,18 @@ def test_enumeration_cap(g_table):
 
 def test_enumeration_matches_bfs_oracle(g_table, k_table, h1_table, m_table):
     # same elements in the same order, the same discovery words, and the cap
-    # hit exactly when one more element would be needed; the normal core and
-    # the product of d copies of the table run the same orbit, so they take
-    # the same cap, each raising its own exception type
+    # hit exactly when one more element would be needed, also by a group
+    # whose closure is already cached; the normal core and the product of d
+    # copies of the table run the same orbit, so they take the same cap,
+    # each raising its own exception type
     rng = random.Random(114)
     tables = [g_table, k_table, h1_table, m_table]
     tables += [random_table(rng, rng.choice((2, 3)), 6) for _ in range(30)]
     for table in tables:
         expected = closure_by_bfs(table)
         size = len(expected)
-        closure = transition_group(table).enumerate(size)
+        group = transition_group(table)
+        closure = group.enumerate(size)
         assert [e.images for e in closure] == [images for images, _ in expected]
         for element, (_, letters) in zip(closure, expected):
             witness = closure[element]
@@ -108,7 +110,10 @@ def test_enumeration_matches_bfs_oracle(g_table, k_table, h1_table, m_table):
                 transition_group(table).enumerate(size - 1)
             with pytest.raises(CapExceeded) as core:
                 normal_core(table, size - 1)
-            for err in (enumerated.value, core.value):
+            with pytest.raises(CapExceeded) as cached:
+                group.enumerate(size - 1)
+            assert group.enumerate(size) is closure
+            for err in (enumerated.value, core.value, cached.value):
                 assert type(err) is CapExceeded
                 assert str(err) == f"transition group larger than cap ({size - 1})"
             with pytest.raises(StateCapExceeded):

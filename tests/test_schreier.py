@@ -304,3 +304,7 @@ def test_orbit_records_discovery_words_partial_edges_and_cap():
         (None, 1, None, None), (0, 2, None, None), (1, None, None, None))
     with pytest.raises(CapExceeded):
         orbit(0, actions, 2)
+    # the start state counts too: a cap below one is always exceeded
+    assert orbit(0, [lambda v: None], 1).states == [0]
+    with pytest.raises(CapExceeded):
+        orbit(0, [lambda v: None], 0)

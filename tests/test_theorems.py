@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,12 +14,16 @@ from hsforge.hsgraph import build_hs_graph, loop_z_partition
 from hsforge.partition import (
     CosetPartition,
     CosetSpec,
+    act,
+    big_n,
     coset_partition,
+    intersection_conditions,
     multiplicity,
     o_max_and_sharp,
     validate,
 )
-from hsforge.sampling import random_lifted_partition
+from hsforge.perm import CapExceeded
+from hsforge.sampling import random_lifted_partition, random_word
 from hsforge.schreier import table_from_generators
 from hsforge.theorems import (
     Analysis,
@@ -31,6 +38,21 @@ from hsforge.theorems import (
 )
 from hsforge.words import parse_word
 from hsforge.zcover import erdos_checks, smallest_prime_factor
+
+# sha256 of analyze(p).to_json(), dumped with sorted keys, over the first 60
+# partitions of `scripts/fuzz_soundness.py --seed 0`; recorded when every
+# caller still built its own transition groups, cores, all-blocks products
+# and colors, so sharing them must leave every analysis unchanged.
+ANALYZE_STREAM_SHA256 = (
+    "3bd7bcb1c6dfaf73449711b2e67449d61b5d64e7f75f65cfce00f60efeaf29b9")
+
+
+def fuzz_partitions(count: int):
+    """The partitions fuzz_soundness.py draws for --seed 0, in its order."""
+    rng = random.Random(0)
+    for _ in range(count):
+        rank = rng.choice((2, 2, 3))
+        yield random_lifted_partition(rng, rank, max_order=64)
 
 
 def test_full_cycle_applies_on_mixed_partition(p44):
@@ -192,7 +214,8 @@ def test_loop_consistency(p44, p77):
 
 
 def test_default_word_sample(p44):
-    sample = default_word_sample(p44)
+    reports = [check_full_cycle(p44), check_cycle_bounds(p44)]
+    sample = default_word_sample(p44, reports)
     texts = [str(w) for w in sample]
     assert "a" in texts and "b" in texts
     assert "ab" in texts and "ba" in texts
@@ -287,3 +310,49 @@ def test_checkers_never_fire_without_multiplicity(p44, p77, p22, p333):
             if report.applies:
                 assert multiplicity(fresh), (
                     f"{report.name} fired on a multiplicity-free partition")
+
+
+def test_analyze_stream_is_pinned():
+    digest = hashlib.sha256()
+    for p in fuzz_partitions(60):
+        digest.update(json.dumps(analyze(p).to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == ANALYZE_STREAM_SHA256
+
+
+def _like_fresh_copy(call, p, *args, **kwargs) -> bool:
+    """Assert that call answers on p as on a fresh copy of p; return whether
+    that answer is a cap hit or an analysis left unknown."""
+    outcomes = []
+    for q in (p, CosetPartition(p.rank, p.specs)):
+        try:
+            result = call(q, *args, **kwargs)
+        except CapExceeded as err:
+            outcomes.append((type(err), str(err)))
+            continue
+        outcomes.append(result.to_json() if isinstance(result, Analysis) else result)
+    answer, fresh = outcomes
+    assert answer == fresh
+    return isinstance(answer, tuple) or (isinstance(answer, dict) and answer["unknown"])
+
+
+def test_cached_objects_take_smaller_caps_like_fresh_copies():
+    # a partition that holds its validation report, closures, N and
+    # all-blocks index answers a smaller cap as a fresh copy of it does, and
+    # so does a partition moved by act after its source was analyzed
+    rng = random.Random(406)
+    capped = Counter()
+    for p in fuzz_partitions(150):
+        validate(p)
+        capped["validate"] += _like_fresh_copy(validate, p, 5)
+        analysis = analyze(p)
+        capped["analyze"] += _like_fresh_copy(analyze, p, group_cap=40)
+        if analysis.m is not None:
+            capped["big_n"] += _like_fresh_copy(big_n, p, 10**6, analysis.m - 1)
+        if p.size >= 3:
+            index = intersection_conditions(p, 0, 1).index_all
+            capped["index"] += _like_fresh_copy(
+                intersection_conditions, p, 0, 2, index - 1)
+        q = act(p, random_word(rng, p.rank, 4))
+        capped["act"] += _like_fresh_copy(analyze, q, group_cap=40)
+    assert min(capped[kind] for kind in
+               ("validate", "analyze", "big_n", "index", "act")) > 0

@@ -78,10 +78,11 @@ def test_erdos_checks_on_period_four_cover():
 def test_erdos_checks_trivial_and_rejects():
     singleton = erdos_checks(zpartition([(1, 0)]))
     assert singleton.all_hold
-    with pytest.raises(InvalidPartition):
-        erdos_checks(parse_zpartition("2:0,4:1"))  # not a partition
-    with pytest.raises(InvalidPartition):
-        erdos_checks(parse_zpartition("2:0,2:0"))  # double cover
+    for text, witness in (("2:0,4:1", 3),   # not a partition
+                          ("2:0,2:0", 0)):  # double cover
+        with pytest.raises(InvalidPartition) as err:
+            erdos_checks(parse_zpartition(text))
+        assert err.value.witness == witness == validate_z(parse_zpartition(text)).witness
 
 
 def test_split_class():
