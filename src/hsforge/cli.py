@@ -21,12 +21,12 @@ import sys
 from pathlib import Path
 
 from .dot import hs_dot, table_dot
-from .files import FileFormatError, load_partition
+from .files import load_partition
 from .hsgraph import build_hs_graph
 from .partition import DEFAULT_STATE_CAP, rho, validate
 from .perm import CapExceeded, DEFAULT_GROUP_CAP
 from .theorems import analyze
-from .words import WordError, parse_word
+from .words import parse_word
 from .zcover import InvalidPartition, erdos_checks, parse_zpartition
 
 __all__ = ["main", "entrypoint"]
@@ -65,17 +65,9 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        p = load_partition(args.file)
-    except (FileFormatError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
+    p = load_partition(args.file)
     _, state_cap = _caps(args)
-    try:
-        report = validate(p, state_cap)
-    except CapExceeded as err:
-        print(f"unknown: {err}", file=sys.stderr)
-        return EXIT_UNKNOWN
+    report = validate(p, state_cap)
     payload = {
         "valid": report.valid,
         "indices": list(p.indices),
@@ -97,25 +89,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        p = load_partition(args.file)
-    except (FileFormatError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
+    p = load_partition(args.file)
     group_cap, state_cap = _caps(args)
     words = None
     if args.words:
-        try:
-            words = [parse_word(p.rank, t.strip())
-                     for t in args.words.split(",") if t.strip()]
-        except WordError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_INVALID
-    try:
-        analysis = analyze(p, words, group_cap, state_cap)
-    except CapExceeded as err:
-        print(f"unknown: {err}", file=sys.stderr)
-        return EXIT_UNKNOWN
+        words = [parse_word(p.rank, t.strip())
+                 for t in args.words.split(",") if t.strip()]
+    analysis = analyze(p, words, group_cap, state_cap)
     payload = analysis.to_json()
     lines = [
         f"valid: {analysis.valid}",
@@ -141,11 +121,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    try:
-        p = load_partition(args.file)
-    except (FileFormatError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
+    p = load_partition(args.file)
     group_cap, state_cap = _caps(args)
     outputs: list[tuple[str, str]] = []
     if args.target == "sub":
@@ -158,30 +134,15 @@ def cmd_graph(args) -> int:
                 (f"block_{i}.dot", table_dot(spec.table, name=f"block_{i}")))
     else:
         word_text = args.word or "1"
-        try:
-            w = parse_word(p.rank, word_text)
-        except WordError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_INVALID
-        try:
-            graph = build_hs_graph(p, w, group_cap, state_cap)
-        except CapExceeded as err:
-            print(f"unknown: {err}", file=sys.stderr)
-            return EXIT_UNKNOWN
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_INVALID
+        w = parse_word(p.rank, word_text)
+        graph = build_hs_graph(p, w, group_cap, state_cap)
         outputs.append((f"hs_{word_text}.dot", hs_dot(graph)))
     if args.dot_dir:
         directory = Path(args.dot_dir)
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-            for name, content in outputs:
-                (directory / name).write_text(content, encoding="utf-8")
-                print(f"wrote {directory / name}")
-        except OSError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_INVALID
+        directory.mkdir(parents=True, exist_ok=True)
+        for name, content in outputs:
+            (directory / name).write_text(content, encoding="utf-8")
+            print(f"wrote {directory / name}")
     else:
         for _, content in outputs:
             print(content, end="")
@@ -189,11 +150,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_zcheck(args) -> int:
-    try:
-        z = parse_zpartition(args.classes)
-    except InvalidPartition as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
+    z = parse_zpartition(args.classes)
     try:
         report = erdos_checks(z)
     except InvalidPartition as err:
@@ -214,17 +171,7 @@ def cmd_zcheck(args) -> int:
 
 
 def cmd_metric(args) -> int:
-    try:
-        p = load_partition(args.file)
-        q = load_partition(args.file2)
-    except (FileFormatError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        distance = rho(p, q)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
+    distance = rho(load_partition(args.file), load_partition(args.file2))
     _emit({"rho": str(distance)}, args.json, [f"rho = {distance}"])
     return EXIT_OK
 
@@ -297,10 +244,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; every library error maps to its exit code here:
+    a cap hit is unknown (3), bad input or a file error is invalid (1)."""
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except UsageError as err:
+    except CapExceeded as err:
+        print(f"unknown: {err}", file=sys.stderr)
+        return EXIT_UNKNOWN
+    except (UsageError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -115,14 +115,15 @@ def _parse_table(line_number: int, rank: int, body: str) -> CosetTable:
         raise _fail(line_number, f"bad table size {size_text.strip()!r}") from None
     if size < 1:
         raise _fail(line_number, f"table size must be >= 1, got {size}")
-    rows: list[list[int | None]] = [[None] * (2 * rank) for _ in range(size)]
+    # edges fill in as they are read, so a stated size or rank allocates
+    # nothing before the entries are there to fill it
+    edges: dict[tuple[int, int], int] = {}
 
     def put(v: int, column: int, target: int) -> None:
         if not (0 <= v < size and 0 <= target < size):
             raise _fail(line_number, f"vertex out of range in {v}:{target}")
-        if rows[v][column] is not None and rows[v][column] != target:
+        if edges.setdefault((v, column), target) != target:
             raise _fail(line_number, f"conflicting transitions at vertex {v}")
-        rows[v][column] = target
 
     for chunk in entries.split(","):
         chunk = chunk.strip()
@@ -147,14 +148,16 @@ def _parse_table(line_number: int, rank: int, body: str) -> CosetTable:
         letter = w.letters[0]
         put(source, letter.column, target)
         put(target, letter.inverse().column, source)
-    for v, row in enumerate(rows):
-        for column, target in enumerate(row):
-            if target is None:
+    for v in range(size):
+        for column in range(2 * rank):
+            if (v, column) not in edges:
                 raise _fail(
                     line_number,
                     f"table incomplete: vertex {v} misses column {column}")
     try:
-        raw = CosetTable(rank, tuple(tuple(row) for row in rows))  # type: ignore[arg-type]
+        raw = CosetTable(rank, tuple(
+            tuple(edges[v, column] for column in range(2 * rank))
+            for v in range(size)))
         return canonicalize(raw, 0)
     except ValueError as err:
         raise _fail(line_number, str(err)) from None

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from math import lcm
 
 from .partition import CosetPartition, DEFAULT_STATE_CAP, big_n, order_rel
-from .perm import eval_word
+from .perm import DEFAULT_GROUP_CAP, eval_word
 from .schreier import CosetTable, cycles, w_graph
 from .words import Word
+from .zcover import colored_loop_partition
 
 __all__ = ["HSLoop", "HSColoredGraph", "build_hs_graph", "loop_z_partition",
            "fiber_loop_count"]
@@ -70,7 +71,7 @@ class HSColoredGraph:
 def build_hs_graph(
     p: CosetPartition,
     w: Word,
-    group_cap: int = 10**6,
+    group_cap: int = DEFAULT_GROUP_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> HSColoredGraph:
     """Color the refinement subgroup's table and record the w-step.
@@ -104,8 +105,6 @@ def build_hs_graph(
 def loop_z_partition(graph: HSColoredGraph, loop: HSLoop):
     """Residue classes read off a loop: color i covers positions
     first-occurrence + multiples of its relative order."""
-    from .zcover import colored_loop_partition
-
     moduli = {i: graph.orders[i] for i in loop.participants}
     return colored_loop_partition(loop.length, loop.colors, moduli)
 

@@ -20,7 +20,7 @@ from math import lcm
 from operator import getitem
 from typing import Iterable, Sequence
 
-from .perm import PermGroup, Permutation, transition_group
+from .perm import DEFAULT_GROUP_CAP, PermGroup, Permutation, transition_group
 from .schreier import (
     CapExceeded,
     CosetTable,
@@ -117,7 +117,7 @@ class CosetPartition:
         self._report: ValidationReport | None = None
         self._n: CosetTable | None = None
         self._n_orbit: Orbit | None = None
-        self._index_all: int | None = None
+        self._marked_orbit: list[tuple[int, ...]] | None = None
 
     @property
     def size(self) -> int:
@@ -236,7 +236,7 @@ def o_max_and_sharp(p: CosetPartition, w: Word) -> tuple[int, int]:
     return o_max, orders.count(o_max)
 
 
-def normal_core(table: CosetTable, cap: int = 10**6) -> CosetTable:
+def normal_core(table: CosetTable, cap: int = DEFAULT_GROUP_CAP) -> CosetTable:
     """Table of the largest normal subgroup inside the table's subgroup: the
     Cayley table of the transition group, so the core's index equals the
     group order.  BFS numbering from the identity makes it canonical."""
@@ -245,7 +245,7 @@ def normal_core(table: CosetTable, cap: int = 10**6) -> CosetTable:
 
 def big_n(
     p: CosetPartition,
-    group_cap: int = 10**6,
+    group_cap: int = DEFAULT_GROUP_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> CosetTable:
     """Table of N = intersection of the normal cores of all blocks.
@@ -298,31 +298,31 @@ def intersection_conditions(
     omitting blocks j and k.
 
     The conjugate of block i is the stabilizer of its marked vertex, so the
-    product automata are based at the marked tuples.  If omitting the pair
+    indices are orbit sizes of the marked tuple.  If omitting the pair
     strictly lowers the index, or lcm(d_j, d_k) fails to divide the partial
     index, the two subgroups must coincide; that is verified on the spot.
-    The index of all blocks is cached on the partition like validate's report.
+    The all-blocks orbit is cached on the partition like validate's report.
     """
     if p.size < 3:
         raise ValueError("needs at least three blocks")
     if not (0 <= j < k < p.size):
         raise ValueError(f"bad pair ({j}, {k})")
     tables = [spec.table for spec in p.specs]
-    marked = [spec.marked for spec in p.specs]
-    if p._index_all is None:
-        p._index_all = product(tables, marked, cap).state_count
-    elif p._index_all > cap:
+    if p._marked_orbit is None:
+        p._marked_orbit = product(
+            tables, [spec.marked for spec in p.specs], cap).orbit.states
+    elif len(p._marked_orbit) > cap:
         raise StateCapExceeded(cap)
-    rest_tables = [t for i, t in enumerate(tables) if i not in (j, k)]
-    rest_marked = [v for i, v in enumerate(marked) if i not in (j, k)]
-    index_without = product(rest_tables, rest_marked, cap).state_count
-    strict = p._index_all > index_without
+    states = p._marked_orbit
+    # the orbit of a sub-tuple is the projection of the whole tuple's orbit
+    index_without = len({s[:j] + s[j + 1:k] + s[k + 1:] for s in states})
+    strict = len(states) > index_without
     pair_lcm = lcm(tables[j].degree, tables[k].degree)
     obstruction = index_without % pair_lcm != 0
     holds = strict or obstruction
     equal = (tables[j] == tables[k]) if holds else None
     return PairIntersectionReport(
-        (j, k), p._index_all, index_without, strict, obstruction, holds, equal)
+        (j, k), len(states), index_without, strict, obstruction, holds, equal)
 
 
 def rho(p: CosetPartition, q: CosetPartition) -> Fraction:
@@ -378,7 +378,7 @@ def lift_partition(
     rank: int,
     quotient: PermGroup,
     sub_partition: Sequence[tuple[Iterable[Permutation], Permutation]],
-    cap: int = 10**6,
+    cap: int = DEFAULT_GROUP_CAP,
 ) -> CosetPartition:
     """Pull a coset partition of a finite quotient back to the free group.
 

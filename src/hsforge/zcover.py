@@ -12,6 +12,7 @@ appears at least twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd, lcm
 
 __all__ = [
@@ -29,6 +30,8 @@ __all__ = [
     "parse_zpartition",
     "format_zpartition",
 ]
+
+WITNESS_WINDOW = 1 << 16  # integers counted at a time in a witness search
 
 
 class InvalidPartition(ValueError):
@@ -96,16 +99,42 @@ class ZCheck:
 
 
 def validate_z(z: ZPartition) -> ZCheck:
-    """Exhaustive check over one period."""
-    period = z.period
-    counts = [0] * period
-    for cls in z.classes:
-        for n in range(cls.residue, period, cls.modulus):
-            counts[n] += 1
-    for n, count in enumerate(counts):
-        if count != 1:
-            return ZCheck(False, n)
-    return ZCheck(True, None)
+    """Exact test: the classes partition Z when their densities sum to 1 and
+    no two meet (oZ + r and o'Z + r' meet when gcd(o, o') divides r - r').
+
+    Otherwise the witness is the first meeting point of two classes, unless
+    a gap lies below it.  t classes that cover [0, 2**t) cover Z
+    (Crittenden and Vanden Eynden, 1970), so gaps are sought below that
+    bound only, counting covers in windows upward from 0.
+    """
+    period, classes = z.period, z.classes
+    if sum(period // c.modulus for c in classes) == period and all(
+            (a.residue - b.residue) % gcd(a.modulus, b.modulus)
+            for a, b in combinations(classes, 2)):
+        return ZCheck(True, None)
+    overlap = min((_first_common(a, b, period)
+                   for a, b in combinations(classes, 2)), default=period)
+    end = min(overlap, 2 ** len(classes))
+    for start in range(0, end, WITNESS_WINDOW):
+        counts = [0] * min(WITNESS_WINDOW, end - start)
+        for c in classes:
+            for n in range((c.residue - start) % c.modulus, len(counts), c.modulus):
+                counts[n] += 1
+        for n, hits in enumerate(counts):
+            if hits != 1:
+                return ZCheck(False, start + n)
+    return ZCheck(False, overlap)
+
+
+def _first_common(a: ZClass, b: ZClass, default: int) -> int:
+    """The smallest n >= 0 in both classes, by the Chinese remainder
+    theorem, or default when they are disjoint."""
+    g = gcd(a.modulus, b.modulus)
+    if (b.residue - a.residue) % g:
+        return default
+    m = b.modulus // g
+    k = (b.residue - a.residue) // g * pow(a.modulus // g, -1, m) % m
+    return a.residue + a.modulus * k
 
 
 def smallest_prime_factor(n: int) -> int:
@@ -227,7 +256,7 @@ def colored_loop_partition(
 def parse_zpartition(text: str) -> ZPartition:
     """Parse "o:r,o:r,..." with nonnegative integers."""
     parts = [p.strip() for p in text.split(",")]
-    pairs = []
+    classes = []
     for part in parts:
         if ":" not in part:
             raise InvalidPartition(f"expected 'modulus:residue', got {part!r}")
@@ -236,12 +265,8 @@ def parse_zpartition(text: str) -> ZPartition:
             o, r = int(left), int(right)
         except ValueError as err:
             raise InvalidPartition(f"bad class {part!r}: {err}") from None
-        if o < 1:
-            raise InvalidPartition(f"modulus must be >= 1, got {o}")
-        if not 0 <= r < o:
-            raise InvalidPartition(f"residue {r} not in [0, {o})")
-        pairs.append((o, r))
-    return ZPartition(tuple(ZClass(o, r) for o, r in pairs))
+        classes.append(ZClass(o, r))
+    return ZPartition(tuple(classes))
 
 
 def format_zpartition(z: ZPartition) -> str:

@@ -5,8 +5,9 @@ tracing, exhaustive scans, repeated-pass reduction) so the tests do not
 reuse the code paths they are checking.  At the end are library helpers
 that only the tests use, and the earlier constructions of normal cores, N,
 coset-action tables and transversals, kept as references that the
-orbit-based library code must agree with, and the coloring of N's cosets
-by tracing words through every block.
+orbit-based library code must agree with, the coloring of N's cosets by
+tracing words through every block, and the intersection indices of a pair
+from their own product automata.
 """
 
 from __future__ import annotations
@@ -14,7 +15,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from hsforge.partition import product
+from hsforge.partition import (
+    CosetPartition,
+    CosetSpec,
+    PairIntersectionReport,
+    product,
+)
 from hsforge.perm import PermGroup, Permutation, transition_group
 from hsforge.schreier import (
     CosetTable,
@@ -26,7 +32,7 @@ from hsforge.schreier import (
     word_step,
 )
 from hsforge.words import Letter, Word, identity, letter_from_column, word
-from hsforge.zcover import ZPartition
+from hsforge.zcover import ZCheck, ZPartition
 
 
 def naive_reduce(letters: list[Letter]) -> list[Letter]:
@@ -146,6 +152,19 @@ def covering_counts(specs, words) -> list[int]:
     return counts
 
 
+def validate_z_by_scan(z: ZPartition) -> ZCheck:
+    """Exhaustive check over one period."""
+    period = z.period
+    counts = [0] * period
+    for cls in z.classes:
+        for n in range(cls.residue, period, cls.modulus):
+            counts[n] += 1
+    for n, count in enumerate(counts):
+        if count != 1:
+            return ZCheck(False, n)
+    return ZCheck(True, None)
+
+
 def z_cover_scan(z: ZPartition, limit: int) -> int | None:
     """First integer in [0, limit) not covered exactly once, else None."""
     for n in range(limit):
@@ -167,6 +186,16 @@ def rho_recomputed(p, q) -> Fraction:
     if len(left) != len(right):
         return Fraction(1, 2**place)
     return Fraction(0)
+
+
+def sym_ladder_partition(d: int) -> CosetPartition:
+    """The d cosets of a point stabilizer of S_d, which acts through
+    a = (0 1) and b = (0 1 ... d-1)."""
+    a = [1, 0] + list(range(2, d))
+    b = [(v + 1) % d for v in range(d)]
+    rows = tuple((a[v], a.index(v), b[v], b.index(v)) for v in range(d))
+    table = canonicalize(CosetTable(2, rows), 0)
+    return CosetPartition(2, [CosetSpec(table, rep) for rep in transversal(table)])
 
 
 def partition_signature(p) -> tuple:
@@ -268,3 +297,20 @@ def coloring_by_words(p, n_table: CosetTable) -> tuple[int, ...]:
                 f"coset of {rep} lies in {len(hits)} blocks; partition invalid")
         color.append(hits[0])
     return tuple(color)
+
+
+def intersection_by_products(p, j: int, k: int, cap: int = 10**6) -> PairIntersectionReport:
+    """The pair report with both indices read off their own product
+    automata at the marked tuples, all blocks and all blocks but j and k."""
+    tables = [spec.table for spec in p.specs]
+    marked = [spec.marked for spec in p.specs]
+    index_all = product(tables, marked, cap).state_count
+    rest = [i for i in range(p.size) if i not in (j, k)]
+    index_without = product(
+        [tables[i] for i in rest], [marked[i] for i in rest], cap).state_count
+    strict = index_all > index_without
+    obstruction = index_without % lcm(tables[j].degree, tables[k].degree) != 0
+    holds = strict or obstruction
+    equal = (tables[j] == tables[k]) if holds else None
+    return PairIntersectionReport(
+        (j, k), index_all, index_without, strict, obstruction, holds, equal)

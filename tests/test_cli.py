@@ -7,11 +7,15 @@ under data/golden/, which scripts/make_goldens.py regenerates.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsforge import cli
 
@@ -241,6 +245,13 @@ def test_zcheck_parse_error(capsys):
     assert err.startswith("error:")
 
 
+def test_zcheck_past_any_period_scan_exits_one(capsys):
+    code, out, err = run_cli(capsys, ["zcheck", "99999999999999:0", "--json"])
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "witness": 1}
+    assert err == ""
+
+
 def test_metric_same_file_is_zero(capsys):
     code, out, _ = run_cli(capsys, ["metric", MIXED, MIXED])
     assert code == 0
@@ -262,3 +273,67 @@ def test_entrypoint_raises_systemexit(capsys, monkeypatch):
         cli.entrypoint()
     assert excinfo.value.code == 0
     capsys.readouterr()
+
+
+# Line fragments for the malformed-input test, valid and broken, some with
+# sizes and ranks far past any cap; they are inserted into valid files.
+LINES = [
+    "rank 2", "rank 1", "rank 0", "rank x", "rank", "rank 1000000000000000000",
+    "# a comment", "", "frobnicate H",
+    "sub H = b, aa, abA", "sub F = a, b", "sub H = b", "sub = a", "sub H a",
+    "sub H = z", "sub H = a,,b",
+    "table M = 2; 0:a->1", "table M = 0;", "table M = x; 0:a->0", "table M = 3",
+    "table M = 2; 0:a->5", "table M = 2; 0:a->1, 0:a->0", "table M = 2; 0:ab->1",
+    "table M = 1; 0:a→0, 0:b→0", "table M = 1000000000000000000; 0:a->0",
+    "coset H rep 1", "coset H rep a", "coset F rep 1", "coset Q rep a",
+    "coset H rep", "coset H rep q", "coset H ref a",
+]
+FILES = [path.read_text(encoding="utf-8")
+         for path in sorted((ROOT / "data").glob("*.partition"))] + [GAP, OVERLAP]
+
+
+def _insert(text: str, edits: list[tuple[int, str]]) -> str:
+    lines = text.splitlines()
+    for position, line in edits:
+        lines.insert(position, line)
+    return "\n".join(lines)
+
+
+partition_texts = st.builds(
+    _insert, st.sampled_from(FILES),
+    st.lists(st.tuples(st.integers(0, 12), st.sampled_from(LINES)), max_size=2))
+numbers = st.integers(-2, 10**18)
+zclass_texts = st.one_of(
+    st.builds(lambda o, r, reduce: f"{o}:{r % o if reduce and o > 0 else r}",
+              numbers, numbers, st.booleans()),
+    st.sampled_from(["", "x", "3", ":", "2:", ":1", "a:b", "2:0:1"]))
+zcheck_texts = st.one_of(
+    st.sampled_from(["2:0,4:1,4:3", "1:0", "2:0,3:1"]),
+    st.lists(zclass_texts, min_size=1, max_size=6).map(",".join))
+
+
+def _exit_code(argv: list[str]) -> int:
+    """The exit code of `hsforge ARGV`, also when argparse rejects the
+    arguments (a class list that starts with '-' reads as an option)."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except SystemExit as done:
+            return done.code
+
+
+@settings(max_examples=40)
+@given(partition_texts, zcheck_texts)
+def test_malformed_input_gets_a_clean_exit_code(text, classes):
+    # every command on every input exits 0, 1 or 3, never with a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "input.partition")
+        Path(path).write_text(text, encoding="utf-8")
+        hs = ["graph", path, "--target", "hs", "--word", "ab"]
+        runs = [["validate", path], ["validate", path, "--cap-states", "5"],
+                ["analyze", path, "--json"], ["analyze", path, "--cap-group", "5"],
+                ["graph", path, "--target", "sub"], hs, hs + ["--cap-group", "5"],
+                ["metric", path, MIXED], ["zcheck", classes]]
+        for argv in runs:
+            assert _exit_code(argv) in (0, 1, 3), argv

@@ -15,10 +15,12 @@ from helpers import (
     coset_action_table_by_cosets,
     covering_counts,
     first_bad_state_by_bfs,
+    intersection_by_products,
     normal_core_by_cayley,
     partition_signature,
     reduced_words_up_to,
     rho_recomputed,
+    sym_ladder_partition,
 )
 from hsforge.files import load_partition
 from hsforge.partition import (
@@ -300,6 +302,28 @@ def test_intersection_conditions_argument_checks(p44, p22):
         intersection_conditions(p44, 2, 1)
     with pytest.raises(ValueError):
         intersection_conditions(p22, 0, 1)
+
+
+def test_pair_indices_match_per_pair_products():
+    # every pair's report, read off the one cached all-blocks orbit, equals
+    # the report built from its own product automata; a fresh copy at cap =
+    # the all-blocks index answers alike, and one below it raises in both
+    pool = [load_partition(str(path)) for path in BUNDLED]
+    lifted = (lift_partition(*draw) for draw in lifted_draws(305, 200))
+    pool += [p for p in lifted if p.size >= 3][:60]
+    pool += [sym_ladder_partition(d) for d in (5, 6)]
+    assert len(pool) == 67 and min(p.size for p in pool) >= 3
+    for p in pool:
+        for j in range(p.size):
+            for k in range(j + 1, p.size):
+                assert intersection_conditions(p, j, k) == intersection_by_products(p, j, k)
+        index = intersection_conditions(p, 0, 1).index_all
+        fresh = CosetPartition(p.rank, p.specs)
+        assert (intersection_conditions(fresh, 0, 2, index)
+                == intersection_by_products(p, 0, 2, index))
+        for call in (intersection_conditions, intersection_by_products):
+            with pytest.raises(StateCapExceeded):
+                call(CosetPartition(p.rank, p.specs), 1, 2, index - 1)
 
 
 def klein_quotient() -> PermGroup:

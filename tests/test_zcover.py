@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import z_cover_scan
+from helpers import validate_z_by_scan, z_cover_scan
 from hsforge.sampling import random_split_chain
 from hsforge.zcover import (
     CountViolation,
@@ -53,6 +53,41 @@ def test_validate_z_examples():
     assert not check.witness  # 0 is covered twice
     assert not check.valid
     assert validate_z(zpartition([(1, 0)])).valid
+
+
+def test_validate_z_matches_period_scan():
+    # the exact test and the windowed witness search against a scan of the
+    # whole period: split chains, the same with one residue moved, the
+    # classes of the two zcheck goldens, and 17 classes whose first gap,
+    # 2**17 - 1, lies in the second window
+    rng = random.Random(12)
+    systems = [parse_zpartition("2:0,4:1,4:3"), parse_zpartition("2:0,3:1"),
+               zpartition([(2**i, 2**(i - 1) - 1) for i in range(1, 18)])]
+    for _ in range(150):
+        z = random_split_chain(rng, max_period=5000)
+        systems.append(z)
+        which = rng.randrange(len(z.classes))
+        o, r = z.classes[which].modulus, z.classes[which].residue
+        moved = zpartition([(o, r + rng.randrange(1, o))] if o > 1 else [(2, 1)])
+        systems.append(ZPartition(
+            z.classes[:which] + moved.classes + z.classes[which + 1:]))
+    for z in systems:
+        assert validate_z(z) == validate_z_by_scan(z)
+    assert sum(validate_z(z).valid for z in systems) == 151
+    assert validate_z(systems[2]).witness == 2**17 - 1
+
+
+def test_validate_z_past_any_period_scan():
+    # periods far too long to scan: the witness is the first meeting point
+    # or a gap below 2**t
+    big = 10**18
+    assert validate_z(parse_zpartition("99999999999999:0")).witness == 1
+    assert validate_z(parse_zpartition(f"1:0,{big}:{big - 1}")).witness == big - 1
+    assert validate_z(parse_zpartition(f"2:0,2:1,{big}:{big - 3}")).witness == big - 3
+    assert validate_z(parse_zpartition(f"{big}:0,{big}:1,2:1")).witness == 1
+    # t = 4 classes whose first gap is 2**4 - 1
+    assert validate_z(parse_zpartition("2:0,4:1,8:3,16:7")).witness == 15
+    assert validate_z(parse_zpartition(f"2:0,2:1,{big}:5,{big}:5")).witness == 5
 
 
 def test_smallest_prime_factor():
