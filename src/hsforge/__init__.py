@@ -58,11 +58,12 @@ from .partition import (
     orbit_size_under,
     order_rel,
     product,
+    refinement_index,
     rho,
     separating_subgroup,
     validate,
 )
-from .hsgraph import HSColoredGraph, HSLoop, build_hs_graph, fiber_loop_count, loop_z_partition
+from .hsgraph import HSColoredGraph, HSLoop, build_hs_graph, fiber_loop_count
 from .zcover import (
     CountViolation,
     InvalidPartition,

@@ -9,6 +9,10 @@ an arithmetic progression with gap equal to the block's relative order of w,
 so every loop induces a partition of the integers into residue classes.
 A coset of N lies in block i when its product state, which carries every
 block table's coordinate, is at block i's marked vertex in that table.
+This graph is what ``hsforge graph --target hs`` draws; ``analyze`` reads
+the same loops off the block tables' product automaton instead
+(``theorems.loop_consistency``), since a coset's color depends only on its
+block-table coordinates.
 """
 
 from __future__ import annotations
@@ -20,10 +24,8 @@ from .partition import CosetPartition, DEFAULT_STATE_CAP, big_n, order_rel
 from .perm import DEFAULT_GROUP_CAP, eval_word
 from .schreier import CosetTable, cycles, w_graph
 from .words import Word
-from .zcover import colored_loop_partition
 
-__all__ = ["HSLoop", "HSColoredGraph", "build_hs_graph", "loop_z_partition",
-           "fiber_loop_count"]
+__all__ = ["HSLoop", "HSColoredGraph", "build_hs_graph", "fiber_loop_count"]
 
 
 @dataclass(frozen=True)
@@ -100,13 +102,6 @@ def build_hs_graph(
             f"order of w modulo N is {o_n} but blockwise lcm is {per_block}")
     orders = tuple(order_rel(p, i, w) for i in range(p.size))
     return HSColoredGraph(p, w, table, tuple(color), graph.step, orders, o_n)
-
-
-def loop_z_partition(graph: HSColoredGraph, loop: HSLoop):
-    """Residue classes read off a loop: color i covers positions
-    first-occurrence + multiples of its relative order."""
-    moduli = {i: graph.orders[i] for i in loop.participants}
-    return colored_loop_partition(loop.length, loop.colors, moduli)
 
 
 def fiber_loop_count(graph: HSColoredGraph, i: int) -> int:

@@ -7,9 +7,10 @@ of all tables started at the basepoint tuple, every reachable state sits at
 the marked vertex of exactly one block.  On top of validation this module
 computes normal cores (the Cayley table of a transition group, which a
 partition holds once per distinct table), the common refinement subgroup N
-(whose product states also carry every block's vertex), the right action of
-words on partitions, a prefix metric on partitions, and partitions lifted
-from finite quotient groups.
+(whose product states also carry every block's vertex) and its index, the
+right action of words on partitions, a prefix metric on partitions, and
+partitions lifted from finite quotient groups.  A valid partition keeps its
+validated product automaton with the block of every state.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "o_max_and_sharp",
     "normal_core",
     "big_n",
+    "refinement_index",
     "act",
     "orbit_size_under",
     "PairIntersectionReport",
@@ -115,9 +117,13 @@ class CosetPartition:
         self.groups = {t: transition_group(t)
                        for t in dict.fromkeys(spec.table for spec in self.specs)}
         self._report: ValidationReport | None = None
+        self._product: ProductAutomaton | None = None
+        self._colors: tuple[int, ...] | None = None
         self._n: CosetTable | None = None
         self._n_orbit: Orbit | None = None
+        self._m: int | None = None
         self._marked_orbit: list[tuple[int, ...]] | None = None
+        self._marked_capped = 0  # largest cap the marked orbit exceeded
 
     @property
     def size(self) -> int:
@@ -194,7 +200,9 @@ def validate(p: CosetPartition, cap: int = DEFAULT_STATE_CAP) -> ValidationRepor
 
     Witness words are the BFS discovery words of the first bad product state:
     a gap witness lies in no block, an overlap witness in two (reported with
-    the two block positions).  A cached report still respects the cap.
+    the two block positions).  A valid partition keeps the report, the
+    product automaton and each state's block; the cached report still
+    respects the cap.
     """
     if p._report is not None:
         if p._report.state_count > cap:
@@ -202,6 +210,7 @@ def validate(p: CosetPartition, cap: int = DEFAULT_STATE_CAP) -> ValidationRepor
         return p._report
     auto = product([spec.table for spec in p.specs], [0] * p.size, cap)
     marked = tuple(spec.marked for spec in p.specs)
+    colors = []
     for position, state in enumerate(auto.orbit.states):
         hits = [i for i, (v, m) in enumerate(zip(state, marked)) if v == m]
         if not hits:
@@ -211,8 +220,9 @@ def validate(p: CosetPartition, cap: int = DEFAULT_STATE_CAP) -> ValidationRepor
             return ValidationReport(
                 False, auto.state_count,
                 overlap_witness=(auto.word(position), hits[0], hits[1]))
+        colors.append(hits[0])
     report = ValidationReport(True, auto.state_count)
-    p._report = report
+    p._report, p._product, p._colors = report, auto, tuple(colors)
     return report
 
 
@@ -268,6 +278,32 @@ def big_n(
     return p._n
 
 
+def refinement_index(
+    p: CosetPartition,
+    group_cap: int = DEFAULT_GROUP_CAP,
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> int:
+    """m = [F : N] without N's table.
+
+    N is the kernel of the action on the disjoint union of the distinct
+    tables, so m is the order of the group acting there: the transition
+    group itself for one table, else the orbit of the identity tuple in the
+    product of the groups' Cayley tables.  Every group is enumerated under
+    group_cap and m is held to state_cap, so caps raise as in big_n; m is
+    cached on the partition.
+    """
+    orders = [group.order(group_cap) for group in p.groups.values()]
+    if p._m is None:
+        if len(orders) == 1:
+            p._m = orders[0]
+        else:
+            cores = [group.cayley_table(group_cap) for group in p.groups.values()]
+            p._m = product(cores, [0] * len(cores), state_cap).state_count
+    if p._m > state_cap:
+        raise StateCapExceeded(state_cap)
+    return p._m
+
+
 def act(p: CosetPartition, w: Word) -> CosetPartition:
     """Right action: every representative is multiplied by w."""
     return CosetPartition(
@@ -301,7 +337,9 @@ def intersection_conditions(
     indices are orbit sizes of the marked tuple.  If omitting the pair
     strictly lowers the index, or lcm(d_j, d_k) fails to divide the partial
     index, the two subgroups must coincide; that is verified on the spot.
-    The all-blocks orbit is cached on the partition like validate's report.
+    The all-blocks orbit is cached on the partition like validate's report,
+    and so is its failure: a cap at or below the largest one it exceeded
+    raises at once.
     """
     if p.size < 3:
         raise ValueError("needs at least three blocks")
@@ -309,8 +347,14 @@ def intersection_conditions(
         raise ValueError(f"bad pair ({j}, {k})")
     tables = [spec.table for spec in p.specs]
     if p._marked_orbit is None:
-        p._marked_orbit = product(
-            tables, [spec.marked for spec in p.specs], cap).orbit.states
+        if cap <= p._marked_capped:
+            raise StateCapExceeded(cap)
+        try:
+            p._marked_orbit = product(
+                tables, [spec.marked for spec in p.specs], cap).orbit.states
+        except CapExceeded:
+            p._marked_capped = cap
+            raise
     elif len(p._marked_orbit) > cap:
         raise StateCapExceeded(cap)
     states = p._marked_orbit

@@ -8,7 +8,8 @@ shortest witness word for an element is rebuilt from the orbit's parent
 pointers when the element is looked up, so the same element always gets the
 same word.  The orbit's rows are the group's Cayley table, which is the
 normal core of any table whose transition group it is.  Enumeration past a
-cap raises CapExceeded, also when the closure is already cached.
+cap raises CapExceeded, also when the closure is already cached, and at
+once when a cap at least as large has already failed.
 """
 
 from __future__ import annotations
@@ -120,6 +121,7 @@ class PermGroup:
         self.gens = tuple(gens)
         self.rank = len(gens)
         self._elements: _Closure | None = None
+        self._capped = 0  # largest cap the closure is known to exceed
 
     def enumerate(self, cap: int = DEFAULT_GROUP_CAP) -> Mapping[Permutation, Word]:
         """Closure with shortest witness words; cached after first success.
@@ -127,17 +129,22 @@ class PermGroup:
         The read-only mapping iterates in BFS order from the identity, the
         letters tried in column order.  Each witness is rebuilt from the BFS
         parent pointers when its element is looked up: it is the discovery
-        path, a shortest word, and the same on every lookup.
+        path, a shortest word, and the same on every lookup.  A failed
+        enumeration is remembered too: a cap at or below the largest one
+        exceeded raises at once, a larger cap tries again.
         """
         if self._elements is not None:
             if len(self._elements) > cap:
                 raise CapExceeded(cap, "transition group larger than cap")
             return self._elements
+        if cap <= self._capped:
+            raise CapExceeded(cap, "transition group larger than cap")
         actions = [lambda images, step=step: tuple(map(step.__getitem__, images))
                    for g in self.gens for step in (g.images, g.inverse().images)]
         try:
             reached = orbit(tuple(range(self.degree)), actions, cap)
         except CapExceeded:
+            self._capped = cap
             raise CapExceeded(cap, "transition group larger than cap") from None
         self._elements = _Closure(reached)
         return self._elements

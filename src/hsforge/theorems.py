@@ -12,17 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Any
 
-from .hsgraph import build_hs_graph, loop_z_partition
 from .partition import (
     CosetPartition,
     DEFAULT_STATE_CAP,
-    big_n,
     intersection_conditions,
     multiplicity,
     o_max_and_sharp,
     order_rel,
+    refinement_index,
     rho,
     validate,
 )
@@ -30,11 +30,18 @@ from .perm import (
     CapExceeded,
     DEFAULT_GROUP_CAP,
     cycle_type_census,
+    eval_word,
     has_k_cycle_at,
     max_cycle_length,
 )
+from .schreier import w_graph
 from .words import Word, parse_word
-from .zcover import InvalidPartition, erdos_checks, smallest_prime_factor
+from .zcover import (
+    InvalidPartition,
+    colored_loop_partition,
+    erdos_checks,
+    smallest_prime_factor,
+)
 
 __all__ = [
     "TheoremReport",
@@ -386,38 +393,52 @@ def loop_consistency(
     group_cap: int = DEFAULT_GROUP_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> dict[str, Any]:
-    """Check every loop of the refinement graph of w.
+    """Check every loop that w traces among the cosets of N.
 
-    Per loop: participating blocks contribute o_N/o_i elements summing to the
-    loop length, and the induced residue classes partition the integers and
-    pass all four structural checks.
+    A coset's block depends only on its coordinates in the block tables,
+    which range over the validated product automaton P.  So each of the
+    m/o_N loops of length o_N repeats, from some start, the blocks along one
+    w-cycle of P, whose length divides o_N, and reads the same residue
+    classes off it.  Per cycle: participating blocks contribute o_N/o_i
+    elements summing to o_N, and the classes partition the integers and
+    pass all four structural checks, checked once per distinct system.  A
+    problem names its loop by a word reaching its start.
     """
-    graph = build_hs_graph(p, w, group_cap, state_cap)
-    loops = graph.loops()
+    m = refinement_index(p, group_cap, state_cap)
+    if not validate(p, state_cap).valid:
+        raise ValueError("partition is not valid; run validation first")
+    auto, colors = p._product, p._colors
+    o_n = lcm(*(eval_word(g, w).order() for g in p.groups.values()))
+    orders = [order_rel(p, i, w) for i in range(p.size)]
+    verdicts: dict[Any, str] = {}
     problems = []
-    for number, loop in enumerate(loops):
-        contribution = sum(
-            graph.o_n // graph.orders[i] for i in loop.participants)
-        if contribution != graph.o_n:
-            problems.append(
-                f"loop {number}: contributions sum to {contribution}, "
-                f"expected {graph.o_n}")
-            continue
-        z = loop_z_partition(graph, loop)
-        try:
-            struct = erdos_checks(z)
-        except InvalidPartition:
-            problems.append(f"loop {number}: classes {z} do not partition Z")
-            continue
-        if not struct.all_hold:
-            problems.append(f"loop {number}: classes {z} fail a structural check")
+    for cycle in w_graph(auto.as_table(), w).cycles():
+        if o_n % len(cycle):
+            raise AssertionError(
+                f"a w-cycle of length {len(cycle)} does not divide {o_n}")
+        blocks = tuple(colors[v] for v in cycle)
+        moduli = {i: orders[i] for i in blocks}
+        contribution = sum(o_n // o for o in moduli.values())
+        if contribution != o_n:
+            problem = f"contributions sum to {contribution}, expected {o_n}"
+        else:
+            z = colored_loop_partition(len(cycle), blocks, moduli)
+            if z not in verdicts:
+                try:
+                    holds = erdos_checks(z).all_hold
+                    verdicts[z] = "" if holds else "fail a structural check"
+                except InvalidPartition:
+                    verdicts[z] = "do not partition Z"
+            problem = verdicts[z] and f"classes {z} {verdicts[z]}"
+        if problem:
+            problems.append(f"loop at {auto.word(cycle[0])}: {problem}")
     return {
         "word": str(w),
-        "m": graph.m,
-        "order_mod_n": graph.o_n,
-        "relative_orders": list(graph.orders),
-        "loop_count": len(loops),
-        "loop_lengths": sorted({loop.length for loop in loops}),
+        "m": m,
+        "order_mod_n": o_n,
+        "relative_orders": orders,
+        "loop_count": m // o_n,
+        "loop_lengths": [o_n],
         "problems": problems,
     }
 
@@ -537,7 +558,7 @@ def analyze(
     loop_checks = []
     unknown = blocks_capped or any(r.status == UNKNOWN for r in reports)
     try:
-        m = big_n(p, group_cap, state_cap).degree
+        m = refinement_index(p, group_cap, state_cap)
     except CapExceeded:
         m = None
         unknown = True

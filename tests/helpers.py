@@ -6,8 +6,8 @@ reuse the code paths they are checking.  At the end are library helpers
 that only the tests use, and the earlier constructions of normal cores, N,
 coset-action tables and transversals, kept as references that the
 orbit-based library code must agree with, the coloring of N's cosets by
-tracing words through every block, and the intersection indices of a pair
-from their own product automata.
+tracing words through every block, the intersection indices of a pair
+from their own product automata, and the loop checks walked on N's table.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from hsforge.hsgraph import build_hs_graph
 from hsforge.partition import (
     CosetPartition,
     CosetSpec,
@@ -32,7 +33,13 @@ from hsforge.schreier import (
     word_step,
 )
 from hsforge.words import Letter, Word, identity, letter_from_column, word
-from hsforge.zcover import ZCheck, ZPartition
+from hsforge.zcover import (
+    InvalidPartition,
+    ZCheck,
+    ZPartition,
+    colored_loop_partition,
+    erdos_checks,
+)
 
 
 def naive_reduce(letters: list[Letter]) -> list[Letter]:
@@ -198,6 +205,17 @@ def sym_ladder_partition(d: int) -> CosetPartition:
     return CosetPartition(2, [CosetSpec(table, rep) for rep in transversal(table)])
 
 
+def residue_partition(classes: list[tuple[int, int]]) -> CosetPartition:
+    """The blocks {w : the exponent sum of a in w is r mod n} for the given
+    (n, r) pairs, in rank 2 with b acting trivially; a partition of F_2
+    exactly when the classes rZ + n partition Z."""
+    specs = []
+    for n, r in classes:
+        rows = tuple(((v + 1) % n, (v - 1) % n, v, v) for v in range(n))
+        specs.append(CosetSpec(CosetTable(2, rows), word(2, [Letter(1, 1)] * r)))
+    return CosetPartition(2, specs)
+
+
 def partition_signature(p) -> tuple:
     """Blocks as (table delta, marked vertex) pairs, order-independent."""
     return tuple(sorted((s.table.delta, s.marked) for s in p.specs))
@@ -225,6 +243,13 @@ def orders_lcm(table: CosetTable, w: Word) -> int:
 
 def table_permutation(table: CosetTable, w: Word) -> Permutation:
     return Permutation(word_step(table, w))
+
+
+def loop_z_partition(graph, loop) -> ZPartition:
+    """Residue classes read off a loop of N's colored table: color i covers
+    positions first-occurrence + multiples of its relative order."""
+    moduli = {i: graph.orders[i] for i in loop.participants}
+    return colored_loop_partition(loop.length, loop.colors, moduli)
 
 
 # -- reference constructions the orbit-based code must agree with ----------
@@ -314,3 +339,37 @@ def intersection_by_products(p, j: int, k: int, cap: int = 10**6) -> PairInterse
     equal = (tables[j] == tables[k]) if holds else None
     return PairIntersectionReport(
         (j, k), index_all, index_without, strict, obstruction, holds, equal)
+
+
+def loop_consistency_by_n(p, w: Word, group_cap: int = 10**6,
+                          state_cap: int = 10**6) -> dict:
+    """The loop check of w read off every loop of N's colored table, each
+    loop's residue classes checked on their own."""
+    graph = build_hs_graph(p, w, group_cap, state_cap)
+    loops = graph.loops()
+    problems = []
+    for number, loop in enumerate(loops):
+        contribution = sum(
+            graph.o_n // graph.orders[i] for i in loop.participants)
+        if contribution != graph.o_n:
+            problems.append(
+                f"loop {number}: contributions sum to {contribution}, "
+                f"expected {graph.o_n}")
+            continue
+        z = loop_z_partition(graph, loop)
+        try:
+            struct = erdos_checks(z)
+        except InvalidPartition:
+            problems.append(f"loop {number}: classes {z} do not partition Z")
+            continue
+        if not struct.all_hold:
+            problems.append(f"loop {number}: classes {z} fail a structural check")
+    return {
+        "word": str(w),
+        "m": graph.m,
+        "order_mod_n": graph.o_n,
+        "relative_orders": list(graph.orders),
+        "loop_count": len(loops),
+        "loop_lengths": sorted({loop.length for loop in loops}),
+        "problems": problems,
+    }

@@ -14,8 +14,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import P, gens, G_GENERATORS
+from helpers import loop_z_partition
 from hsforge.files import load_partition
-from hsforge.hsgraph import build_hs_graph, fiber_loop_count, loop_z_partition
+from hsforge.hsgraph import build_hs_graph, fiber_loop_count
 from hsforge.partition import (
     act,
     big_n,

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from conftest import P
-from helpers import coloring_by_words, table_permutation
+from helpers import coloring_by_words, loop_z_partition, table_permutation
 from hsforge.files import load_partition
-from hsforge.hsgraph import build_hs_graph, fiber_loop_count, loop_z_partition
+from hsforge.hsgraph import build_hs_graph, fiber_loop_count
 from hsforge.partition import (
     CosetPartition,
     CosetSpec,

@@ -6,11 +6,22 @@ import hashlib
 import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import hsforge.partition
+import hsforge.perm
+import hsforge.theorems
 from conftest import P
-from hsforge.hsgraph import build_hs_graph, loop_z_partition
+from helpers import (
+    loop_consistency_by_n,
+    loop_z_partition,
+    residue_partition,
+    sym_ladder_partition,
+)
+from hsforge.files import load_partition
+from hsforge.hsgraph import build_hs_graph
 from hsforge.partition import (
     CosetPartition,
     CosetSpec,
@@ -45,6 +56,8 @@ from hsforge.zcover import erdos_checks, smallest_prime_factor
 # and colors, so sharing them must leave every analysis unchanged.
 ANALYZE_STREAM_SHA256 = (
     "3bd7bcb1c6dfaf73449711b2e67449d61b5d64e7f75f65cfce00f60efeaf29b9")
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def fuzz_partitions(count: int):
@@ -338,7 +351,10 @@ def _like_fresh_copy(call, p, *args, **kwargs) -> bool:
 def test_cached_objects_take_smaller_caps_like_fresh_copies():
     # a partition that holds its validation report, closures, N and
     # all-blocks index answers a smaller cap as a fresh copy of it does, and
-    # so does a partition moved by act after its source was analyzed
+    # so does a partition moved by act after its source was analyzed; a
+    # group or all-blocks orbit that failed under a cap raises at once for
+    # any cap at or below it, as a fresh copy raises after its own search,
+    # and a larger cap searches again
     rng = random.Random(406)
     capped = Counter()
     for p in fuzz_partitions(150):
@@ -354,5 +370,89 @@ def test_cached_objects_take_smaller_caps_like_fresh_copies():
                 intersection_conditions, p, 0, 2, index - 1)
         q = act(p, random_word(rng, p.rank, 4))
         capped["act"] += _like_fresh_copy(analyze, q, group_cap=40)
+        failed = CosetPartition(p.rank, p.specs)
+        if analyze(failed, group_cap=40).unknown:
+            for cap in (40, 12):
+                capped["failed group"] += _like_fresh_copy(
+                    analyze, failed, group_cap=cap)
+            assert not _like_fresh_copy(analyze, failed)
+        if p.size >= 3:
+            failed = CosetPartition(p.rank, p.specs)
+            for cap in (index - 1, index - 1, index // 2, index):
+                capped["failed index"] += _like_fresh_copy(
+                    intersection_conditions, failed, 0, 2, cap)
     assert min(capped[kind] for kind in
-               ("validate", "analyze", "big_n", "index", "act")) > 0
+               ("validate", "analyze", "big_n", "index", "act",
+                "failed group", "failed index")) > 0
+
+
+def test_a_cap_is_hit_once_not_once_per_caller(monkeypatch):
+    # on the d = 6 ladder both caps below 6! = 720: one enumeration of the
+    # single table's group and one all-blocks orbit serve every block, the
+    # two cycle checkers, all 15 pairs and m
+    searches = Counter()
+    for module, name in ((hsforge.perm, "orbit"), (hsforge.partition, "product")):
+        def counted(*args, original=getattr(module, name), name=name):
+            searches[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counted)
+    analysis = analyze(sym_ladder_partition(6), group_cap=100, state_cap=100)
+    assert analysis.exit_code == 3 and analysis.m is None
+    assert all(block["capped"] for block in analysis.blocks)
+    pairs = analysis.to_json()["per_theorem"]["intersection"]["details"]["pairs"]
+    assert len(pairs) == 15 and all(pair["capped"] for pair in pairs)
+    # validation and the all-blocks orbit are the two products
+    assert searches == {"orbit": 1, "product": 2}
+
+
+def test_analyze_builds_no_n_table():
+    for p in (load_partition(str(DATA / "ex_two_four_four.partition")),
+              sym_ladder_partition(6)):
+        assert analyze(p).loop_checks
+        assert p._n is None and p._n_orbit is None
+
+
+def test_loop_checks_match_walks_on_n():
+    # the checks read off the validated product automaton agree with every
+    # loop of N's colored table on the bundled examples, the S_d ladders
+    # for d = 4..7, the fuzz stream and a partition whose m = lcm(6, 4)
+    # exceeds every block's group order
+    pool = [load_partition(str(path)) for path in sorted(DATA.glob("*.partition"))]
+    pool += [sym_ladder_partition(d) for d in range(4, 8)]
+    pool.append(residue_partition([(6, 0), (6, 2), (6, 4), (4, 1), (4, 3)]))
+    pool += fuzz_partitions(60)
+    for p in pool:
+        checks = analyze(p).loop_checks
+        assert checks
+        assert checks == [loop_consistency_by_n(p, parse_word(p.rank, c["word"]))
+                          for c in checks]
+
+
+def _outcome(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs).to_json()
+    except CapExceeded as err:
+        return type(err), str(err)
+
+
+def test_capped_analysis_matches_the_n_pipeline(monkeypatch):
+    # with group_cap 40 and a state cap at and below m, analyze answers as
+    # when m comes from N's table and the loops are walked on it
+    outcomes = Counter()
+    for p in fuzz_partitions(60):
+        m = analyze(CosetPartition(p.rank, p.specs)).m
+        for state_cap in (m, m - 1):
+            answer = _outcome(analyze, CosetPartition(p.rank, p.specs),
+                              group_cap=40, state_cap=state_cap)
+            with monkeypatch.context() as patch:
+                patch.setattr(hsforge.theorems, "refinement_index",
+                              lambda q, g, s: big_n(q, g, s).degree)
+                patch.setattr(hsforge.theorems, "loop_consistency",
+                              loop_consistency_by_n)
+                reference = _outcome(analyze, CosetPartition(p.rank, p.specs),
+                                     group_cap=40, state_cap=state_cap)
+            assert answer == reference
+            if isinstance(answer, dict):
+                outcomes["m" if answer["m"] else "m capped"] += 1
+                outcomes["loops"] += bool(answer["loop_checks"])
+    assert min(outcomes[kind] for kind in ("m", "m capped", "loops")) > 0
