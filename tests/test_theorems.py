@@ -409,7 +409,7 @@ def test_analyze_builds_no_n_table():
     for p in (load_partition(str(DATA / "ex_two_four_four.partition")),
               sym_ladder_partition(6)):
         assert analyze(p).loop_checks
-        assert p._n is None and p._n_orbit is None
+        assert p._n is None
 
 
 def test_loop_checks_match_walks_on_n():
@@ -440,7 +440,7 @@ def test_capped_analysis_matches_the_n_pipeline(monkeypatch):
     # when m comes from N's table and the loops are walked on it
     outcomes = Counter()
     for p in fuzz_partitions(60):
-        m = analyze(CosetPartition(p.rank, p.specs)).m
+        m = analyze(p).m
         for state_cap in (m, m - 1):
             answer = _outcome(analyze, CosetPartition(p.rank, p.specs),
                               group_cap=40, state_cap=state_cap)
