@@ -38,7 +38,6 @@ from .perm import (
     cycle_type_census,
     eval_word,
     has_k_cycle_at,
-    max_cycle_length,
     transition_group,
 )
 from .partition import (
@@ -49,6 +48,7 @@ from .partition import (
     StateCapExceeded,
     act,
     big_n,
+    core_product,
     coset_partition,
     intersection_conditions,
     lift_partition,

@@ -7,8 +7,9 @@ for the step Ng -> Ngw.  The edges decompose into loops whose common length
 is the order of w modulo N; inside a loop each participating color i occupies
 an arithmetic progression with gap equal to the block's relative order of w,
 so every loop induces a partition of the integers into residue classes.
-A coset of N lies in block i when its product state, which carries every
-block table's coordinate, is at block i's marked vertex in that table.
+N's product states hold core coordinates, a transition-group element per
+distinct table, and a coset of N lies in block i when that element for block
+i's table maps 0 to block i's marked vertex.
 This graph is what ``hsforge graph --target hs`` draws; ``analyze`` reads
 the same loops off the block tables' product automaton instead
 (``theorems.loop_consistency``), since a coset's color depends only on its
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .partition import CosetPartition, DEFAULT_STATE_CAP, big_n, order_rel
+from .partition import CosetPartition, DEFAULT_STATE_CAP, big_n, core_product, order_rel
 from .perm import DEFAULT_GROUP_CAP, eval_word
 from .schreier import CosetTable, cycles, w_graph
 from .words import Word
@@ -82,13 +83,16 @@ def build_hs_graph(
     of the permutations w induces on the individual blocks.
     """
     table = big_n(p, group_cap, state_cap)
-    position = {t: len(p.groups) + j for j, t in enumerate(p.groups)}
+    auto = core_product(p, group_cap, state_cap)
+    vertex = [[element.images[0] for element in group.enumerate(group_cap)]
+              for group in p.groups.values()]
+    position = {t: j for j, t in enumerate(p.groups)}
     marks = [(position[spec.table], spec.marked) for spec in p.specs]
     color = []
-    for v, state in enumerate(p._n_orbit.states):
-        hits = [i for i, (j, m) in enumerate(marks) if state[j] == m]
+    for v, state in enumerate(auto.orbit.states):
+        hits = [i for i, (j, m) in enumerate(marks) if vertex[j][state[j]] == m]
         if len(hits) != 1:
-            raise ValueError(f"coset of {p._n_orbit.word(v)} lies in "
+            raise ValueError(f"coset of {auto.word(v)} lies in "
                              f"{len(hits)} blocks; partition invalid")
         color.append(hits[0])
     graph = w_graph(table, w)

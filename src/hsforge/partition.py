@@ -7,23 +7,24 @@ of all tables started at the basepoint tuple, every reachable state sits at
 the marked vertex of exactly one block.  On top of validation this module
 computes normal cores (the Cayley table of a transition group, which a
 partition holds once per distinct table), the common refinement subgroup N
-(whose product states also carry every block's vertex) and its index, the
-right action of words on partitions, a prefix metric on partitions, and
-partitions lifted from finite quotient groups.  A valid partition keeps its
-validated product automaton with the block of every state.
+and its index m off one product of those cores, the right action of words on
+partitions, a prefix metric on partitions, and partitions lifted from finite
+quotient groups.  A partition keeps its validation report, all-blocks orbit
+and product of cores under the cap rule of ``schreier.Capped``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import getitem
+from operator import attrgetter, getitem
 from typing import Iterable, Sequence
 
 from .perm import DEFAULT_GROUP_CAP, PermGroup, Permutation, transition_group
 from .schreier import (
     CapExceeded,
+    Capped,
     CosetTable,
     Orbit,
     canonicalize,
@@ -48,6 +49,7 @@ __all__ = [
     "order_rel",
     "o_max_and_sharp",
     "normal_core",
+    "core_product",
     "big_n",
     "refinement_index",
     "act",
@@ -60,6 +62,7 @@ __all__ = [
 ]
 
 DEFAULT_STATE_CAP = 10**6
+_state_count = attrgetter("state_count")
 
 
 class StateCapExceeded(CapExceeded):
@@ -116,14 +119,10 @@ class CosetPartition:
             sorted(specs, key=lambda s: (s.table.degree, s.table.key())))
         self.groups = {t: transition_group(t)
                        for t in dict.fromkeys(spec.table for spec in self.specs)}
-        self._report: ValidationReport | None = None
-        self._product: ProductAutomaton | None = None
-        self._colors: tuple[int, ...] | None = None
+        self._checked = Capped(_check, StateCapExceeded, _state_count)
+        self._marked = Capped(_marked_states, StateCapExceeded)
+        self._cores = Capped(_product_of_cores, StateCapExceeded, _state_count)
         self._n: CosetTable | None = None
-        self._n_orbit: Orbit | None = None
-        self._m: int | None = None
-        self._marked_orbit: list[tuple[int, ...]] | None = None
-        self._marked_capped = 0  # largest cap the marked orbit exceeded
 
     @property
     def size(self) -> int:
@@ -193,6 +192,9 @@ class ValidationReport:
     state_count: int
     gap_witness: Word | None = None
     overlap_witness: tuple[Word, int, int] | None = None
+    # of a valid partition: the product automaton P and each state's block
+    automaton: ProductAutomaton | None = field(default=None, compare=False, repr=False)
+    colors: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
 
 def validate(p: CosetPartition, cap: int = DEFAULT_STATE_CAP) -> ValidationReport:
@@ -200,14 +202,12 @@ def validate(p: CosetPartition, cap: int = DEFAULT_STATE_CAP) -> ValidationRepor
 
     Witness words are the BFS discovery words of the first bad product state:
     a gap witness lies in no block, an overlap witness in two (reported with
-    the two block positions).  A valid partition keeps the report, the
-    product automaton and each state's block; the cached report still
-    respects the cap.
+    the two block positions).  The partition keeps the report.
     """
-    if p._report is not None:
-        if p._report.state_count > cap:
-            raise StateCapExceeded(cap)
-        return p._report
+    return p._checked(cap, p)
+
+
+def _check(p: CosetPartition, cap: int) -> ValidationReport:
     auto = product([spec.table for spec in p.specs], [0] * p.size, cap)
     marked = tuple(spec.marked for spec in p.specs)
     colors = []
@@ -221,9 +221,8 @@ def validate(p: CosetPartition, cap: int = DEFAULT_STATE_CAP) -> ValidationRepor
                 False, auto.state_count,
                 overlap_witness=(auto.word(position), hits[0], hits[1]))
         colors.append(hits[0])
-    report = ValidationReport(True, auto.state_count)
-    p._report, p._product, p._colors = report, auto, tuple(colors)
-    return report
+    return ValidationReport(
+        True, auto.state_count, automaton=auto, colors=tuple(colors))
 
 
 def multiplicity(p: CosetPartition) -> set[int]:
@@ -253,28 +252,35 @@ def normal_core(table: CosetTable, cap: int = DEFAULT_GROUP_CAP) -> CosetTable:
     return transition_group(table).cayley_table(cap)
 
 
+def core_product(
+    p: CosetPartition,
+    group_cap: int = DEFAULT_GROUP_CAP,
+    state_cap: int = DEFAULT_STATE_CAP,
+) -> ProductAutomaton:
+    """The product of the distinct tables' cores (the Cayley tables of their
+    transition groups) from the identity tuple: its states are the cosets of
+    N, each a tuple of group-element positions.  Every group is enumerated
+    under group_cap; the partition keeps the product."""
+    for group in p.groups.values():
+        group.enumerate(group_cap)
+    return p._cores(state_cap, p.groups.values(), group_cap)
+
+
+def _product_of_cores(groups, group_cap: int, cap: int) -> ProductAutomaton:
+    cores = [group.cayley_table(group_cap) for group in groups]
+    return product(cores, [0] * len(cores), cap)
+
+
 def big_n(
     p: CosetPartition,
     group_cap: int = DEFAULT_GROUP_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> CosetTable:
-    """Table of N = intersection of the normal cores of all blocks.
-
-    The product runs over the cores of the distinct tables and then the
-    tables themselves; N lies in every block's subgroup, so the table
-    coordinates follow from the core ones and leave N's numbering unchanged.
-    N and its orbit are cached on the partition after the first success,
-    like validate's report, and raise as a fresh computation would.
-    """
-    if p._n is not None:
-        for group in p.groups.values():
-            group.enumerate(group_cap)
-        if p._n.degree > state_cap:
-            raise StateCapExceeded(state_cap)
-        return p._n
-    cores = [group.cayley_table(group_cap) for group in p.groups.values()]
-    auto = product(cores + list(p.groups), [0] * (2 * len(cores)), state_cap)
-    p._n, p._n_orbit = auto.as_table(), auto.orbit
+    """Table of N = intersection of the normal cores of all blocks: the
+    table of ``core_product``, kept on the partition after the first success."""
+    auto = core_product(p, group_cap, state_cap)
+    if p._n is None:
+        p._n = auto.as_table()
     return p._n
 
 
@@ -283,25 +289,17 @@ def refinement_index(
     group_cap: int = DEFAULT_GROUP_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> int:
-    """m = [F : N] without N's table.
-
-    N is the kernel of the action on the disjoint union of the distinct
-    tables, so m is the order of the group acting there: the transition
-    group itself for one table, else the orbit of the identity tuple in the
-    product of the groups' Cayley tables.  Every group is enumerated under
-    group_cap and m is held to state_cap, so caps raise as in big_n; m is
-    cached on the partition.
-    """
-    orders = [group.order(group_cap) for group in p.groups.values()]
-    if p._m is None:
-        if len(orders) == 1:
-            p._m = orders[0]
-        else:
-            cores = [group.cayley_table(group_cap) for group in p.groups.values()]
-            p._m = product(cores, [0] * len(cores), state_cap).state_count
-    if p._m > state_cap:
+    """m = [F : N] without N's table: N is the kernel of the action on the
+    distinct tables, so m is the transition group's order for one table, else
+    the number of states of ``core_product``.  Every group is enumerated
+    under group_cap and m is held to state_cap, as in big_n."""
+    if len(p.groups) > 1:
+        return core_product(p, group_cap, state_cap).state_count
+    (group,) = p.groups.values()
+    m = group.order(group_cap)
+    if m > state_cap:
         raise StateCapExceeded(state_cap)
-    return p._m
+    return m
 
 
 def act(p: CosetPartition, w: Word) -> CosetPartition:
@@ -337,27 +335,14 @@ def intersection_conditions(
     indices are orbit sizes of the marked tuple.  If omitting the pair
     strictly lowers the index, or lcm(d_j, d_k) fails to divide the partial
     index, the two subgroups must coincide; that is verified on the spot.
-    The all-blocks orbit is cached on the partition like validate's report,
-    and so is its failure: a cap at or below the largest one it exceeded
-    raises at once.
+    The partition keeps the all-blocks orbit.
     """
     if p.size < 3:
         raise ValueError("needs at least three blocks")
     if not (0 <= j < k < p.size):
         raise ValueError(f"bad pair ({j}, {k})")
     tables = [spec.table for spec in p.specs]
-    if p._marked_orbit is None:
-        if cap <= p._marked_capped:
-            raise StateCapExceeded(cap)
-        try:
-            p._marked_orbit = product(
-                tables, [spec.marked for spec in p.specs], cap).orbit.states
-        except CapExceeded:
-            p._marked_capped = cap
-            raise
-    elif len(p._marked_orbit) > cap:
-        raise StateCapExceeded(cap)
-    states = p._marked_orbit
+    states = p._marked(cap, p.specs)
     # the orbit of a sub-tuple is the projection of the whole tuple's orbit
     index_without = len({s[:j] + s[j + 1:k] + s[k + 1:] for s in states})
     strict = len(states) > index_without
@@ -367,6 +352,11 @@ def intersection_conditions(
     equal = (tables[j] == tables[k]) if holds else None
     return PairIntersectionReport(
         (j, k), len(states), index_without, strict, obstruction, holds, equal)
+
+
+def _marked_states(specs: Sequence[CosetSpec], cap: int) -> list[tuple[int, ...]]:
+    tables = [spec.table for spec in specs]
+    return product(tables, [spec.marked for spec in specs], cap).orbit.states
 
 
 def rho(p: CosetPartition, q: CosetPartition) -> Fraction:

@@ -7,18 +7,19 @@ tuple under the signed letters in column order (``schreier.orbit``); a
 shortest witness word for an element is rebuilt from the orbit's parent
 pointers when the element is looked up, so the same element always gets the
 same word.  The orbit's rows are the group's Cayley table, which is the
-normal core of any table whose transition group it is.  Enumeration past a
-cap raises CapExceeded, also when the closure is already cached, and at
-once when a cap at least as large has already failed.
+normal core of any table whose transition group it is.  The closure is
+cached under the cap rule of ``schreier.Capped`` and keeps its cycle-type
+census, which is computed once.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from functools import partial
 from math import lcm
 
-from .schreier import CapExceeded, CosetTable, Orbit, cycles, orbit
+from .schreier import CapExceeded, Capped, CosetTable, Orbit, cycles, orbit
 from .words import Word
 
 __all__ = [
@@ -27,12 +28,12 @@ __all__ = [
     "PermGroup",
     "transition_group",
     "eval_word",
-    "max_cycle_length",
     "cycle_type_census",
     "has_k_cycle_at",
 ]
 
 DEFAULT_GROUP_CAP = 10**6
+_GROUP_TOO_LARGE = partial(CapExceeded, message="transition group larger than cap")
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,7 @@ class _Closure(Mapping[Permutation, Word]):
     def __init__(self, reached: Orbit):
         self._orbit = reached
         self._elements = [Permutation(images) for images in reached.states]
+        self.census: tuple[tuple[tuple[int, ...], int, Word], ...] | None = None
 
     def __getitem__(self, element: Permutation) -> Word:
         if not isinstance(element, Permutation):
@@ -120,8 +122,10 @@ class PermGroup:
         self.degree = degree
         self.gens = tuple(gens)
         self.rank = len(gens)
-        self._elements: _Closure | None = None
-        self._capped = 0  # largest cap the closure is known to exceed
+        self._closure = Capped(_close, _GROUP_TOO_LARGE)
+
+    # the cached closure, None until an enumeration succeeds
+    _elements = property(lambda self: self._closure.value)
 
     def enumerate(self, cap: int = DEFAULT_GROUP_CAP) -> Mapping[Permutation, Word]:
         """Closure with shortest witness words; cached after first success.
@@ -129,34 +133,24 @@ class PermGroup:
         The read-only mapping iterates in BFS order from the identity, the
         letters tried in column order.  Each witness is rebuilt from the BFS
         parent pointers when its element is looked up: it is the discovery
-        path, a shortest word, and the same on every lookup.  A failed
-        enumeration is remembered too: a cap at or below the largest one
-        exceeded raises at once, a larger cap tries again.
+        path, a shortest word, and the same on every lookup.  Caps are
+        answered by the rule of ``schreier.Capped``.
         """
-        if self._elements is not None:
-            if len(self._elements) > cap:
-                raise CapExceeded(cap, "transition group larger than cap")
-            return self._elements
-        if cap <= self._capped:
-            raise CapExceeded(cap, "transition group larger than cap")
-        actions = [lambda images, step=step: tuple(map(step.__getitem__, images))
-                   for g in self.gens for step in (g.images, g.inverse().images)]
-        try:
-            reached = orbit(tuple(range(self.degree)), actions, cap)
-        except CapExceeded:
-            self._capped = cap
-            raise CapExceeded(cap, "transition group larger than cap") from None
-        self._elements = _Closure(reached)
-        return self._elements
+        return self._closure(cap, self)
 
     def cayley_table(self, cap: int = DEFAULT_GROUP_CAP) -> CosetTable:
         """The group acting on itself by right multiplication, in enumeration
         order: the normal core of any table whose transition group this is."""
-        self.enumerate(cap)
-        return CosetTable(self.rank, tuple(self._elements._orbit.rows))
+        return CosetTable(self.rank, tuple(self.enumerate(cap)._orbit.rows))
 
     def order(self, cap: int = DEFAULT_GROUP_CAP) -> int:
         return len(self.enumerate(cap))
+
+
+def _close(group: PermGroup, cap: int) -> _Closure:
+    actions = [lambda images, step=step: tuple(map(step.__getitem__, images))
+               for g in group.gens for step in (g.images, g.inverse().images)]
+    return _Closure(orbit(tuple(range(group.degree)), actions, cap))
 
 
 def transition_group(table: CosetTable) -> PermGroup:
@@ -177,43 +171,27 @@ def eval_word(group: PermGroup, w: Word) -> Permutation:
     return out
 
 
-def max_cycle_length(
-    group: PermGroup, cap: int = DEFAULT_GROUP_CAP
-) -> tuple[int, Word]:
-    """Longest cycle over all elements of the closure, with a witness word.
-
-    Among witnesses the one whose element was enumerated first is returned,
-    so the result is deterministic.  The trivial group yields (1, identity).
-    """
-    elements = group.enumerate(cap)
-    best = 1
-    best_element = Permutation.identity(group.degree)
-    for element in elements:
-        longest = max(len(c) for c in element.cycles())
-        if longest > best:
-            best = longest
-            best_element = element
-    return best, elements[best_element]
-
-
 def cycle_type_census(
     group: PermGroup, cap: int = DEFAULT_GROUP_CAP
-) -> list[tuple[tuple[int, ...], int, Word]]:
+) -> tuple[tuple[tuple[int, ...], int, Word], ...]:
     """Multiset of cycle types over the closure, one witness word per type.
 
     A cycle type is the ascending tuple of cycle lengths (fixed points
     included).  Returns (type, count, witness) triples sorted by type, the
     witness being the shortest word whose element was enumerated first.
+    The census is kept on the closure, so it is computed once.
     """
     elements = group.enumerate(cap)
-    counts: dict[tuple[int, ...], int] = {}
-    first: dict[tuple[int, ...], Permutation] = {}
-    for element in elements:
-        shape = tuple(sorted(len(c) for c in element.cycles()))
-        counts[shape] = counts.get(shape, 0) + 1
-        first.setdefault(shape, element)
-    return [(shape, counts[shape], elements[first[shape]])
-            for shape in sorted(counts)]
+    if elements.census is None:
+        counts: dict[tuple[int, ...], int] = {}
+        first: dict[tuple[int, ...], Permutation] = {}
+        for element in elements:
+            shape = tuple(sorted(len(c) for c in element.cycles()))
+            counts[shape] = counts.get(shape, 0) + 1
+            first.setdefault(shape, element)
+        elements.census = tuple((shape, counts[shape], elements[first[shape]])
+                                for shape in sorted(counts))
+    return elements.census
 
 
 def has_k_cycle_at(

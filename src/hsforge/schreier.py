@@ -6,6 +6,8 @@ normal cores, product automata and coset actions are all orbits of one start
 state under one action per letter column (a < a^-1 < b < b^-1 < ...).  It
 records each state's BFS parent and column, so a shortest word reaching a
 state is built from these pointers only when a caller asks for it.
+``Capped`` caches such a search and holds the one rule for answering a cap
+from the cache, successes and failures alike.
 
 Folding a subgroup's generator words gives its transition graph; when that is
 complete the subgroup has finite index d and the graph is a complete table on
@@ -22,6 +24,7 @@ from .words import Letter, Word, letter_from_column
 
 __all__ = [
     "CapExceeded",
+    "Capped",
     "Orbit",
     "orbit",
     "cycles",
@@ -46,6 +49,35 @@ class CapExceeded(Exception):
     def __init__(self, cap: int, message: str = "enumeration exceeded cap"):
         super().__init__(f"{message} ({cap})")
         self.cap = cap
+
+
+class Capped:
+    """A cached search under a cap: the one cap rule of every cached search.
+
+    ``capped(cap, *args)`` runs ``search(*args, cap)`` until one succeeds and
+    keeps its result, which answers a later cap as a fresh search would:
+    ``error(cap)`` is raised when the result's ``measure`` exceeds the cap.
+    Every cap at or below the largest one a search exceeded raises at once,
+    and a larger cap searches again.
+    """
+
+    __slots__ = ("search", "error", "measure", "value", "size", "exceeded")
+
+    def __init__(self, search, error: Callable[[int], CapExceeded], measure=len):
+        self.search, self.error, self.measure = search, error, measure
+        self.value, self.size, self.exceeded = None, 0, 0
+
+    def __call__(self, cap: int, *args):
+        if self.value is None and cap > self.exceeded:
+            try:
+                self.value = self.search(*args, cap)
+            except CapExceeded:
+                self.exceeded = cap
+                raise self.error(cap) from None
+            self.size = self.measure(self.value)
+        if self.value is None or self.size > cap:
+            raise self.error(cap)
+        return self.value
 
 
 @dataclass(frozen=True)

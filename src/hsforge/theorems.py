@@ -32,7 +32,6 @@ from .perm import (
     cycle_type_census,
     eval_word,
     has_k_cycle_at,
-    max_cycle_length,
 )
 from .schreier import w_graph
 from .words import Word, parse_word
@@ -90,7 +89,7 @@ class TheoremReport:
 
 def _require_valid(p: CosetPartition) -> None:
     # any cached report shows validity; only a fresh validation needs a cap
-    if p._report is None and not validate(p).valid:
+    if not (p._checked.value or validate(p)).valid:
         raise ValueError("partition is not valid; run validation first")
 
 
@@ -195,7 +194,9 @@ def check_cycle_bounds(
             "cycle_bounds", NOT_APPLICABLE,
             details={"reason": "needs at least three blocks"})
     try:
-        longest = {table: max_cycle_length(group, cap)[0]
+        # a cycle type is ascending, so its last part is its longest cycle
+        longest = {table: max(shape[-1] for shape, _, _ in
+                              cycle_type_census(group, cap))
                    for table, group in p.groups.items()}
     except CapExceeded:
         return TheoremReport(
@@ -405,18 +406,18 @@ def loop_consistency(
     problem names its loop by a word reaching its start.
     """
     m = refinement_index(p, group_cap, state_cap)
-    if not validate(p, state_cap).valid:
+    report = validate(p, state_cap)
+    if not report.valid:
         raise ValueError("partition is not valid; run validation first")
-    auto, colors = p._product, p._colors
     o_n = lcm(*(eval_word(g, w).order() for g in p.groups.values()))
     orders = [order_rel(p, i, w) for i in range(p.size)]
     verdicts: dict[Any, str] = {}
     problems = []
-    for cycle in w_graph(auto.as_table(), w).cycles():
+    for cycle in w_graph(report.automaton.as_table(), w).cycles():
         if o_n % len(cycle):
             raise AssertionError(
                 f"a w-cycle of length {len(cycle)} does not divide {o_n}")
-        blocks = tuple(colors[v] for v in cycle)
+        blocks = tuple(report.colors[v] for v in cycle)
         moduli = {i: orders[i] for i in blocks}
         contribution = sum(o_n // o for o in moduli.values())
         if contribution != o_n:
@@ -431,7 +432,7 @@ def loop_consistency(
                     verdicts[z] = "do not partition Z"
             problem = verdicts[z] and f"classes {z} {verdicts[z]}"
         if problem:
-            problems.append(f"loop at {auto.word(cycle[0])}: {problem}")
+            problems.append(f"loop at {report.automaton.word(cycle[0])}: {problem}")
     return {
         "word": str(w),
         "m": m,
@@ -472,7 +473,6 @@ def _block_summaries(
     """Per-block index, representative, and cycle-type census (one per table)."""
     blocks = []
     capped = False
-    censuses: dict[Any, list[dict[str, Any]]] = {}
     for i, spec in enumerate(p.specs):
         entry: dict[str, Any] = {
             "block": i,
@@ -482,15 +482,10 @@ def _block_summaries(
         }
         group = p.groups[spec.table]
         try:
-            if spec.table not in censuses:
-                censuses[spec.table] = [
-                    {"type": "+".join(map(str, shape)),
-                     "count": count,
-                     "witness": str(wit)}
-                    for shape, count, wit in cycle_type_census(group, group_cap)
-                ]
             entry["group_order"] = group.order(group_cap)
-            entry["cycle_types"] = censuses[spec.table]
+            entry["cycle_types"] = [
+                {"type": "+".join(map(str, shape)), "count": count, "witness": str(wit)}
+                for shape, count, wit in cycle_type_census(group, group_cap)]
         except CapExceeded:
             entry["capped"] = True
             capped = True

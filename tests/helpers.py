@@ -255,6 +255,22 @@ def loop_z_partition(graph, loop) -> ZPartition:
 # -- reference constructions the orbit-based code must agree with ----------
 
 
+def max_cycle_length(group: PermGroup, cap: int = 10**6) -> tuple[int, Word]:
+    """Longest cycle over all elements of the closure, with a witness word:
+    the element enumerated first among those realizing it.  The trivial
+    group yields (1, identity).  The reference for the census-derived k of
+    ``check_cycle_bounds``."""
+    elements = group.enumerate(cap)
+    best = 1
+    best_element = Permutation.identity(group.degree)
+    for element in elements:
+        longest = max(len(c) for c in element.cycles())
+        if longest > best:
+            best = longest
+            best_element = element
+    return best, elements[best_element]
+
+
 def normal_core_by_cayley(table: CosetTable, cap: int = 10**6) -> CosetTable:
     """Cayley table of the enumerated transition group, then canonicalized."""
     group = transition_group(table)

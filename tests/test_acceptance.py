@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import P, gens, G_GENERATORS
-from helpers import loop_z_partition
+from helpers import loop_z_partition, max_cycle_length
 from hsforge.files import load_partition
 from hsforge.hsgraph import build_hs_graph, fiber_loop_count
 from hsforge.partition import (
@@ -28,7 +28,6 @@ from hsforge.partition import (
 from hsforge.perm import (
     CapExceeded,
     eval_word,
-    max_cycle_length,
     transition_group,
 )
 from hsforge.sampling import (

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+import hsforge.partition
 from conftest import P, nonempty_words, words
 from helpers import (
     big_n_by_cores,
@@ -19,6 +20,7 @@ from helpers import (
     normal_core_by_cayley,
     partition_signature,
     reduced_words_up_to,
+    residue_partition,
     rho_recomputed,
     sym_ladder_partition,
 )
@@ -40,6 +42,7 @@ from hsforge.partition import (
     orbit_size_under,
     order_rel,
     product,
+    refinement_index,
     rho,
     separating_subgroup,
     validate,
@@ -432,6 +435,34 @@ def test_validation_cap(p44):
     with pytest.raises(StateCapExceeded):
         fresh = coset_partition(2, list(p44.specs))
         validate(fresh, cap=2)
+
+
+def test_a_failed_product_is_not_run_again(monkeypatch):
+    # two distinct tables, m = 12 and P with 12 states: m and N share one
+    # product of the cores, and a product that failed under a cap raises at
+    # once for the same or a smaller cap, while a larger cap runs it again
+    p = residue_partition([(6, 0), (6, 2), (6, 4), (4, 1), (4, 3)])
+    assert len(p.groups) == 2
+    caps = []
+
+    def counted(tables, base, cap, original=hsforge.partition.product):
+        caps.append(cap)
+        return original(tables, base, cap)
+
+    monkeypatch.setattr(hsforge.partition, "product", counted)
+    for call in (refinement_index, big_n, refinement_index):
+        with pytest.raises(StateCapExceeded, match=r"\(11\)"):
+            call(p, state_cap=11)
+    assert caps == [11]
+    assert refinement_index(p) == 12 and big_n(p).degree == 12
+    assert refinement_index(p, state_cap=12) == 12
+    assert caps == [11, 10**6]
+    for _ in range(2):
+        with pytest.raises(StateCapExceeded, match=r"\(1\)"):
+            validate(p, 1)
+    assert caps == [11, 10**6, 1]
+    assert validate(p).state_count == 12 and validate(p, 12).valid
+    assert caps == [11, 10**6, 1, 10**6]
 
 
 def test_normal_core_matches_cayley_table(g_table, k_table, h1_table, m_table):

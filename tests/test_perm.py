@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given
 
 from conftest import P, words
-from helpers import closure_by_bfs, perm_by_tracing, table_permutation
+from helpers import (
+    closure_by_bfs,
+    max_cycle_length,
+    perm_by_tracing,
+    table_permutation,
+)
 from hsforge.partition import StateCapExceeded, normal_core, product
 from hsforge.perm import (
     CapExceeded,
@@ -18,7 +23,6 @@ from hsforge.perm import (
     cycle_type_census,
     eval_word,
     has_k_cycle_at,
-    max_cycle_length,
     transition_group,
 )
 from hsforge.sampling import random_table

@@ -28,6 +28,7 @@ from hsforge.partition import normal_core
 from hsforge.sampling import random_table
 from hsforge.schreier import (
     CapExceeded,
+    Capped,
     CosetTable,
     InfiniteIndex,
     canonical_rows,
@@ -308,3 +309,62 @@ def test_orbit_records_discovery_words_partial_edges_and_cap():
     assert orbit(0, [lambda v: None], 1).states == [0]
     with pytest.raises(CapExceeded):
         orbit(0, [lambda v: None], 0)
+
+
+def test_capped_answers_caps_from_its_result_and_its_failures():
+    # a search that counts its calls and reaches its 10 states under a cap of
+    # 10 or more; every raise, with or without a search, comes from the
+    # error factory
+    calls = []
+    refused = []
+
+    def search(tag, cap):
+        calls.append((tag, cap))
+        if cap < 10:
+            raise CapExceeded(cap)
+        return list(range(10))
+
+    class Refused(CapExceeded):
+        pass
+
+    def error(cap):
+        refused.append(cap)
+        return Refused(cap, "refused")
+
+    capped = Capped(search, error)
+    assert capped.value is None
+    # a failure at cap c raises at once for every cap <= c ...
+    for cap in (6, 6, 3, 1):
+        with pytest.raises(Refused):
+            capped(cap, "x")
+    assert calls == [("x", 6)]
+    # ... and a cap > c searches again
+    with pytest.raises(Refused):
+        capped(8, "x")
+    with pytest.raises(Refused):
+        capped(7, "x")
+    assert calls == [("x", 6), ("x", 8)]
+    result = capped(12, "x")
+    assert result == list(range(10)) and calls[-1] == ("x", 12)
+    # the result answers caps at or above its size without a search, and
+    # raises below it, as a fresh search would
+    for cap in (10, 11, 12, 10**6):
+        assert capped(cap, "x") is result
+    for cap in (9, 1):
+        with pytest.raises(Refused) as raised:
+            capped(cap, "x")
+        assert str(raised.value) == f"refused ({cap})"
+    assert len(calls) == 3
+    assert refused == [6, 6, 3, 1, 8, 7, 9, 1]
+    # the measure sizes the result; an error other than a cap hit is not
+    # remembered
+    sized = Capped(search, error, measure=lambda states: states[-1])
+    assert sized(10, "y") == list(range(10))
+    assert sized(9, "y") == list(range(10))
+    with pytest.raises(Refused):
+        sized(8, "y")
+    broken = Capped(lambda cap: 1 // 0, error)
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            broken(5)
+    assert broken.exceeded == 0 and refused[-1] == 8

@@ -17,6 +17,7 @@ from conftest import P
 from helpers import (
     loop_consistency_by_n,
     loop_z_partition,
+    max_cycle_length,
     residue_partition,
     sym_ladder_partition,
 )
@@ -33,9 +34,9 @@ from hsforge.partition import (
     o_max_and_sharp,
     validate,
 )
-from hsforge.perm import CapExceeded
-from hsforge.sampling import random_lifted_partition, random_word
-from hsforge.schreier import table_from_generators
+from hsforge.perm import CapExceeded, cycle_type_census, transition_group
+from hsforge.sampling import random_lifted_partition, random_table, random_word
+from hsforge.schreier import table_from_generators, transversal
 from hsforge.theorems import (
     Analysis,
     TheoremReport,
@@ -298,6 +299,28 @@ def test_analyze_invalid_partition(h1_table, k_table):
     assert not analysis.valid
     assert analysis.exit_code == 1
     assert analysis.reports == []
+
+
+def test_cycle_bound_k_is_read_off_the_census(g_table, m_table, k_table, h1_table):
+    # k, the largest part of any cycle type, is the longest cycle that the
+    # element-by-element reference finds; check_cycle_bounds reports it on
+    # the cosets of each table's subgroup, and the census is computed once
+    rng = random.Random(407)
+    tables = [g_table, m_table, k_table, h1_table]
+    tables += [random_table(rng, rng.choice((2, 3)), 7) for _ in range(60)]
+    checked = 0
+    for table in tables:
+        group = transition_group(table)
+        census = cycle_type_census(group)
+        k = max_cycle_length(group)[0]
+        assert max(shape[-1] for shape, _, _ in census) == k
+        if table.degree >= 3:
+            p = CosetPartition(table.rank, [
+                CosetSpec(table, rep) for rep in transversal(table)])
+            assert check_cycle_bounds(p).details["k"] == k
+            checked += 1
+        assert cycle_type_census(group) is census
+    assert checked > 40
 
 
 def test_analyze_with_tiny_cap_reports_unknown(p44):
