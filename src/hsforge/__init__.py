@@ -18,7 +18,6 @@ from .schreier import (
     CosetTable,
     InfiniteIndex,
     StallingsGraph,
-    WFunctionalGraph,
     canonicalize,
     coset_of,
     fold_from_generators,
@@ -28,7 +27,6 @@ from .schreier import (
     transversal,
     try_complete,
     visited_set,
-    w_graph,
     word_step,
 )
 from .perm import (

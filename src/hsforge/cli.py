@@ -1,8 +1,9 @@
 """Command-line interface.
 
-    hsforge validate FILE [--json]
+    hsforge validate FILE [--json] [--cap-states N] [--cap-group N]
     hsforge analyze FILE [--json] [--words w1,w2] [--cap-states N] [--cap-group N]
     hsforge graph FILE --target {sub,hs} [--word W] [--dot-dir DIR]
+                  [--cap-states N] [--cap-group N]
     hsforge zcheck CLASSES [--json]
     hsforge metric FILE1 FILE2 [--json]
 
@@ -202,8 +203,7 @@ def _parser() -> argparse.ArgumentParser:
         description="validate and analyze coset partitions of free groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(cmd):
-        cmd.add_argument("--json", action="store_true", help="JSON output")
+    def cap_flags(cmd):
         cmd.add_argument("--cap-states", type=_positive_int, default=None,
                          help="max product-automaton states")
         cmd.add_argument("--cap-group", type=_positive_int, default=None,
@@ -211,14 +211,16 @@ def _parser() -> argparse.ArgumentParser:
 
     validate_cmd = sub.add_parser("validate", help="check the partition property")
     validate_cmd.add_argument("file")
-    common(validate_cmd)
+    validate_cmd.add_argument("--json", action="store_true", help="JSON output")
+    cap_flags(validate_cmd)
     validate_cmd.set_defaults(run=cmd_validate)
 
     analyze_cmd = sub.add_parser("analyze", help="run all condition checkers")
     analyze_cmd.add_argument("file")
     analyze_cmd.add_argument("--words", default=None,
                              help="comma-separated words for loop checks")
-    common(analyze_cmd)
+    analyze_cmd.add_argument("--json", action="store_true", help="JSON output")
+    cap_flags(analyze_cmd)
     analyze_cmd.set_defaults(run=cmd_analyze)
 
     graph_cmd = sub.add_parser("graph", help="emit DOT drawings")
@@ -227,18 +229,18 @@ def _parser() -> argparse.ArgumentParser:
     graph_cmd.add_argument("--word", default=None, help="word for the hs target")
     graph_cmd.add_argument("--dot-dir", default=None,
                            help="write files here instead of stdout")
-    common(graph_cmd)
+    cap_flags(graph_cmd)
     graph_cmd.set_defaults(run=cmd_graph)
 
     zcheck_cmd = sub.add_parser("zcheck", help="check residue classes, e.g. 2:0,4:1,4:3")
     zcheck_cmd.add_argument("classes")
-    common(zcheck_cmd)
+    zcheck_cmd.add_argument("--json", action="store_true", help="JSON output")
     zcheck_cmd.set_defaults(run=cmd_zcheck)
 
     metric_cmd = sub.add_parser("metric", help="distance between two partitions")
     metric_cmd.add_argument("file")
     metric_cmd.add_argument("file2")
-    common(metric_cmd)
+    metric_cmd.add_argument("--json", action="store_true", help="JSON output")
     metric_cmd.set_defaults(run=cmd_metric)
     return parser
 

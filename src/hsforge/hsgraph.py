@@ -7,9 +7,11 @@ for the step Ng -> Ngw.  The edges decompose into loops whose common length
 is the order of w modulo N; inside a loop each participating color i occupies
 an arithmetic progression with gap equal to the block's relative order of w,
 so every loop induces a partition of the integers into residue classes.
-N's product states hold core coordinates, a transition-group element per
-distinct table, and a coset of N lies in block i when that element for block
-i's table maps 0 to block i's marked vertex.
+N's product states hold core coordinates, the enumeration position of a
+transition-group element per distinct table, and a coset of N lies in block
+i when that element's image tuple for block i's table maps 0 to block i's
+marked vertex.  The w-step is ``word_step``'s image tuple on N's table, and
+its cycles are the loops.
 This graph is what ``hsforge graph --target hs`` draws; ``analyze`` reads
 the same loops off the block tables' product automaton instead
 (``theorems.loop_consistency``), since a coset's color depends only on its
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 from math import lcm
 
 from .partition import CosetPartition, DEFAULT_STATE_CAP, big_n, core_product, order_rel
-from .perm import DEFAULT_GROUP_CAP, eval_word
-from .schreier import CosetTable, cycles, w_graph
+from .perm import DEFAULT_GROUP_CAP
+from .schreier import CosetTable, cycles, word_step
 from .words import Word
 
 __all__ = ["HSLoop", "HSColoredGraph", "build_hs_graph", "fiber_loop_count"]
@@ -79,12 +81,12 @@ def build_hs_graph(
 ) -> HSColoredGraph:
     """Color the refinement subgroup's table and record the w-step.
 
-    The order of w modulo N is cross-checked against the lcm of the orders
-    of the permutations w induces on the individual blocks.
+    The order of w modulo N is cross-checked against the lcm of the cycle
+    lengths of w's step on each distinct block table.
     """
     table = big_n(p, group_cap, state_cap)
     auto = core_product(p, group_cap, state_cap)
-    vertex = [[element.images[0] for element in group.enumerate(group_cap)]
+    vertex = [[images[0] for images in group.enumerate(group_cap).orbit.states]
               for group in p.groups.values()]
     position = {t: j for j, t in enumerate(p.groups)}
     marks = [(position[spec.table], spec.marked) for spec in p.specs]
@@ -95,17 +97,17 @@ def build_hs_graph(
             raise ValueError(f"coset of {auto.word(v)} lies in "
                              f"{len(hits)} blocks; partition invalid")
         color.append(hits[0])
-    graph = w_graph(table, w)
-    lengths = {len(c) for c in graph.cycles()}
+    step = word_step(table, w)
+    lengths = {len(c) for c in cycles(step)}
     if len(lengths) != 1:
         raise AssertionError(f"normal table has uneven loop lengths {lengths}")
     o_n = lengths.pop()
-    per_block = lcm(*(eval_word(g, w).order() for g in p.groups.values()))
+    per_block = lcm(*(len(c) for t in p.groups for c in cycles(word_step(t, w))))
     if per_block != o_n:
         raise AssertionError(
             f"order of w modulo N is {o_n} but blockwise lcm is {per_block}")
     orders = tuple(order_rel(p, i, w) for i in range(p.size))
-    return HSColoredGraph(p, w, table, tuple(color), graph.step, orders, o_n)
+    return HSColoredGraph(p, w, table, tuple(color), step, orders, o_n)
 
 
 def fiber_loop_count(graph: HSColoredGraph, i: int) -> int:

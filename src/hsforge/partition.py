@@ -9,8 +9,9 @@ computes normal cores (the Cayley table of a transition group, which a
 partition holds once per distinct table), the common refinement subgroup N
 and its index m off one product of those cores, the right action of words on
 partitions, a prefix metric on partitions, and partitions lifted from finite
-quotient groups.  A partition keeps its validation report, all-blocks orbit
-and product of cores under the cap rule of ``schreier.Capped``.
+quotient groups.  A partition keeps its validation report, the all-blocks
+orbit size and move counts of ``intersection_conditions``, and its product
+of cores, each under the cap rule of ``schreier.Capped``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter, getitem
+from operator import attrgetter, getitem, itemgetter, ne
 from typing import Iterable, Sequence
 
 from .perm import DEFAULT_GROUP_CAP, PermGroup, Permutation, transition_group
@@ -120,7 +121,7 @@ class CosetPartition:
         self.groups = {t: transition_group(t)
                        for t in dict.fromkeys(spec.table for spec in self.specs)}
         self._checked = Capped(_check, StateCapExceeded, _state_count)
-        self._marked = Capped(_marked_states, StateCapExceeded)
+        self._marked = Capped(_marked_moves, StateCapExceeded, itemgetter(0))
         self._cores = Capped(_product_of_cores, StateCapExceeded, _state_count)
         self._n: CosetTable | None = None
 
@@ -335,28 +336,40 @@ def intersection_conditions(
     indices are orbit sizes of the marked tuple.  If omitting the pair
     strictly lowers the index, or lcm(d_j, d_k) fails to divide the partial
     index, the two subgroups must coincide; that is verified on the spot.
-    The partition keeps the all-blocks orbit.
+
+    Projecting onto the other blocks maps one transitive orbit onto the
+    other, so every fibre has the size of the marked tuple's: the tuple and
+    the states that move only coordinate j, only k, or both.
     """
     if p.size < 3:
         raise ValueError("needs at least three blocks")
     if not (0 <= j < k < p.size):
         raise ValueError(f"bad pair ({j}, {k})")
     tables = [spec.table for spec in p.specs]
-    states = p._marked(cap, p.specs)
-    # the orbit of a sub-tuple is the projection of the whole tuple's orbit
-    index_without = len({s[:j] + s[j + 1:k] + s[k + 1:] for s in states})
-    strict = len(states) > index_without
+    index_all, moved = p._marked(cap, p.specs)
+    fibre = sum(moved.get(key, 0) for key in ((), (j,), (k,), (j, k)))
+    index_without = index_all // fibre
+    strict = index_all > index_without
     pair_lcm = lcm(tables[j].degree, tables[k].degree)
     obstruction = index_without % pair_lcm != 0
     holds = strict or obstruction
     equal = (tables[j] == tables[k]) if holds else None
     return PairIntersectionReport(
-        (j, k), len(states), index_without, strict, obstruction, holds, equal)
+        (j, k), index_all, index_without, strict, obstruction, holds, equal)
 
 
-def _marked_states(specs: Sequence[CosetSpec], cap: int) -> list[tuple[int, ...]]:
-    tables = [spec.table for spec in specs]
-    return product(tables, [spec.marked for spec in specs], cap).orbit.states
+def _marked_moves(specs: Sequence[CosetSpec], cap: int) -> tuple[int, dict]:
+    """Size of the all-blocks orbit of the marked tuple, and the number of
+    its states that move at most two coordinates, keyed by those coordinates
+    (the tuple itself under ())."""
+    marked = tuple(spec.marked for spec in specs)
+    states = product([spec.table for spec in specs], marked, cap).orbit.states
+    moved: dict[tuple[int, ...], int] = {}
+    for state in states:
+        if sum(map(ne, state, marked)) <= 2:
+            changed = tuple(i for i, v in enumerate(state) if v != marked[i])
+            moved[changed] = moved.get(changed, 0) + 1
+    return len(states), moved
 
 
 def rho(p: CosetPartition, q: CosetPartition) -> Fraction:
@@ -457,6 +470,6 @@ def _coset_action_table(
     generators and their inverses, numbered by BFS from K."""
     actions = [lambda coset, step=step: frozenset(
                    tuple(map(step.__getitem__, images)) for images in coset)
-               for g in quotient.gens for step in (g.images, g.inverse().images)]
+               for step in quotient.columns]
     start = frozenset(x.images for x in sub)
     return CosetTable(rank, tuple(orbit(start, actions, quotient.order()).rows))

@@ -1,15 +1,18 @@
 """Permutations of table vertices and the groups they generate.
 
-Permutations act on the right: evaluating a word letter by letter composes
-the letter permutations left to right, so eval(g, u*v) = eval(g, u) followed
-by eval(g, v).  A group is enumerated as the orbit of the identity's image
-tuple under the signed letters in column order (``schreier.orbit``); a
-shortest witness word for an element is rebuilt from the orbit's parent
-pointers when the element is looked up, so the same element always gets the
-same word.  The orbit's rows are the group's Cayley table, which is the
-normal core of any table whose transition group it is.  The closure is
-cached under the cap rule of ``schreier.Capped`` and keeps its cycle-type
-census, which is computed once.
+Inside hsforge a permutation is its image tuple; ``Permutation`` wraps one
+for the public API and validates it once, when it is built.  Permutations
+act on the right: evaluating a word letter by letter composes the letter
+permutations left to right, so eval(g, u*v) = eval(g, u) followed by
+eval(g, v).  A group keeps one image tuple per letter column and is
+enumerated as the orbit of the identity's image tuple under them, in column
+order (``schreier.orbit``).  The closure holds only that orbit: an element
+becomes a ``Permutation`` when a caller iterates the public mapping, and a
+shortest witness word is rebuilt from the orbit's parent pointers when it is
+looked up, so the same element always gets the same word.  The orbit's rows
+are the group's Cayley table, which is the normal core of any table whose
+transition group it is.  The closure is cached under the cap rule of
+``schreier.Capped`` and keeps its cycle-type census, which is computed once.
 """
 
 from __future__ import annotations
@@ -64,54 +67,64 @@ class Permutation:
         return Permutation(tuple(other.images[v] for v in self.images))
 
     def inverse(self) -> "Permutation":
-        out = [0] * len(self.images)
-        for v, image in enumerate(self.images):
-            out[image] = v
-        return Permutation(tuple(out))
+        return Permutation(_inverse(self.images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         return cycles(self.images)
 
     def cycle_through(self, point: int) -> int:
         """Length of the cycle containing point."""
-        length = 1
-        v = self.images[point]
-        while v != point:
-            v = self.images[v]
-            length += 1
-        return length
+        return _cycle_through(self.images, point)
 
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles()))
 
 
+def _inverse(images: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sorted(range(len(images)), key=images.__getitem__))
+
+
+def _cycle_through(images: tuple[int, ...], point: int) -> int:
+    length = 1
+    v = images[point]
+    while v != point:
+        v = images[v]
+        length += 1
+    return length
+
+
 class _Closure(Mapping[Permutation, Word]):
-    """Enumerated group elements in BFS order, mapped to their witness words,
-    which the orbit rebuilds from its parent pointers on lookup."""
+    """Enumerated group elements in BFS order, mapped to their witness words.
+
+    Only the orbit of image tuples is held: iterating wraps each element in
+    a ``Permutation`` as it is reached, and a lookup rebuilds the witness
+    word from the orbit's parent pointers."""
 
     def __init__(self, reached: Orbit):
-        self._orbit = reached
-        self._elements = [Permutation(images) for images in reached.states]
+        self.orbit = reached
         self.census: tuple[tuple[tuple[int, ...], int, Word], ...] | None = None
 
     def __getitem__(self, element: Permutation) -> Word:
         if not isinstance(element, Permutation):
             raise KeyError(element)
-        return self._orbit.word(self._orbit.index[element.images])
+        return self.orbit.word(self.orbit.index[element.images])
 
     def __contains__(self, element: object) -> bool:
         return (isinstance(element, Permutation)
-                and element.images in self._orbit.index)
+                and element.images in self.orbit.index)
 
     def __iter__(self) -> Iterator[Permutation]:
-        return iter(self._elements)
+        return map(Permutation, self.orbit.states)
 
     def __len__(self) -> int:
-        return len(self._elements)
+        return len(self.orbit.states)
 
 
 class PermGroup:
-    """Group generated by one permutation per free-group generator."""
+    """Group generated by one permutation per free-group generator.
+
+    ``columns`` holds the image tuples of the generators and their inverses
+    in letter-column order (a, a^-1, b, b^-1, ...)."""
 
     def __init__(self, degree: int, gens: tuple[Permutation, ...]):
         if not gens:
@@ -122,6 +135,8 @@ class PermGroup:
         self.degree = degree
         self.gens = tuple(gens)
         self.rank = len(gens)
+        self.columns = tuple(images for g in gens
+                             for images in (g.images, _inverse(g.images)))
         self._closure = Capped(_close, _GROUP_TOO_LARGE)
 
     # the cached closure, None until an enumeration succeeds
@@ -141,7 +156,7 @@ class PermGroup:
     def cayley_table(self, cap: int = DEFAULT_GROUP_CAP) -> CosetTable:
         """The group acting on itself by right multiplication, in enumeration
         order: the normal core of any table whose transition group this is."""
-        return CosetTable(self.rank, tuple(self.enumerate(cap)._orbit.rows))
+        return CosetTable(self.rank, tuple(self.enumerate(cap).orbit.rows))
 
     def order(self, cap: int = DEFAULT_GROUP_CAP) -> int:
         return len(self.enumerate(cap))
@@ -149,7 +164,7 @@ class PermGroup:
 
 def _close(group: PermGroup, cap: int) -> _Closure:
     actions = [lambda images, step=step: tuple(map(step.__getitem__, images))
-               for g in group.gens for step in (g.images, g.inverse().images)]
+               for step in group.columns]
     return _Closure(orbit(tuple(range(group.degree)), actions, cap))
 
 
@@ -164,11 +179,10 @@ def transition_group(table: CosetTable) -> PermGroup:
 def eval_word(group: PermGroup, w: Word) -> Permutation:
     if w.rank != group.rank:
         raise ValueError(f"word rank {w.rank} != group rank {group.rank}")
-    out = Permutation.identity(group.degree)
+    images = tuple(range(group.degree))
     for letter in w.letters:
-        g = group.gens[letter.generator - 1]
-        out = out * (g if letter.sign > 0 else g.inverse())
-    return out
+        images = tuple(map(group.columns[letter.column].__getitem__, images))
+    return Permutation(images)
 
 
 def cycle_type_census(
@@ -184,13 +198,14 @@ def cycle_type_census(
     elements = group.enumerate(cap)
     if elements.census is None:
         counts: dict[tuple[int, ...], int] = {}
-        first: dict[tuple[int, ...], Permutation] = {}
-        for element in elements:
-            shape = tuple(sorted(len(c) for c in element.cycles()))
+        first: dict[tuple[int, ...], int] = {}
+        for position, images in enumerate(elements.orbit.states):
+            shape = tuple(sorted(map(len, cycles(images))))
             counts[shape] = counts.get(shape, 0) + 1
-            first.setdefault(shape, element)
-        elements.census = tuple((shape, counts[shape], elements[first[shape]])
-                                for shape in sorted(counts))
+            first.setdefault(shape, position)
+        elements.census = tuple(
+            (shape, counts[shape], elements.orbit.word(first[shape]))
+            for shape in sorted(counts))
     return elements.census
 
 
@@ -202,8 +217,8 @@ def has_k_cycle_at(
         raise ValueError(f"cycle length {k} out of range for degree {group.degree}")
     if not 0 <= point < group.degree:
         raise ValueError(f"point {point} out of range")
-    elements = group.enumerate(cap)
-    for element in elements:
-        if element.cycle_through(point) == k:
-            return elements[element]
+    reached = group.enumerate(cap).orbit
+    for position, images in enumerate(reached.states):
+        if _cycle_through(images, point) == k:
+            return reached.word(position)
     return None

@@ -40,8 +40,6 @@ __all__ = [
     "order_at",
     "visited_set",
     "word_step",
-    "WFunctionalGraph",
-    "w_graph",
 ]
 
 
@@ -387,19 +385,3 @@ def visited_set(table: CosetTable, w: Word, vertex: int) -> frozenset[int]:
         v = trace(table, v, w)
     return frozenset(cycle)
 
-
-@dataclass(frozen=True)
-class WFunctionalGraph:
-    """Vertices of a table with the single-step action of a fixed word."""
-
-    table: CosetTable
-    w: Word
-    step: tuple[int, ...]
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Cycle decomposition of the w-step, ordered as by ``cycles``."""
-        return cycles(self.step)
-
-
-def w_graph(table: CosetTable, w: Word) -> WFunctionalGraph:
-    return WFunctionalGraph(table, w, word_step(table, w))

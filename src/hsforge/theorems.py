@@ -26,14 +26,8 @@ from .partition import (
     rho,
     validate,
 )
-from .perm import (
-    CapExceeded,
-    DEFAULT_GROUP_CAP,
-    cycle_type_census,
-    eval_word,
-    has_k_cycle_at,
-)
-from .schreier import w_graph
+from .perm import CapExceeded, DEFAULT_GROUP_CAP, cycle_type_census, has_k_cycle_at
+from .schreier import cycles, word_step
 from .words import Word, parse_word
 from .zcover import (
     InvalidPartition,
@@ -294,21 +288,11 @@ def check_intersections(
     return TheoremReport("intersection", SILENT, predicted, None, details)
 
 
-# (condition label, ball radius exponent, whether the same condition transfers)
-_TRANSFER_RULES: dict[str, tuple[int, bool]] = {
-    "exceeds_second_largest": (3, True),
-    "exceeds_third_largest_odd_prime": (4, True),
-    "exceeds_third_largest_sharp_ge4": (4, False),
-    "exceeds_third_largest_sharp_eq2": (4, False),
-}
-
-
-def _transfer_rule(label: str) -> tuple[int, bool]:
-    if label in _TRANSFER_RULES:
-        return _TRANSFER_RULES[label]
-    # labels of the form exceeds_r{r}_...: radius 2^-(r+1), condition transfers
-    r = int(label.split("_")[1][1:])
-    return r + 1, True
+# the two r = 3 conditions that transfer only their conclusion, a repeated index
+_CONCLUSION_ONLY = frozenset({
+    "exceeds_third_largest_sharp_ge4",
+    "exceeds_third_largest_sharp_eq2",
+})
 
 
 def check_neighborhood(
@@ -344,14 +328,15 @@ def check_neighborhood(
     base_bounds = check_cycle_bounds(p0, cap)
     statuses.append(base_bounds.status)
     if base_bounds.applies:
-        labels = sorted({
-            condition["label"]
+        r_of = {
+            condition["label"]: condition["r"]
             for candidate in base_bounds.details["candidates"]
             for condition in candidate["conditions"]
-        })
+        }
         side = None
-        for label in labels:
-            exponent, same_condition = _transfer_rule(label)
+        for label in sorted(r_of):
+            exponent = r_of[label] + 1
+            same_condition = label not in _CONCLUSION_ONLY
             radius = Fraction(1, 2**exponent)
             if distance >= radius:
                 continue
@@ -397,7 +382,8 @@ def loop_consistency(
     """Check every loop that w traces among the cosets of N.
 
     A coset's block depends only on its coordinates in the block tables,
-    which range over the validated product automaton P.  So each of the
+    which range over the validated product automaton P, and o_N is the lcm
+    of the cycle lengths of w's step on the distinct tables.  So each of the
     m/o_N loops of length o_N repeats, from some start, the blocks along one
     w-cycle of P, whose length divides o_N, and reads the same residue
     classes off it.  Per cycle: participating blocks contribute o_N/o_i
@@ -409,11 +395,11 @@ def loop_consistency(
     report = validate(p, state_cap)
     if not report.valid:
         raise ValueError("partition is not valid; run validation first")
-    o_n = lcm(*(eval_word(g, w).order() for g in p.groups.values()))
+    o_n = lcm(*(len(c) for t in p.groups for c in cycles(word_step(t, w))))
     orders = [order_rel(p, i, w) for i in range(p.size)]
     verdicts: dict[Any, str] = {}
     problems = []
-    for cycle in w_graph(report.automaton.as_table(), w).cycles():
+    for cycle in cycles(word_step(report.automaton.as_table(), w)):
         if o_n % len(cycle):
             raise AssertionError(
                 f"a w-cycle of length {len(cycle)} does not divide {o_n}")

@@ -4,7 +4,8 @@ Most of this recomputes results from first principles (letter-by-letter
 tracing, exhaustive scans, repeated-pass reduction) so the tests do not
 reuse the code paths they are checking.  At the end are library helpers
 that only the tests use, and the earlier constructions of normal cores, N,
-coset-action tables and transversals, kept as references that the
+coset-action tables, transversals, the cycle-type census and the k-cycle
+scan over ``Permutation`` elements, kept as references that the
 orbit-based library code must agree with, the coloring of N's cosets by
 tracing words through every block, the intersection indices of a pair
 from their own product automata, and the loop checks walked on N's table.
@@ -28,8 +29,8 @@ from hsforge.schreier import (
     StallingsGraph,
     _Folder,
     canonicalize,
+    cycles,
     transversal,
-    w_graph,
     word_step,
 )
 from hsforge.words import Letter, Word, identity, letter_from_column, word
@@ -238,7 +239,7 @@ def refold(graph: StallingsGraph) -> StallingsGraph:
 
 def orders_lcm(table: CosetTable, w: Word) -> int:
     """lcm of order_at over all vertices = order of the induced permutation."""
-    return lcm(*(len(c) for c in w_graph(table, w).cycles()))
+    return lcm(*(len(c) for c in cycles(word_step(table, w))))
 
 
 def table_permutation(table: CosetTable, w: Word) -> Permutation:
@@ -269,6 +270,34 @@ def max_cycle_length(group: PermGroup, cap: int = 10**6) -> tuple[int, Word]:
             best = longest
             best_element = element
     return best, elements[best_element]
+
+
+def cycle_type_census_by_elements(
+    group: PermGroup, cap: int = 10**6
+) -> tuple[tuple[tuple[int, ...], int, Word], ...]:
+    """The census over the enumerated ``Permutation`` elements, each cycle
+    type's witness looked up for the first element of that type."""
+    elements = group.enumerate(cap)
+    counts: dict[tuple[int, ...], int] = {}
+    first: dict[tuple[int, ...], Permutation] = {}
+    for element in elements:
+        shape = tuple(sorted(len(c) for c in element.cycles()))
+        counts[shape] = counts.get(shape, 0) + 1
+        first.setdefault(shape, element)
+    return tuple((shape, counts[shape], elements[first[shape]])
+                 for shape in sorted(counts))
+
+
+def has_k_cycle_at_by_elements(
+    group: PermGroup, k: int, point: int, cap: int = 10**6
+) -> Word | None:
+    """The witness of the first enumerated ``Permutation`` element with a
+    k-cycle through point, if any."""
+    elements = group.enumerate(cap)
+    for element in elements:
+        if element.cycle_through(point) == k:
+            return elements[element]
+    return None
 
 
 def normal_core_by_cayley(table: CosetTable, cap: int = 10**6) -> CosetTable:

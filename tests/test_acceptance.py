@@ -39,11 +39,12 @@ from hsforge.sampling import (
 )
 from hsforge.schreier import (
     coset_of,
+    cycles,
     order_at,
     table_from_generators,
     transversal,
     visited_set,
-    w_graph,
+    word_step,
 )
 from hsforge.theorems import analyze, check_full_cycle, check_intersections
 from hsforge.zcover import erdos_checks, validate_z
@@ -207,7 +208,7 @@ def test_criterion_08_property_suite():
                 group_order = None
             for _ in range(20):
                 w = random_word(rng, rank, 8)
-                step = w_graph(t, w).step
+                step = word_step(t, w)
                 orders = []
                 distinct: dict[frozenset[int], int] = {}
                 for i in range(d):
@@ -281,12 +282,12 @@ def test_criterion_08_property_suite():
                 # words act with a single order on the table of the normal
                 # subgroup underlying the loop graph: equal cycle lengths,
                 # dividing the degree, with degree/order many cycles.
-                cycles = w_graph(nt, w).cycles()
-                lengths = {len(c) for c in cycles}
+                w_cycles = cycles(word_step(nt, w))
+                lengths = {len(c) for c in w_cycles}
                 assert len(lengths) == 1
                 o = lengths.pop()
                 assert m % o == 0
-                assert len(cycles) == m // o
+                assert len(w_cycles) == m // o
                 for i in (0, m // 2, m - 1):
                     assert order_at(nt, w, i) == o
         elapsed = time.monotonic() - started

@@ -11,6 +11,8 @@ from hypothesis import given
 from conftest import P, words
 from helpers import (
     closure_by_bfs,
+    cycle_type_census_by_elements,
+    has_k_cycle_at_by_elements,
     max_cycle_length,
     perm_by_tracing,
     table_permutation,
@@ -213,3 +215,19 @@ def test_cycle_type_census(k_table, g_table):
     for shape, _, wit in cycle_type_census(group):
         element = eval_word(group, wit)
         assert tuple(sorted(len(c) for c in element.cycles())) == shape
+
+
+def test_orbit_walks_match_the_element_scans(g_table, k_table, h1_table, m_table):
+    # the census and the k-cycle search read off the orbit's image tuples
+    # give the scans over Permutation elements, witness words included, for
+    # every point and every k
+    rng = random.Random(808)
+    tables = [g_table, k_table, h1_table, m_table]
+    tables += [random_table(rng, rng.choice((2, 2, 3)), 6) for _ in range(60)]
+    for table in tables:
+        group = transition_group(table)
+        assert cycle_type_census(group) == cycle_type_census_by_elements(group)
+        for point in range(table.degree):
+            for k in range(1, table.degree + 1):
+                assert (has_k_cycle_at(group, k, point)
+                        == has_k_cycle_at_by_elements(group, k, point))

@@ -34,6 +34,7 @@ from hsforge.schreier import (
     canonical_rows,
     canonicalize,
     coset_of,
+    cycles,
     fold_from_generators,
     orbit,
     order_at,
@@ -42,7 +43,6 @@ from hsforge.schreier import (
     transversal,
     try_complete,
     visited_set,
-    w_graph,
     word_step,
 )
 from hsforge.words import identity, multiply, power
@@ -219,15 +219,17 @@ def test_order_divides_every_return_exponent(w):
 
 
 def test_w_graph_cycles_structure(k_table):
-    graph = w_graph(k_table, P("ab"))
-    cycles = graph.cycles()
+    step = word_step(k_table, P("ab"))
+    w_cycles = cycles(step)
     # one 4-cycle covering all vertices, starting at the minimal vertex
-    assert [c[0] for c in cycles] == [min(c) for c in cycles]
-    flat = [v for c in cycles for v in c]
+    assert [len(c) for c in w_cycles] == [4]
+    assert [c[0] for c in w_cycles] == [min(c) for c in w_cycles]
+    flat = [v for c in w_cycles for v in c]
     assert sorted(flat) == list(range(k_table.degree))
-    for cycle in cycles:
+    for cycle in w_cycles:
         for pos, v in enumerate(cycle):
-            assert graph.step[v] == cycle[(pos + 1) % len(cycle)]
+            assert step[v] == cycle[(pos + 1) % len(cycle)]
+            assert step[v] == trace_letters(k_table, v, P("ab"))
     assert orders_lcm(k_table, P("ab")) == 4
 
 
@@ -245,7 +247,7 @@ def test_normal_table_has_equal_orders_everywhere(k_table, m_table, g_table):
             assert len(orders) == 1
             o = orders.pop()
             assert table.degree % o == 0
-            assert len(w_graph(table, w).cycles()) == table.degree // o
+            assert len(cycles(word_step(table, w))) == table.degree // o
 
 
 def test_canonicalize_is_idempotent_and_rebases(k_table):

@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -32,10 +33,16 @@ from hsforge.partition import (
     intersection_conditions,
     multiplicity,
     o_max_and_sharp,
+    rho,
     validate,
 )
-from hsforge.perm import CapExceeded, cycle_type_census, transition_group
-from hsforge.sampling import random_lifted_partition, random_table, random_word
+from hsforge.perm import CapExceeded, Permutation, cycle_type_census, transition_group
+from hsforge.sampling import (
+    random_lifted_partition,
+    random_split_chain,
+    random_table,
+    random_word,
+)
 from hsforge.schreier import table_from_generators, transversal
 from hsforge.theorems import (
     Analysis,
@@ -57,6 +64,12 @@ from hsforge.zcover import erdos_checks, smallest_prime_factor
 # and colors, so sharing them must leave every analysis unchanged.
 ANALYZE_STREAM_SHA256 = (
     "3bd7bcb1c6dfaf73449711b2e67449d61b5d64e7f75f65cfce00f60efeaf29b9")
+
+# sha256 of check_neighborhood(p0, q).to_json(), dumped with sorted keys,
+# over the pairs of ``neighborhood_pairs``; recorded when each condition's
+# radius was still parsed out of its label.
+NEIGHBORHOOD_STREAM_SHA256 = (
+    "6be0abe67b28ada7d1a415fc0607be60218f7c158884c0bea0a6e0f351737865")
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -211,6 +224,34 @@ def test_neighborhood_transfer_within_radius(p44):
     report = check_neighborhood(p44, moved)
     assert report.status == "applies"
     assert report.verified is True
+
+
+def neighborhood_pairs():
+    """40 residue-class partitions of seeded split chains, each paired with
+    its translate by ab and with every other one closer than 1/2."""
+    rng = random.Random(5)
+    pool = []
+    for _ in range(40):
+        z = random_split_chain(rng, max_period=200, max_steps=6)
+        pool.append(residue_partition([(c.modulus, c.residue) for c in z.classes]))
+    for p0 in pool:
+        yield p0, act(p0, P("ab"))
+        for q in pool:
+            if q is not p0 and rho(p0, q) < Fraction(1, 2):
+                yield p0, q
+
+
+def test_neighborhood_stream_is_pinned():
+    # radii 1/2 to 1/32768 at distances 0 to 1/256, threshold conditions
+    # with r = 2..14, and a conclusion-only r = 3 condition among them
+    digest = hashlib.sha256()
+    radii = set()
+    for p0, q in neighborhood_pairs():
+        report = check_neighborhood(p0, q)
+        radii |= {a["radius"] for a in report.details["assertions"]}
+        digest.update(json.dumps(report.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == NEIGHBORHOOD_STREAM_SHA256
+    assert {"1/2", "1/8", "1/16", "1/32768"} <= radii
 
 
 def test_loop_consistency(p44, p77):
@@ -433,6 +474,28 @@ def test_analyze_builds_no_n_table():
               sym_ladder_partition(6)):
         assert analyze(p).loop_checks
         assert p._n is None
+
+
+def test_analyze_builds_one_permutation_per_generator_and_table(monkeypatch):
+    # the searches keep image tuples: the only Permutations are the
+    # generators of each distinct table's transition group
+    built = []
+    post_init = Permutation.__post_init__
+
+    def counted(element):
+        built.append(element)
+        post_init(element)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counted)
+    loads = [lambda: sym_ladder_partition(6)]
+    loads += [lambda path=path: load_partition(str(path))
+              for path in sorted(DATA.glob("*.partition"))]
+    assert len(loads) == 6
+    for load in loads:
+        built.clear()
+        p = load()
+        assert analyze(p).valid
+        assert len(built) <= p.rank * len(p.groups)
 
 
 def test_loop_checks_match_walks_on_n():
