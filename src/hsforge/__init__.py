@@ -34,7 +34,6 @@ from .perm import (
     PermGroup,
     Permutation,
     cycle_type_census,
-    eval_word,
     has_k_cycle_at,
     transition_group,
 )

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    hsforge validate FILE [--json] [--cap-states N] [--cap-group N]
+    hsforge validate FILE [--json] [--cap-states N]
     hsforge analyze FILE [--json] [--words w1,w2] [--cap-states N] [--cap-group N]
     hsforge graph FILE --target {sub,hs} [--word W] [--dot-dir DIR]
                   [--cap-states N] [--cap-group N]
@@ -52,7 +52,7 @@ def _caps(args) -> tuple[int, int]:
             base = 0
         if base < 1:
             raise UsageError(f"HSFORGE_CAP={env!r} is not a positive integer")
-    group_cap = args.cap_group or base or DEFAULT_GROUP_CAP
+    group_cap = getattr(args, "cap_group", None) or base or DEFAULT_GROUP_CAP
     state_cap = args.cap_states or base or DEFAULT_STATE_CAP
     return group_cap, state_cap
 
@@ -203,16 +203,17 @@ def _parser() -> argparse.ArgumentParser:
         description="validate and analyze coset partitions of free groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cap_flags(cmd):
+    def cap_flags(cmd, group=True):
         cmd.add_argument("--cap-states", type=_positive_int, default=None,
                          help="max product-automaton states")
-        cmd.add_argument("--cap-group", type=_positive_int, default=None,
-                         help="max transition-group elements")
+        if group:
+            cmd.add_argument("--cap-group", type=_positive_int, default=None,
+                             help="max transition-group elements")
 
     validate_cmd = sub.add_parser("validate", help="check the partition property")
     validate_cmd.add_argument("file")
     validate_cmd.add_argument("--json", action="store_true", help="JSON output")
-    cap_flags(validate_cmd)
+    cap_flags(validate_cmd, group=False)
     validate_cmd.set_defaults(run=cmd_validate)
 
     analyze_cmd = sub.add_parser("analyze", help="run all condition checkers")

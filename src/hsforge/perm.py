@@ -30,7 +30,6 @@ __all__ = [
     "Permutation",
     "PermGroup",
     "transition_group",
-    "eval_word",
     "cycle_type_census",
     "has_k_cycle_at",
 ]
@@ -174,15 +173,6 @@ def transition_group(table: CosetTable) -> PermGroup:
     for j in range(table.rank):
         gens.append(Permutation(tuple(row[2 * j] for row in table.delta)))
     return PermGroup(table.degree, tuple(gens))
-
-
-def eval_word(group: PermGroup, w: Word) -> Permutation:
-    if w.rank != group.rank:
-        raise ValueError(f"word rank {w.rank} != group rank {group.rank}")
-    images = tuple(range(group.degree))
-    for letter in w.letters:
-        images = tuple(map(group.columns[letter.column].__getitem__, images))
-    return Permutation(images)
 
 
 def cycle_type_census(

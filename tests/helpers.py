@@ -246,6 +246,16 @@ def table_permutation(table: CosetTable, w: Word) -> Permutation:
     return Permutation(word_step(table, w))
 
 
+def eval_word(group: PermGroup, w: Word) -> Permutation:
+    """The element of w: the letters' image tuples composed left to right."""
+    if w.rank != group.rank:
+        raise ValueError(f"word rank {w.rank} != group rank {group.rank}")
+    images = tuple(range(group.degree))
+    for letter in w.letters:
+        images = tuple(map(group.columns[letter.column].__getitem__, images))
+    return Permutation(images)
+
+
 def loop_z_partition(graph, loop) -> ZPartition:
     """Residue classes read off a loop of N's colored table: color i covers
     positions first-occurrence + multiples of its relative order."""

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import P, gens, G_GENERATORS
-from helpers import loop_z_partition, max_cycle_length
+from helpers import eval_word, loop_z_partition, max_cycle_length
 from hsforge.files import load_partition
 from hsforge.hsgraph import build_hs_graph, fiber_loop_count
 from hsforge.partition import (
@@ -25,11 +25,7 @@ from hsforge.partition import (
     rho,
     validate,
 )
-from hsforge.perm import (
-    CapExceeded,
-    eval_word,
-    transition_group,
-)
+from hsforge.perm import CapExceeded, transition_group
 from hsforge.sampling import (
     random_lifted_partition,
     random_split_chain,

@@ -158,19 +158,18 @@ def test_usage_errors_exit_with_invalid_code(capsys):
 
 
 def test_flags_no_command_reads_are_usage_errors(capsys):
-    # zcheck and metric take no caps and graph prints no JSON; validate
-    # keeps its caps beside analyze and graph
+    # zcheck and metric take no caps, validate searches no transition
+    # group, and graph prints no JSON
     for argv in (["zcheck", "2:0,4:1,4:3", "--cap-states", "5"],
                  ["zcheck", "2:0,4:1,4:3", "--cap-group", "5"],
                  ["metric", MIXED, NORMAL, "--cap-states", "5"],
                  ["metric", MIXED, NORMAL, "--cap-group", "5"],
+                 ["validate", MIXED, "--cap-group", "5"],
                  ["graph", MIXED, "--target", "sub", "--json"]):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
-    code, _, _ = run_cli(capsys, ["validate", MIXED, "--cap-group", "5"])
-    assert code == 0
 
 
 def test_graph_sub_three_cosets_draws_three_nodes(capsys):

@@ -12,6 +12,7 @@ from conftest import P, words
 from helpers import (
     closure_by_bfs,
     cycle_type_census_by_elements,
+    eval_word,
     has_k_cycle_at_by_elements,
     max_cycle_length,
     perm_by_tracing,
@@ -23,7 +24,6 @@ from hsforge.perm import (
     PermGroup,
     Permutation,
     cycle_type_census,
-    eval_word,
     has_k_cycle_at,
     transition_group,
 )
