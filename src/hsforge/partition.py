@@ -16,10 +16,10 @@ of cores, each under the cap rule of ``schreier.Capped``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter, getitem, itemgetter, ne
+from operator import add, attrgetter, itemgetter, ne
 from typing import Iterable, Sequence
 
 from .perm import DEFAULT_GROUP_CAP, PermGroup, Permutation, transition_group
@@ -30,6 +30,7 @@ from .schreier import (
     Orbit,
     canonicalize,
     coset_of,
+    gather,
     orbit,
     order_at,
 )
@@ -176,14 +177,21 @@ def product(
             raise ValueError("tables must share one rank")
     if len(base) != len(tables):
         raise ValueError("one base vertex per table required")
-    columns = [[tuple(row[c] for row in t.delta) for t in tables]
-               for c in range(2 * rank)]
-    actions = [lambda state, images=images: tuple(map(getitem, images, state))
-               for images in columns]
+    if not all(0 <= v < t.degree for v, t in zip(base, tables)):
+        raise ValueError(f"base {tuple(base)} out of range")
+    offsets: dict[CosetTable, int] = {}  # one vertex range per distinct table
+    shift = [offsets.setdefault(t, sum(u.degree for u in offsets)) for t in tables]
+    columns = [tuple(row[c] + offset for t, offset in offsets.items()
+                     for row in t.delta) for c in range(2 * rank)]
     try:
-        reached = orbit(tuple(base), actions, cap)
+        reached = orbit(tuple(map(add, base, shift)), gather(columns, len(tables)), cap)
     except CapExceeded:
         raise StateCapExceeded(cap) from None
+    if any(shift):
+        vertex = tuple(v for t in offsets for v in range(t.degree))
+        states = [itemgetter(*state)(vertex) for state in reached.states]
+        reached = replace(reached, states=states,
+                          index=dict(zip(states, range(len(states)))))
     return ProductAutomaton(tuple(tables), reached)
 
 
@@ -468,8 +476,7 @@ def _coset_action_table(
 ) -> CosetTable:
     """The orbit of the coset K = sub under right multiplication by the
     generators and their inverses, numbered by BFS from K."""
-    actions = [lambda coset, step=step: frozenset(
-                   tuple(map(step.__getitem__, images)) for images in coset)
-               for step in quotient.columns]
+    step = gather(quotient.columns, quotient.degree)
     start = frozenset(x.images for x in sub)
-    return CosetTable(rank, tuple(orbit(start, actions, quotient.order()).rows))
+    images = lambda coset: map(frozenset, zip(*map(step, coset)))
+    return CosetTable(rank, tuple(orbit(start, images, quotient.order()).rows))

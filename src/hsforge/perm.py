@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 from math import lcm
 
-from .schreier import CapExceeded, Capped, CosetTable, Orbit, cycles, orbit
+from .schreier import CapExceeded, Capped, CosetTable, Orbit, cycles, gather, orbit
 from .words import Word
 
 __all__ = [
@@ -76,7 +76,7 @@ class Permutation:
         return _cycle_through(self.images, point)
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles()))
+        return lcm(*_cycle_lengths(self.images))
 
 
 def _inverse(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -90,6 +90,20 @@ def _cycle_through(images: tuple[int, ...], point: int) -> int:
         v = images[v]
         length += 1
     return length
+
+
+def _cycle_lengths(images: tuple[int, ...]) -> list[int]:
+    seen = [False] * len(images)
+    lengths = []
+    for start, v in enumerate(images):
+        if not seen[start]:
+            length = 1
+            while v != start:
+                seen[v] = True
+                v = images[v]
+                length += 1
+            lengths.append(length)
+    return lengths
 
 
 class _Closure(Mapping[Permutation, Word]):
@@ -162,9 +176,8 @@ class PermGroup:
 
 
 def _close(group: PermGroup, cap: int) -> _Closure:
-    actions = [lambda images, step=step: tuple(map(step.__getitem__, images))
-               for step in group.columns]
-    return _Closure(orbit(tuple(range(group.degree)), actions, cap))
+    images = gather(group.columns, group.degree)
+    return _Closure(orbit(tuple(range(group.degree)), images, cap))
 
 
 def transition_group(table: CosetTable) -> PermGroup:
@@ -190,7 +203,7 @@ def cycle_type_census(
         counts: dict[tuple[int, ...], int] = {}
         first: dict[tuple[int, ...], int] = {}
         for position, images in enumerate(elements.orbit.states):
-            shape = tuple(sorted(map(len, cycles(images))))
+            shape = tuple(sorted(_cycle_lengths(images)))
             counts[shape] = counts.get(shape, 0) + 1
             first.setdefault(shape, position)
         elements.census = tuple(

@@ -1,9 +1,10 @@
 """Coset automata of subgroups of free groups, and the one orbit routine.
 
-``orbit(start, actions, cap)`` is the breadth-first search behind every
+``orbit(start, images, cap)`` is the breadth-first search behind every
 search in hsforge: coset tables and their renumbering, transition groups,
 normal cores, product automata and coset actions are all orbits of one start
-state under one action per letter column (a < a^-1 < b < b^-1 < ...).  It
+state, ``images(state)`` giving its targets in column order (a < a^-1 < b <
+b^-1 < ...); ``gather`` steps a tuple of points with one ``itemgetter``.  It
 records each state's BFS parent and column, so a shortest word reaching a
 state is built from these pointers only when a caller asks for it.
 ``Capped`` caches such a search and holds the one rule for answering a cap
@@ -17,8 +18,9 @@ are equal as values exactly when they describe the same subgroup.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .words import Letter, Word, letter_from_column
 
@@ -27,6 +29,7 @@ __all__ = [
     "Capped",
     "Orbit",
     "orbit",
+    "gather",
     "cycles",
     "canonical_rows",
     "InfiniteIndex",
@@ -104,15 +107,11 @@ class Orbit:
         return Word(len(self.rows[0]) // 2, tuple(reversed(letters)))
 
 
-def orbit(
-    start: Hashable,
-    actions: Sequence[Callable[[Hashable], Hashable | None]],
-    cap: int,
-) -> Orbit:
-    """Breadth-first orbit of start, trying the actions in column order.
+def orbit(start: Hashable, images: Callable[[Hashable], Iterable], cap: int) -> Orbit:
+    """Breadth-first orbit of start, taking each state's images in column order.
 
-    An action returns the image of a state, or None for no edge.  Raises
-    CapExceeded when more than cap states would be reached.
+    ``images(state)`` yields the state's image under every column, or None
+    for no edge.  Raises CapExceeded when more than cap states are reached.
     """
     if cap < 1:
         raise CapExceeded(cap)
@@ -123,8 +122,7 @@ def orbit(
     rows = []
     for head, state in enumerate(states):
         row = []
-        for c, action in enumerate(actions):
-            target = action(state)
+        for c, target in enumerate(images(state)):
             if target is None:
                 row.append(None)
                 continue
@@ -139,6 +137,14 @@ def orbit(
             row.append(position)
         rows.append(tuple(row))
     return Orbit(states, index, parent, column, rows)
+
+
+def gather(columns: Sequence[Sequence[int]], width: int) -> Callable:
+    """``images`` of width-tuples of points: the column entries at the points.
+    A one-key ``itemgetter`` returns a bare item, so width 1 boxes them."""
+    if width == 1:
+        columns = [tuple((v,) for v in column) for column in columns]
+    return lambda state: map(itemgetter(*state), columns)
 
 
 def cycles(images: Sequence[int]) -> list[tuple[int, ...]]:
@@ -167,9 +173,7 @@ def canonical_rows(
 
     ``None`` marks a missing transition and stays in place.
     """
-    actions = [tuple(row[c] for row in rows).__getitem__
-               for c in range(len(rows[basepoint]))]
-    return tuple(orbit(basepoint, actions, len(rows)).rows)
+    return tuple(orbit(basepoint, rows.__getitem__, len(rows)).rows)
 
 
 class InfiniteIndex(Exception):
@@ -354,9 +358,7 @@ def transversal(table: CosetTable) -> list[Word]:
     Canonical numbering makes ``transversal(t)[i]`` the BFS discovery word
     of vertex i; each word has minimal length among words reaching i.
     """
-    columns = [tuple(row[c] for row in table.delta).__getitem__
-               for c in range(2 * table.rank)]
-    reached = orbit(0, columns, table.degree)
+    reached = orbit(0, table.delta.__getitem__, table.degree)
     reps = {v: reached.word(i) for i, v in enumerate(reached.states)}
     return [reps[v] for v in sorted(reps)]
 

@@ -4,32 +4,38 @@ Most of this recomputes results from first principles (letter-by-letter
 tracing, exhaustive scans, repeated-pass reduction) so the tests do not
 reuse the code paths they are checking.  At the end are library helpers
 that only the tests use, and the earlier constructions of normal cores, N,
-coset-action tables, transversals, the cycle-type census and the k-cycle
-scan over ``Permutation`` elements, kept as references that the
-orbit-based library code must agree with, the coloring of N's cosets by
-tracing words through every block, the intersection indices of a pair
-from their own product automata, and the loop checks walked on N's table.
+coset-action tables, transversals, product automata stepped column by
+column, the cycle-type census and the k-cycle scan over ``Permutation``
+elements, kept as references that the orbit-based library code must agree
+with, the coloring of N's cosets by tracing words through every block, the
+intersection indices of a pair from their own product automata, and the
+loop checks walked on N's table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import getitem
 
 from hsforge.hsgraph import build_hs_graph
 from hsforge.partition import (
     CosetPartition,
     CosetSpec,
     PairIntersectionReport,
+    ProductAutomaton,
+    StateCapExceeded,
     product,
 )
 from hsforge.perm import PermGroup, Permutation, transition_group
 from hsforge.schreier import (
+    CapExceeded,
     CosetTable,
     StallingsGraph,
     _Folder,
     canonicalize,
     cycles,
+    orbit,
     transversal,
     word_step,
 )
@@ -321,6 +327,19 @@ def normal_core_by_cayley(table: CosetTable, cap: int = 10**6) -> CosetTable:
     rows = tuple(tuple(number[element * step] for step in steps)
                  for element in order)
     return canonicalize(CosetTable(table.rank, rows), 0)
+
+
+def product_by_columns(tables, base, cap: int = 10**6) -> ProductAutomaton:
+    """The product automaton in each table's own vertex labels: every column
+    steps the state coordinate by coordinate, one table column per block."""
+    columns = [[tuple(row[c] for row in t.delta) for t in tables]
+               for c in range(2 * tables[0].rank)]
+    steps = lambda state: [tuple(map(getitem, images, state)) for images in columns]
+    try:
+        reached = orbit(tuple(base), steps, cap)
+    except CapExceeded:
+        raise StateCapExceeded(cap) from None
+    return ProductAutomaton(tuple(tables), reached)
 
 
 def big_n_by_cores(p, group_cap: int = 10**6, state_cap: int = 10**6) -> CosetTable:

@@ -18,7 +18,9 @@ from helpers import (
     first_bad_state_by_bfs,
     intersection_by_products,
     normal_core_by_cayley,
+    closure_by_bfs,
     partition_signature,
+    product_by_columns,
     reduced_words_up_to,
     residue_partition,
     rho_recomputed,
@@ -33,6 +35,7 @@ from hsforge.partition import (
     StateCapExceeded,
     act,
     big_n,
+    core_product,
     coset_partition,
     intersection_conditions,
     lift_partition,
@@ -56,10 +59,11 @@ from hsforge.sampling import (
     random_table,
     random_word,
 )
-from hsforge.schreier import coset_of, table_from_generators, transversal
+from hsforge.schreier import CosetTable, coset_of, table_from_generators, transversal
 from hsforge.words import identity, multiply
 
 BUNDLED = sorted((Path(__file__).resolve().parents[1] / "data").glob("*.partition"))
+BUNDLED_THREES = Path(__file__).resolve().parents[1] / "data" / "ex_three_threes.partition"
 
 
 def lifted_draws(seed: int, count: int):
@@ -162,6 +166,55 @@ def test_product_state_counts(h1_table, k_table, g_table):
     assert auto.as_table().degree == 4
     with pytest.raises(StateCapExceeded):
         product([h1_table, k_table], [0, 0], cap=3)
+
+
+def test_product_rejects_base_vertices_out_of_range():
+    # a negative vertex must not wrap around to the table's last vertex
+    table = load_partition(str(BUNDLED_THREES)).specs[0].table
+    assert table.degree == 3
+    for v in (-1, -3, 3, 4):
+        with pytest.raises(ValueError, match="out of range"):
+            product([table], [v])
+        with pytest.raises(ValueError, match="out of range"):
+            product([table, table], [0, v])
+    assert product([table], [2]).state_count == 3
+
+
+def test_product_matches_the_per_column_reference():
+    # each distinct table gets its own vertex labels inside product; states,
+    # index, parent pointers, columns and rows must come out as the plain
+    # per-column product's, and both must raise below the state count
+    cases = []
+    bundled = [load_partition(str(path)) for path in BUNDLED]
+    lifted = [lift_partition(*draw) for draw in lifted_draws(306, 60)]
+    whole = CosetPartition(2, [CosetSpec(CosetTable(2, ((0, 0, 0, 0),)), identity(2))])
+    for p in bundled + lifted + [whole]:
+        tables = [spec.table for spec in p.specs]
+        cases.append((tables, [0] * p.size))
+        if len(p.groups) > 1:
+            cases.append((tables, [spec.marked for spec in p.specs]))
+    for p in lifted + [whole]:
+        cores = [group.cayley_table() for group in p.groups.values()]
+        cases.append((cores, [0] * len(cores)))
+        assert core_product(p) == product_by_columns(cores, [0] * len(cores))
+    table = bundled[0].specs[-1].table
+    cases += [([table], [v]) for v in range(table.degree)]
+    cases.append(([whole.specs[0].table] * 2, [0, 0]))
+    mixed = [tables for tables, _ in cases if len(set(tables)) > 1]
+    assert len(mixed) >= 40
+    for tables, base in cases:
+        auto = product(tables, base)
+        assert auto == product_by_columns(tables, base)
+        size = auto.state_count
+        assert product(tables, base, size) == auto
+        for build in (product, product_by_columns):
+            with pytest.raises(StateCapExceeded):
+                build(tables, base, size - 1)
+    # a degree-1 group: its closure is the identity alone, a 1-tuple state
+    group = transition_group(whole.specs[0].table)
+    assert [e.images for e in group.enumerate()] == [(0,)]
+    assert closure_by_bfs(whole.specs[0].table) == [((0,), ())]
+    assert group.cayley_table() == whole.specs[0].table
 
 
 def test_relative_orders(p44, p77):
