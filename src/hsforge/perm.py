@@ -76,7 +76,7 @@ class Permutation:
         return _cycle_through(self.images, point)
 
     def order(self) -> int:
-        return lcm(*_cycle_lengths(self.images))
+        return lcm(*(len(c) for c in self.cycles()))
 
 
 def _inverse(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -90,20 +90,6 @@ def _cycle_through(images: tuple[int, ...], point: int) -> int:
         v = images[v]
         length += 1
     return length
-
-
-def _cycle_lengths(images: tuple[int, ...]) -> list[int]:
-    seen = [False] * len(images)
-    lengths = []
-    for start, v in enumerate(images):
-        if not seen[start]:
-            length = 1
-            while v != start:
-                seen[v] = True
-                v = images[v]
-                length += 1
-            lengths.append(length)
-    return lengths
 
 
 class _Closure(Mapping[Permutation, Word]):
@@ -203,7 +189,7 @@ def cycle_type_census(
         counts: dict[tuple[int, ...], int] = {}
         first: dict[tuple[int, ...], int] = {}
         for position, images in enumerate(elements.orbit.states):
-            shape = tuple(sorted(_cycle_lengths(images)))
+            shape = tuple(sorted(map(len, cycles(images))))
             counts[shape] = counts.get(shape, 0) + 1
             first.setdefault(shape, position)
         elements.census = tuple(
