@@ -4,7 +4,12 @@
 Generates random partitions lifted from finite quotients, runs the full
 analysis on each, and fails loudly if any checker fires on a partition
 without a repeated index, or if any fired checker flunks its own
-verification (the exit-code-2 path).  Prints a status census at the end.
+verification (the exit-code-2 path).  ``analyze`` never builds N, so each
+partition also gets the colored loop graph of one random word, with every
+fiber's loops counted, and m is checked against the size of N's table; any
+mismatch fails the same way.  The words come from their own generator, so
+the partitions drawn do not depend on them.  Prints a status census at the
+end.
 """
 
 from __future__ import annotations
@@ -18,9 +23,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from hsforge.partition import multiplicity  # noqa: E402
-from hsforge.sampling import random_lifted_partition  # noqa: E402
+from hsforge.hsgraph import build_hs_graph, fiber_loop_count  # noqa: E402
+from hsforge.partition import big_n, multiplicity, refinement_index  # noqa: E402
+from hsforge.sampling import random_lifted_partition, random_word  # noqa: E402
 from hsforge.theorems import analyze  # noqa: E402
+
+
+def check_n_path(p, w) -> str | None:
+    """What goes wrong on N's table for the word w, if anything: the loop
+    graph's own checks, each fiber's loop count, and m against N's size."""
+    try:
+        graph = build_hs_graph(p, w)
+        for i in range(p.size):
+            fiber_loop_count(graph, i)
+    except (AssertionError, ValueError) as err:  # failed checks on a valid partition
+        return str(err)
+    m, n_size = refinement_index(p), big_n(p).degree
+    if m != n_size:
+        return f"m = {m} but N's table has {n_size} cosets"
+    return None
 
 
 def main() -> int:
@@ -34,6 +55,7 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
+    words = random.Random(f"words {args.seed}")
     statuses: Counter[str] = Counter()
     failures = 0
     for n in range(args.count):
@@ -50,6 +72,10 @@ def main() -> int:
         if analysis.exit_code == 2:
             print(f"[{n}] self-verification failed: "
                   f"{analysis.soundness_problems}")
+            failures += 1
+        problem = check_n_path(p, random_word(words, rank, 6))
+        if problem:
+            print(f"[{n}] N path failed: {problem}")
             failures += 1
     for key in sorted(statuses):
         print(f"{key:40s} {statuses[key]}")

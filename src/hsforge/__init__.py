@@ -45,7 +45,6 @@ from .partition import (
     StateCapExceeded,
     act,
     big_n,
-    core_product,
     coset_partition,
     intersection_conditions,
     lift_partition,
@@ -55,6 +54,7 @@ from .partition import (
     orbit_size_under,
     order_rel,
     product,
+    quotient_by_n,
     refinement_index,
     rho,
     separating_subgroup,

@@ -36,10 +36,6 @@ class FileFormatError(ValueError):
         self.line_number = line_number
 
 
-def _fail(line_number: int, message: str) -> FileFormatError:
-    return FileFormatError(line_number, message)
-
-
 def parse_partition_file(text: str) -> CosetPartition:
     rank: int | None = None
     tables: dict[str, CosetTable] = {}
@@ -51,16 +47,16 @@ def parse_partition_file(text: str) -> CosetPartition:
         head, _, rest = line.partition(" ")
         if head == "rank":
             if rank is not None:
-                raise _fail(line_number, "rank given twice")
+                raise FileFormatError(line_number, "rank given twice")
             try:
                 rank = int(rest.strip())
             except ValueError:
-                raise _fail(line_number, f"bad rank {rest.strip()!r}") from None
+                raise FileFormatError(line_number, f"bad rank {rest.strip()!r}") from None
             if rank < 1:
-                raise _fail(line_number, f"rank must be >= 1, got {rank}")
+                raise FileFormatError(line_number, f"rank must be >= 1, got {rank}")
             continue
         if rank is None:
-            raise _fail(line_number, "rank must come first")
+            raise FileFormatError(line_number, "rank must come first")
         if head == "sub":
             name, gens = _parse_named(line_number, rest)
             words = []
@@ -68,28 +64,28 @@ def parse_partition_file(text: str) -> CosetPartition:
                 try:
                     words.append(parse_word(rank, text_gen.strip()))
                 except WordError as err:
-                    raise _fail(line_number, str(err)) from None
+                    raise FileFormatError(line_number, str(err)) from None
             try:
                 tables[name] = try_complete(fold_from_generators(rank, words))
             except InfiniteIndex as err:
-                raise _fail(line_number, f"subgroup {name}: {err}") from None
+                raise FileFormatError(line_number, f"subgroup {name}: {err}") from None
         elif head == "table":
             name, body = _parse_named(line_number, rest)
             tables[name] = _parse_table(line_number, rank, body)
         elif head == "coset":
             parts = rest.split()
             if len(parts) != 3 or parts[1] != "rep":
-                raise _fail(line_number, "expected: coset NAME rep WORD")
+                raise FileFormatError(line_number, "expected: coset NAME rep WORD")
             name, _, rep_text = parts
             if name not in tables:
-                raise _fail(line_number, f"unknown subgroup {name!r}")
+                raise FileFormatError(line_number, f"unknown subgroup {name!r}")
             try:
                 rep = parse_word(rank, rep_text)
             except WordError as err:
-                raise _fail(line_number, str(err)) from None
+                raise FileFormatError(line_number, str(err)) from None
             specs.append(CosetSpec(tables[name], rep))
         else:
-            raise _fail(line_number, f"unknown directive {head!r}")
+            raise FileFormatError(line_number, f"unknown directive {head!r}")
     if rank is None:
         raise FileFormatError(0, "missing rank line")
     if not specs:
@@ -101,29 +97,30 @@ def _parse_named(line_number: int, rest: str) -> tuple[str, str]:
     name, eq, body = rest.partition("=")
     name = name.strip()
     if not eq or not name:
-        raise _fail(line_number, "expected: NAME = ...")
+        raise FileFormatError(line_number, "expected: NAME = ...")
     return name, body.strip()
 
 
 def _parse_table(line_number: int, rank: int, body: str) -> CosetTable:
     size_text, semi, entries = body.partition(";")
     if not semi:
-        raise _fail(line_number, "expected: table NAME = SIZE; transitions")
+        raise FileFormatError(line_number, "expected: table NAME = SIZE; transitions")
     try:
         size = int(size_text.strip())
     except ValueError:
-        raise _fail(line_number, f"bad table size {size_text.strip()!r}") from None
+        raise FileFormatError(
+            line_number, f"bad table size {size_text.strip()!r}") from None
     if size < 1:
-        raise _fail(line_number, f"table size must be >= 1, got {size}")
+        raise FileFormatError(line_number, f"table size must be >= 1, got {size}")
     # edges fill in as they are read, so a stated size or rank allocates
     # nothing before the entries are there to fill it
     edges: dict[tuple[int, int], int] = {}
 
     def put(v: int, column: int, target: int) -> None:
         if not (0 <= v < size and 0 <= target < size):
-            raise _fail(line_number, f"vertex out of range in {v}:{target}")
+            raise FileFormatError(line_number, f"vertex out of range in {v}:{target}")
         if edges.setdefault((v, column), target) != target:
-            raise _fail(line_number, f"conflicting transitions at vertex {v}")
+            raise FileFormatError(line_number, f"conflicting transitions at vertex {v}")
 
     for chunk in entries.split(","):
         chunk = chunk.strip()
@@ -133,25 +130,25 @@ def _parse_table(line_number: int, rank: int, body: str) -> CosetTable:
         arrow = "->" if "->" in rest else "→"
         letter_text, found, target_text = rest.partition(arrow)
         if not colon or not found:
-            raise _fail(line_number, f"expected v:x->v', got {chunk!r}")
+            raise FileFormatError(line_number, f"expected v:x->v', got {chunk!r}")
         try:
             source = int(source_text.strip())
             target = int(target_text.strip())
         except ValueError:
-            raise _fail(line_number, f"bad vertex in {chunk!r}") from None
+            raise FileFormatError(line_number, f"bad vertex in {chunk!r}") from None
         try:
             w = parse_word(rank, letter_text.strip())
         except WordError as err:
-            raise _fail(line_number, str(err)) from None
+            raise FileFormatError(line_number, str(err)) from None
         if len(w) != 1:
-            raise _fail(line_number, f"expected a single letter in {chunk!r}")
+            raise FileFormatError(line_number, f"expected a single letter in {chunk!r}")
         letter = w.letters[0]
         put(source, letter.column, target)
         put(target, letter.inverse().column, source)
     for v in range(size):
         for column in range(2 * rank):
             if (v, column) not in edges:
-                raise _fail(
+                raise FileFormatError(
                     line_number,
                     f"table incomplete: vertex {v} misses column {column}")
     try:
@@ -160,7 +157,7 @@ def _parse_table(line_number: int, rank: int, body: str) -> CosetTable:
             for v in range(size)))
         return canonicalize(raw, 0)
     except ValueError as err:
-        raise _fail(line_number, str(err)) from None
+        raise FileFormatError(line_number, str(err)) from None
 
 
 def load_partition(path: str) -> CosetPartition:

@@ -7,11 +7,11 @@ for the step Ng -> Ngw.  The edges decompose into loops whose common length
 is the order of w modulo N; inside a loop each participating color i occupies
 an arithmetic progression with gap equal to the block's relative order of w,
 so every loop induces a partition of the integers into residue classes.
-N's product states hold core coordinates, the enumeration position of a
-transition-group element per distinct table, and a coset of N lies in block
-i when that element's image tuple for block i's table maps 0 to block i's
-marked vertex.  The w-step is ``word_step``'s image tuple on N's table, and
-its cycles are the loops.
+A coset of N is an element g of F/N acting on the distinct tables laid side
+by side (``partition.quotient_by_n``), and it lies in block i when g maps
+the block table's offset to that offset plus block i's marked vertex.  The
+w-step is ``word_step``'s image tuple on N's table, and its cycles are the
+loops.
 This graph is what ``hsforge graph --target hs`` draws; ``analyze`` reads
 the same loops off the block tables' product automaton instead
 (``theorems.loop_consistency``), since a coset's color depends only on its
@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .partition import CosetPartition, DEFAULT_STATE_CAP, big_n, core_product, order_rel
+from .partition import (
+    CosetPartition, DEFAULT_STATE_CAP, big_n, order_rel, quotient_by_n, side_by_side)
 from .perm import DEFAULT_GROUP_CAP
 from .schreier import CosetTable, cycles, word_step
 from .words import Word
@@ -85,16 +86,14 @@ def build_hs_graph(
     lengths of w's step on each distinct block table.
     """
     table = big_n(p, group_cap, state_cap)
-    auto = core_product(p, group_cap, state_cap)
-    vertex = [[images[0] for images in group.enumerate(group_cap).orbit.states]
-              for group in p.groups.values()]
-    position = {t: j for j, t in enumerate(p.groups)}
-    marks = [(position[spec.table], spec.marked) for spec in p.specs]
+    reached = quotient_by_n(p, group_cap, state_cap)
+    shift, _ = side_by_side([spec.table for spec in p.specs])
+    marks = [(o, o + spec.marked) for o, spec in zip(shift, p.specs)]
     color = []
-    for v, state in enumerate(auto.orbit.states):
-        hits = [i for i, (j, m) in enumerate(marks) if vertex[j][state[j]] == m]
+    for v, g in enumerate(reached.states):
+        hits = [i for i, (o, target) in enumerate(marks) if g[o] == target]
         if len(hits) != 1:
-            raise ValueError(f"coset of {auto.word(v)} lies in "
+            raise ValueError(f"coset of {reached.word(v)} lies in "
                              f"{len(hits)} blocks; partition invalid")
         color.append(hits[0])
     step = word_step(table, w)

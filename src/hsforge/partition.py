@@ -4,14 +4,14 @@ A block is a coset H*alpha given by the subgroup's transition table and a
 representative word; its marked vertex is the coset containing alpha.  A
 family of blocks partitions the group exactly when, in the product automaton
 of all tables started at the basepoint tuple, every reachable state sits at
-the marked vertex of exactly one block.  On top of validation this module
-computes normal cores (the Cayley table of a transition group, which a
-partition holds once per distinct table), the common refinement subgroup N
-and its index m off one product of those cores, the right action of words on
-partitions, a prefix metric on partitions, and partitions lifted from finite
+the marked vertex of exactly one block.  The common refinement subgroup N
+is the kernel of the action on the distinct tables laid side by side, so
+F/N is that permutation group, and its closure gives m, N's table and each
+coset's block.  The module also computes normal cores, the right action of
+words on partitions, a prefix metric, and partitions lifted from finite
 quotient groups.  A partition keeps its validation report, the all-blocks
-orbit size and move counts of ``intersection_conditions``, and its product
-of cores, each under the cap rule of ``schreier.Capped``.
+orbit size and move counts of ``intersection_conditions``, and F/N, each
+under the cap rule of ``schreier.Capped``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
-from operator import add, attrgetter, itemgetter, ne
+from operator import add, attrgetter, itemgetter, ne, sub
 from typing import Iterable, Sequence
 
 from .perm import DEFAULT_GROUP_CAP, PermGroup, Permutation, transition_group
@@ -51,7 +51,8 @@ __all__ = [
     "order_rel",
     "o_max_and_sharp",
     "normal_core",
-    "core_product",
+    "side_by_side",
+    "quotient_by_n",
     "big_n",
     "refinement_index",
     "act",
@@ -123,7 +124,8 @@ class CosetPartition:
                        for t in dict.fromkeys(spec.table for spec in self.specs)}
         self._checked = Capped(_check, StateCapExceeded, _state_count)
         self._marked = Capped(_marked_moves, StateCapExceeded, itemgetter(0))
-        self._cores = Capped(_product_of_cores, StateCapExceeded, _state_count)
+        self._quotient = Capped(
+            _close_quotient, StateCapExceeded, lambda o: len(o.states))
         self._n: CosetTable | None = None
 
     @property
@@ -179,20 +181,26 @@ def product(
         raise ValueError("one base vertex per table required")
     if not all(0 <= v < t.degree for v, t in zip(base, tables)):
         raise ValueError(f"base {tuple(base)} out of range")
-    offsets: dict[CosetTable, int] = {}  # one vertex range per distinct table
-    shift = [offsets.setdefault(t, sum(u.degree for u in offsets)) for t in tables]
-    columns = [tuple(row[c] + offset for t, offset in offsets.items()
-                     for row in t.delta) for c in range(2 * rank)]
+    shift, columns = side_by_side(tables)
     try:
         reached = orbit(tuple(map(add, base, shift)), gather(columns, len(tables)), cap)
     except CapExceeded:
         raise StateCapExceeded(cap) from None
     if any(shift):
-        vertex = tuple(v for t in offsets for v in range(t.degree))
-        states = [itemgetter(*state)(vertex) for state in reached.states]
+        states = [tuple(map(sub, state, shift)) for state in reached.states]
         reached = replace(reached, states=states,
                           index=dict(zip(states, range(len(states)))))
     return ProductAutomaton(tuple(tables), reached)
+
+
+def side_by_side(tables: Sequence[CosetTable]) -> tuple[list[int], list[tuple]]:
+    """The distinct tables laid side by side, each from its own offset in
+    first-seen order: every table's offset and the union's columns."""
+    offsets: dict[CosetTable, int] = {}
+    shift = [offsets.setdefault(t, sum(u.degree for u in offsets)) for t in tables]
+    columns = [tuple(row[c] + offset for t, offset in offsets.items()
+                     for row in t.delta) for c in range(2 * tables[0].rank)]
+    return shift, columns
 
 
 @dataclass(frozen=True)
@@ -261,23 +269,25 @@ def normal_core(table: CosetTable, cap: int = DEFAULT_GROUP_CAP) -> CosetTable:
     return transition_group(table).cayley_table(cap)
 
 
-def core_product(
+def quotient_by_n(
     p: CosetPartition,
     group_cap: int = DEFAULT_GROUP_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
-) -> ProductAutomaton:
-    """The product of the distinct tables' cores (the Cayley tables of their
-    transition groups) from the identity tuple: its states are the cosets of
-    N, each a tuple of group-element positions.  Every group is enumerated
-    under group_cap; the partition keeps the product."""
-    for group in p.groups.values():
-        group.enumerate(group_cap)
-    return p._cores(state_cap, p.groups.values(), group_cap)
+) -> Orbit:
+    """F/N: the closure of the identity under ``side_by_side(list(p.groups))``,
+    the transition group itself for one table.  Its states are the cosets of
+    N, its rows N's table.  Every block group is enumerated under group_cap,
+    then F/N is held to state_cap; the partition keeps it."""
+    closures = [group.enumerate(group_cap) for group in p.groups.values()]
+    return p._quotient(state_cap, list(p.groups), closures)
 
 
-def _product_of_cores(groups, group_cap: int, cap: int) -> ProductAutomaton:
-    cores = [group.cayley_table(group_cap) for group in groups]
-    return product(cores, [0] * len(cores), cap)
+def _close_quotient(tables, closures, cap: int) -> Orbit:
+    if len(closures) == 1:
+        return closures[0].orbit
+    _, columns = side_by_side(tables)
+    degree = len(columns[0])
+    return orbit(tuple(range(degree)), gather(columns, degree), cap)
 
 
 def big_n(
@@ -286,10 +296,10 @@ def big_n(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> CosetTable:
     """Table of N = intersection of the normal cores of all blocks: the
-    table of ``core_product``, kept on the partition after the first success."""
-    auto = core_product(p, group_cap, state_cap)
+    rows of ``quotient_by_n``, kept on the partition after the first success."""
+    reached = quotient_by_n(p, group_cap, state_cap)
     if p._n is None:
-        p._n = auto.as_table()
+        p._n = CosetTable(p.rank, tuple(reached.rows))
     return p._n
 
 
@@ -298,17 +308,8 @@ def refinement_index(
     group_cap: int = DEFAULT_GROUP_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> int:
-    """m = [F : N] without N's table: N is the kernel of the action on the
-    distinct tables, so m is the transition group's order for one table, else
-    the number of states of ``core_product``.  Every group is enumerated
-    under group_cap and m is held to state_cap, as in big_n."""
-    if len(p.groups) > 1:
-        return core_product(p, group_cap, state_cap).state_count
-    (group,) = p.groups.values()
-    m = group.order(group_cap)
-    if m > state_cap:
-        raise StateCapExceeded(state_cap)
-    return m
+    """m = [F : N], the size of ``quotient_by_n``, under the same caps."""
+    return len(quotient_by_n(p, group_cap, state_cap).states)
 
 
 def act(p: CosetPartition, w: Word) -> CosetPartition:

@@ -128,6 +128,8 @@ class PermGroup:
     def __init__(self, degree: int, gens: tuple[Permutation, ...]):
         if not gens:
             raise ValueError("need at least one generator")
+        if degree < 1:
+            raise ValueError(f"degree must be >= 1, got {degree}")
         for g in gens:
             if g.degree != degree:
                 raise ValueError(f"degree mismatch: {g.degree} != {degree}")

@@ -207,6 +207,9 @@ class CosetTable:
     delta: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if self.rank < 1 or not self.delta:
+            raise ValueError(f"need rank >= 1 and a vertex, got rank {self.rank}"
+                             f" and {len(self.delta)} vertices")
         columns = 2 * self.rank
         d = len(self.delta)
         for row in self.delta:
@@ -339,13 +342,23 @@ def canonicalize(table: CosetTable, basepoint: int = 0) -> CosetTable:
     return CosetTable(table.rank, rows)
 
 
-def trace(table: CosetTable, start: int, w: Word) -> int:
+def _walker(table: CosetTable, w: Word, start: int = 0) -> Callable[[int], int]:
+    """The w-step on the table's vertices, w's rank and start checked once."""
+    if w.rank != table.rank:
+        raise ValueError(f"word rank {w.rank} != table rank {table.rank}")
     if not 0 <= start < table.degree:
         raise ValueError(f"vertex {start} out of range")
-    v = start
-    for letter in w.letters:
-        v = table.delta[v][letter.column]
-    return v
+    delta, letters = table.delta, w.letters
+
+    def walk(v: int) -> int:
+        for letter in letters:
+            v = delta[v][letter.column]
+        return v
+    return walk
+
+
+def trace(table: CosetTable, start: int, w: Word) -> int:
+    return _walker(table, w, start)(start)
 
 
 def coset_of(table: CosetTable, w: Word) -> int:
@@ -365,7 +378,7 @@ def transversal(table: CosetTable) -> list[Word]:
 
 def word_step(table: CosetTable, w: Word) -> tuple[int, ...]:
     """The permutation of vertices induced by one application of w."""
-    return tuple(trace(table, v, w) for v in range(table.degree))
+    return tuple(map(_walker(table, w), range(table.degree)))
 
 
 def order_at(table: CosetTable, w: Word, vertex: int) -> int:
@@ -380,10 +393,11 @@ def visited_set(table: CosetTable, w: Word, vertex: int) -> frozenset[int]:
     vertices are equal or disjoint, partitioning the vertex set.  Only the
     cycle through the vertex is traced.
     """
+    walk = _walker(table, w, vertex)
     cycle = [vertex]
-    v = trace(table, vertex, w)
+    v = walk(vertex)
     while v != vertex:
         cycle.append(v)
-        v = trace(table, v, w)
+        v = walk(v)
     return frozenset(cycle)
 

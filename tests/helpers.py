@@ -4,7 +4,7 @@ Most of this recomputes results from first principles (letter-by-letter
 tracing, exhaustive scans, repeated-pass reduction) so the tests do not
 reuse the code paths they are checking.  At the end are library helpers
 that only the tests use, and the earlier constructions of normal cores, N,
-coset-action tables, transversals, product automata stepped column by
+F/N as the product of the distinct tables' cores, coset-action tables, transversals, product automata stepped column by
 column, the cycle-type census and the k-cycle scan over ``Permutation``
 elements, kept as references that the orbit-based library code must agree
 with, the coloring of N's cosets by tracing words through every block, the
@@ -340,6 +340,21 @@ def product_by_columns(tables, base, cap: int = 10**6) -> ProductAutomaton:
     except CapExceeded:
         raise StateCapExceeded(cap) from None
     return ProductAutomaton(tuple(tables), reached)
+
+
+def core_product_by_cayley(
+    p, group_cap: int = 10**6, state_cap: int = 10**6
+) -> ProductAutomaton:
+    """F/N as the product of the distinct tables' cores (the Cayley tables of
+    fresh transition groups) from the identity tuple: its states are the
+    cosets of N, each a tuple of group-element positions, and its table is
+    N's.  Every group is enumerated under group_cap before the product runs
+    under state_cap."""
+    groups = [transition_group(table) for table in p.groups]
+    for group in groups:
+        group.enumerate(group_cap)
+    cores = [group.cayley_table(group_cap) for group in groups]
+    return product(cores, [0] * len(cores), state_cap)
 
 
 def big_n_by_cores(p, group_cap: int = 10**6, state_cap: int = 10**6) -> CosetTable:

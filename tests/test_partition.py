@@ -13,6 +13,7 @@ import hsforge.partition
 from conftest import P, nonempty_words, words
 from helpers import (
     big_n_by_cores,
+    core_product_by_cayley,
     coset_action_table_by_cosets,
     covering_counts,
     first_bad_state_by_bfs,
@@ -35,7 +36,6 @@ from hsforge.partition import (
     StateCapExceeded,
     act,
     big_n,
-    core_product,
     coset_partition,
     intersection_conditions,
     lift_partition,
@@ -45,6 +45,7 @@ from hsforge.partition import (
     orbit_size_under,
     order_rel,
     product,
+    quotient_by_n,
     refinement_index,
     rho,
     separating_subgroup,
@@ -59,8 +60,9 @@ from hsforge.sampling import (
     random_table,
     random_word,
 )
-from hsforge.schreier import CosetTable, coset_of, table_from_generators, transversal
-from hsforge.words import identity, multiply
+from hsforge.schreier import (
+    CapExceeded, CosetTable, coset_of, table_from_generators, transversal)
+from hsforge.words import identity, multiply, parse_word
 
 BUNDLED = sorted((Path(__file__).resolve().parents[1] / "data").glob("*.partition"))
 BUNDLED_THREES = Path(__file__).resolve().parents[1] / "data" / "ex_three_threes.partition"
@@ -196,7 +198,7 @@ def test_product_matches_the_per_column_reference():
     for p in lifted + [whole]:
         cores = [group.cayley_table() for group in p.groups.values()]
         cases.append((cores, [0] * len(cores)))
-        assert core_product(p) == product_by_columns(cores, [0] * len(cores))
+        assert big_n(p) == product_by_columns(cores, [0] * len(cores)).as_table()
     table = bundled[0].specs[-1].table
     cases += [([table], [v]) for v in range(table.degree)]
     cases.append(([whole.specs[0].table] * 2, [0, 0]))
@@ -215,6 +217,13 @@ def test_product_matches_the_per_column_reference():
     assert [e.images for e in group.enumerate()] == [(0,)]
     assert closure_by_bfs(whole.specs[0].table) == [((0,), ())]
     assert group.cayley_table() == whole.specs[0].table
+
+
+def test_relative_orders_reject_a_word_of_another_rank(p44):
+    # the rank-3 word "ab" used to give relative order 1 on every block
+    for i in range(p44.size):
+        with pytest.raises(ValueError, match="word rank 3 != table rank 2"):
+            order_rel(p44, i, parse_word(3, "ab"))
 
 
 def test_relative_orders(p44, p77):
@@ -492,17 +501,18 @@ def test_validation_cap(p44):
 
 def test_a_failed_product_is_not_run_again(monkeypatch):
     # two distinct tables, m = 12 and P with 12 states: m and N share one
-    # product of the cores, and a product that failed under a cap raises at
-    # once for the same or a smaller cap, while a larger cap runs it again
+    # closure of F/N, and a closure or product that failed under a cap
+    # raises at once for the same or a smaller cap, while a larger cap runs
+    # it again
     p = residue_partition([(6, 0), (6, 2), (6, 4), (4, 1), (4, 3)])
     assert len(p.groups) == 2
     caps = []
 
-    def counted(tables, base, cap, original=hsforge.partition.product):
+    def counted(start, images, cap, original=hsforge.partition.orbit):
         caps.append(cap)
-        return original(tables, base, cap)
+        return original(start, images, cap)
 
-    monkeypatch.setattr(hsforge.partition, "product", counted)
+    monkeypatch.setattr(hsforge.partition, "orbit", counted)
     for call in (refinement_index, big_n, refinement_index):
         with pytest.raises(StateCapExceeded, match=r"\(11\)"):
             call(p, state_cap=11)
@@ -516,6 +526,64 @@ def test_a_failed_product_is_not_run_again(monkeypatch):
     assert caps == [11, 10**6, 1]
     assert validate(p).state_count == 12 and validate(p, 12).valid
     assert caps == [11, 10**6, 1, 10**6]
+
+
+def fn_inputs() -> list[CosetPartition]:
+    """The bundled examples, 60 lifted fuzz partitions, a residue partition
+    whose m exceeds every group order, and the d = 5 ladder."""
+    rng = random.Random(307)
+    lifted = [random_lifted_partition(rng, rng.choice((2, 2, 3)), max_order=64)
+              for _ in range(60)]
+    residue = residue_partition([(6, 0), (6, 2), (6, 4), (4, 1), (4, 3)])
+    return ([load_partition(str(path)) for path in BUNDLED] + lifted
+            + [residue, sym_ladder_partition(5)])
+
+
+def test_fn_closure_matches_the_product_of_cores():
+    # N's table, numbering included, and m are those of the product of the
+    # cores; one table shares its transition group's closure
+    inputs = fn_inputs()
+    assert sum(len(p.groups) > 1 for p in inputs) >= 15
+    for p in inputs:
+        reference = core_product_by_cayley(p)
+        assert big_n(p) == reference.as_table()
+        assert refinement_index(p) == reference.state_count
+        if len(p.groups) == 1:
+            (group,) = p.groups.values()
+            assert quotient_by_n(p) is group.enumerate().orbit
+    residue = inputs[-2]
+    assert refinement_index(residue) == 12
+    assert all(group.order() < 12 for group in residue.groups.values())
+    assert refinement_index(inputs[-1]) == 120
+
+
+def _outcome(call, p, **caps):
+    """call's answer on a fresh copy of p, or its error's type and message."""
+    try:
+        return call(CosetPartition(p.rank, p.specs), **caps)
+    except CapExceeded as err:
+        return type(err), str(err)
+
+
+def test_fn_caps_match_the_product_of_cores():
+    # fresh copies under state_cap m and m - 1 and under a group_cap below
+    # one block group's order answer as the product of the cores does
+    m_of = lambda q, **caps: core_product_by_cayley(q, **caps).state_count
+    n_of = lambda q, **caps: big_n(q, **caps).degree
+    for p in fn_inputs():
+        m = m_of(p)
+        largest = max(group.order() for group in p.groups.values())
+        answers = []
+        for caps in ({"state_cap": m}, {"state_cap": m - 1},
+                     {"group_cap": largest - 1}):
+            expected = _outcome(m_of, p, **caps)
+            assert _outcome(refinement_index, p, **caps) == expected
+            assert _outcome(n_of, p, **caps) == expected
+            answers.append(expected)
+        assert answers[0] == m
+        assert answers[1] == (StateCapExceeded,
+                              f"product automaton larger than cap ({m - 1})")
+        assert answers[2][0] is CapExceeded
 
 
 def test_normal_core_matches_cayley_table(g_table, k_table, h1_table, m_table):

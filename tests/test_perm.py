@@ -47,6 +47,13 @@ def test_permutation_basics():
         Permutation((0, 0, 1))
 
 
+def test_a_group_needs_a_point():
+    # a degree-0 group used to be built and then fail inside schreier.gather
+    with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
+        PermGroup(0, (Permutation(()),))
+    assert PermGroup(1, (Permutation((0,)),)).order() == 1
+
+
 def test_cycles_and_cycle_through():
     p = Permutation((1, 0, 3, 4, 2))
     assert p.cycles() == [(0, 1), (2, 3, 4)]

@@ -45,7 +45,7 @@ from hsforge.schreier import (
     visited_set,
     word_step,
 )
-from hsforge.words import identity, multiply, power
+from hsforge.words import identity, multiply, parse_word, power
 
 G_DELTA = ((1, 1, 0, 0), (0, 0, 2, 2), (2, 2, 1, 1))
 K_DELTA = ((1, 1, 0, 0), (0, 0, 2, 2), (3, 3, 1, 1), (2, 2, 3, 3))
@@ -122,6 +122,25 @@ def test_table_validation_rejects_bad_rows():
         CosetTable(2, ((1, 1, 0, 0), (1, 1, 1, 1)))  # a-column not a bijection
     with pytest.raises(ValueError):
         CosetTable(1, ((1, 1), (1, 0)))  # inverse-inconsistent pair
+
+
+def test_tables_need_a_generator_and_a_vertex():
+    # such tables used to be built and then fail inside schreier.gather
+    for rank, delta in ((2, ()), (0, ((),)), (0, ()), (-1, ((),))):
+        with pytest.raises(ValueError, match="need rank >= 1 and a vertex"):
+            CosetTable(rank, delta)
+
+
+def test_walkers_reject_a_word_of_another_rank(g_table):
+    # "c" has no column in a rank-2 table; "ab" of rank 3 used to be walked
+    # as if it were a rank-2 word
+    for text in ("c", "ab"):
+        w = parse_word(3, text)
+        for walk in (lambda: trace(g_table, 0, w), lambda: coset_of(g_table, w),
+                     lambda: word_step(g_table, w), lambda: order_at(g_table, w, 1),
+                     lambda: visited_set(g_table, w, 2)):
+            with pytest.raises(ValueError, match="word rank 3 != table rank 2"):
+                walk()
 
 
 def test_trace_follows_letters(g_table):

@@ -254,6 +254,12 @@ def test_neighborhood_stream_is_pinned():
     assert {"1/2", "1/8", "1/16", "1/32768"} <= radii
 
 
+def test_loop_consistency_rejects_a_word_of_another_rank(p44):
+    # its order of w modulo N used to come out as 1 for the rank-3 word "ab"
+    with pytest.raises(ValueError, match="word rank 3 != table rank 2"):
+        loop_consistency(p44, parse_word(3, "ab"))
+
+
 def test_loop_consistency(p44, p77):
     check = loop_consistency(p44, P("ab"))
     assert check["problems"] == []
