@@ -6,7 +6,6 @@ from .words import (
     Letter,
     Word,
     WordError,
-    cyclic_reduce,
     identity,
     inverse,
     multiply,
@@ -51,13 +50,11 @@ from .partition import (
     multiplicity,
     normal_core,
     o_max_and_sharp,
-    orbit_size_under,
     order_rel,
     product,
     quotient_by_n,
     refinement_index,
     rho,
-    separating_subgroup,
     validate,
 )
 from .hsgraph import HSColoredGraph, HSLoop, build_hs_graph, fiber_loop_count

@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .dot import hs_dot, table_dot
@@ -197,6 +198,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INVALID)
 
 
+@cache  # built once per process; parse_args leaves the parser unchanged
 def _parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hsforge",

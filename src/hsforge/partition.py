@@ -28,7 +28,6 @@ from .schreier import (
     Capped,
     CosetTable,
     Orbit,
-    canonicalize,
     coset_of,
     gather,
     orbit,
@@ -56,11 +55,9 @@ __all__ = [
     "big_n",
     "refinement_index",
     "act",
-    "orbit_size_under",
     "PairIntersectionReport",
     "intersection_conditions",
     "rho",
-    "separating_subgroup",
     "lift_partition",
 ]
 
@@ -83,26 +80,22 @@ class NotAPartition(ValueError):
 
 @dataclass(frozen=True)
 class CosetSpec:
-    """One block H*alpha: the subgroup's table plus a representative word."""
+    """One block H*alpha: the subgroup's table plus a representative word.
+    ``marked``, the coset containing alpha, is traced once when it is built."""
 
     table: CosetTable
     rep: Word
+    marked: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rep.rank != self.table.rank:
             raise ValueError(
                 f"rep rank {self.rep.rank} != table rank {self.table.rank}")
+        object.__setattr__(self, "marked", coset_of(self.table, self.rep))
 
     @property
     def index(self) -> int:
         return self.table.degree
-
-    @property
-    def marked(self) -> int:
-        return coset_of(self.table, self.rep)
-
-    def contains(self, w: Word) -> bool:
-        return coset_of(self.table, w) == self.marked
 
 
 class CosetPartition:
@@ -319,11 +312,6 @@ def act(p: CosetPartition, w: Word) -> CosetPartition:
         [CosetSpec(spec.table, multiply(spec.rep, w)) for spec in p.specs])
 
 
-def orbit_size_under(p: CosetPartition, w: Word) -> int:
-    """Size of the orbit of p under repeated action of w."""
-    return lcm(*(order_rel(p, i, w) for i in range(p.size)))
-
-
 @dataclass(frozen=True)
 class PairIntersectionReport:
     pair: tuple[int, int]
@@ -398,36 +386,6 @@ def rho(p: CosetPartition, q: CosetPartition) -> Fraction:
     if len(left) != len(right):
         return Fraction(1, 2 ** (min(len(left), len(right)) + 1))
     return Fraction(0)
-
-
-def separating_subgroup(rank: int, w: Word) -> CosetTable:
-    """A finite-index subgroup whose coset automaton separates w from 1.
-
-    The path spelling w is completed to a permutation table: for each
-    generator, vertices missing the outgoing edge are matched in ascending
-    order with vertices missing the incoming edge, taking the basepoint
-    last.  The resulting index is exactly len(w) + 1 and w lies outside
-    the subgroup.
-    """
-    if w.is_identity:
-        raise EmptyWord("cannot separate the identity from itself")
-    if w.rank != rank:
-        raise ValueError(f"word rank {w.rank} != {rank}")
-    length = len(w)
-    rows: list[dict[int, int]] = [dict() for _ in range(length + 1)]
-    for position, letter in enumerate(w.letters):
-        rows[position][letter.column] = position + 1
-        rows[position + 1][letter.inverse().column] = position
-    for column in range(0, 2 * rank, 2):
-        sources = [v for v in range(length + 1) if column not in rows[v]]
-        targets = [v for v in range(length + 1) if column + 1 not in rows[v]]
-        targets = [v for v in targets if v != 0] + [v for v in targets if v == 0]
-        for source, target in zip(sources, targets):
-            rows[source][column] = target
-            rows[target][column + 1] = source
-    table = CosetTable(rank, tuple(
-        tuple(rows[v][c] for c in range(2 * rank)) for v in range(length + 1)))
-    return canonicalize(table, 0)
 
 
 def lift_partition(

@@ -71,10 +71,6 @@ class Permutation:
     def cycles(self) -> list[tuple[int, ...]]:
         return cycles(self.images)
 
-    def cycle_through(self, point: int) -> int:
-        """Length of the cycle containing point."""
-        return _cycle_through(self.images, point)
-
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles()))
 

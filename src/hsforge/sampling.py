@@ -1,9 +1,7 @@
 """Random instances for fuzzing: words, tables, quotient partitions, covers.
 
 Everything takes an explicit random.Random so runs are reproducible.  Random
-tables are built as the transitive component of random vertex permutations;
-their subgroups are recovered through spanning-tree generators, which also
-exercises folding round trips.
+tables are built as the transitive component of random vertex permutations.
 """
 
 from __future__ import annotations
@@ -12,14 +10,13 @@ import random
 
 from .partition import CosetPartition, lift_partition
 from .perm import CapExceeded, PermGroup, Permutation
-from .schreier import CosetTable, canonical_rows, transversal
-from .words import Word, letter_from_column, multiply, word
+from .schreier import CosetTable, canonical_rows
+from .words import Word, letter_from_column, word
 from .zcover import ZPartition, split_class, zpartition
 
 __all__ = [
     "random_word",
     "random_table",
-    "spanning_generators",
     "random_quotient",
     "random_quotient_partition",
     "random_lifted_partition",
@@ -44,22 +41,6 @@ def random_table(rng: random.Random, rank: int, max_index: int) -> CosetTable:
         steps += [g.images, g.inverse().images]
     rows = [tuple(step[v] for step in steps) for v in range(d)]
     return CosetTable(rank, canonical_rows(rows, 0))
-
-
-def spanning_generators(table: CosetTable) -> list[Word]:
-    """Nontrivial Schreier generators t_v x (t_vx)^-1 over the BFS tree."""
-    reps = transversal(table)
-    out = []
-    for v in range(table.degree):
-        for j in range(table.rank):
-            letter = letter_from_column(2 * j)
-            target = table.delta[v][2 * j]
-            gen = multiply(
-                multiply(reps[v], Word(table.rank, (letter,))), ~reps[target])
-            # tree edges reduce to the identity and are skipped
-            if not gen.is_identity:
-                out.append(gen)
-    return out
 
 
 def random_quotient(

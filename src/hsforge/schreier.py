@@ -191,10 +191,6 @@ class StallingsGraph:
     rows: tuple[tuple[int | None, ...], ...]
 
     @property
-    def vertex_count(self) -> int:
-        return len(self.rows)
-
-    @property
     def is_complete(self) -> bool:
         return all(target is not None for row in self.rows for target in row)
 
@@ -343,16 +339,18 @@ def canonicalize(table: CosetTable, basepoint: int = 0) -> CosetTable:
 
 
 def _walker(table: CosetTable, w: Word, start: int = 0) -> Callable[[int], int]:
-    """The w-step on the table's vertices, w's rank and start checked once."""
+    """The w-step on the table's vertices; w's rank and start are checked and
+    its letters resolved to table columns once per call."""
     if w.rank != table.rank:
         raise ValueError(f"word rank {w.rank} != table rank {table.rank}")
     if not 0 <= start < table.degree:
         raise ValueError(f"vertex {start} out of range")
-    delta, letters = table.delta, w.letters
+    delta = table.delta
+    columns = [letter.column for letter in w.letters]
 
     def walk(v: int) -> int:
-        for letter in letters:
-            v = delta[v][letter.column]
+        for c in columns:
+            v = delta[v][c]
         return v
     return walk
 

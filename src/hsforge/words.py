@@ -146,21 +146,3 @@ def power(u: Word, k: int) -> Word:
     for _ in range(k):
         result = multiply(result, u)
     return result
-
-
-def cyclic_reduce(u: Word) -> tuple[Word, Word]:
-    """Split u = c * core * c^-1 with the core cyclically reduced.
-
-    Returns (c, core).  For a cyclically reduced word c is the identity.
-    """
-    letters = list(u.letters)
-    conj: list[Letter] = []
-    while len(letters) >= 2 and letters[0] == letters[-1].inverse():
-        conj.append(letters.pop(0))
-        letters.pop()
-    return Word(u.rank, tuple(conj)), Word(u.rank, tuple(letters))
-
-
-def signed_letters(rank: int) -> tuple[Letter, ...]:
-    """All 2*rank letters in column order."""
-    return tuple(letter_from_column(c) for c in range(2 * rank))

@@ -22,24 +22,34 @@ from hsforge.hsgraph import build_hs_graph
 from hsforge.partition import (
     CosetPartition,
     CosetSpec,
+    EmptyWord,
     PairIntersectionReport,
     ProductAutomaton,
     StateCapExceeded,
+    order_rel,
     product,
 )
-from hsforge.perm import PermGroup, Permutation, transition_group
+from hsforge.perm import PermGroup, Permutation, _cycle_through, transition_group
 from hsforge.schreier import (
     CapExceeded,
     CosetTable,
     StallingsGraph,
     _Folder,
     canonicalize,
+    coset_of,
     cycles,
     orbit,
     transversal,
     word_step,
 )
-from hsforge.words import Letter, Word, identity, letter_from_column, word
+from hsforge.words import (
+    Letter,
+    Word,
+    identity,
+    letter_from_column,
+    multiply,
+    word,
+)
 from hsforge.zcover import (
     InvalidPartition,
     ZCheck,
@@ -231,10 +241,90 @@ def partition_signature(p) -> tuple:
 # -- library code only the tests use ----------------------------------------
 
 
+def signed_letters(rank: int) -> tuple[Letter, ...]:
+    """All 2*rank letters in column order."""
+    return tuple(letter_from_column(c) for c in range(2 * rank))
+
+
+def cyclic_reduce(u: Word) -> tuple[Word, Word]:
+    """Split u = c * core * c^-1 with the core cyclically reduced.
+
+    Returns (c, core).  For a cyclically reduced word c is the identity.
+    """
+    letters = list(u.letters)
+    conj: list[Letter] = []
+    while len(letters) >= 2 and letters[0] == letters[-1].inverse():
+        conj.append(letters.pop(0))
+        letters.pop()
+    return Word(u.rank, tuple(conj)), Word(u.rank, tuple(letters))
+
+
+def cycle_through(element: Permutation, point: int) -> int:
+    """Length of the element's cycle containing point."""
+    return _cycle_through(element.images, point)
+
+
+def contains(spec: CosetSpec, w: Word) -> bool:
+    """Whether w lies in the block H*alpha."""
+    return coset_of(spec.table, w) == spec.marked
+
+
+def orbit_size_under(p: CosetPartition, w: Word) -> int:
+    """Size of the orbit of p under repeated action of w."""
+    return lcm(*(order_rel(p, i, w) for i in range(p.size)))
+
+
+def spanning_generators(table: CosetTable) -> list[Word]:
+    """Nontrivial Schreier generators t_v x (t_vx)^-1 over the BFS tree."""
+    reps = transversal(table)
+    out = []
+    for v in range(table.degree):
+        for j in range(table.rank):
+            letter = letter_from_column(2 * j)
+            target = table.delta[v][2 * j]
+            gen = multiply(
+                multiply(reps[v], Word(table.rank, (letter,))), ~reps[target])
+            # tree edges reduce to the identity and are skipped
+            if not gen.is_identity:
+                out.append(gen)
+    return out
+
+
+def separating_subgroup(rank: int, w: Word) -> CosetTable:
+    """A finite-index subgroup whose coset automaton separates w from 1.
+
+    The path spelling w is completed to a permutation table: for each
+    generator, vertices missing the outgoing edge are matched in ascending
+    order with vertices missing the incoming edge, taking the basepoint
+    last.  The resulting index is exactly len(w) + 1 and w lies outside
+    the subgroup.
+    """
+    if w.is_identity:
+        raise EmptyWord("cannot separate the identity from itself")
+    if w.rank != rank:
+        raise ValueError(f"word rank {w.rank} != {rank}")
+    length = len(w)
+    rows: list[dict[int, int]] = [dict() for _ in range(length + 1)]
+    for position, letter in enumerate(w.letters):
+        rows[position][letter.column] = position + 1
+        rows[position + 1][letter.inverse().column] = position
+    for column in range(0, 2 * rank, 2):
+        sources = [v for v in range(length + 1) if column not in rows[v]]
+        targets = [v for v in range(length + 1) if column + 1 not in rows[v]]
+        targets = [v for v in targets if v != 0] + [v for v in targets if v == 0]
+        for source, target in zip(sources, targets):
+            rows[source][column] = target
+            rows[target][column + 1] = source
+    table = CosetTable(rank, tuple(
+        tuple(rows[v][c] for c in range(2 * rank)) for v in range(length + 1)))
+    return canonicalize(table, 0)
+
+
+
 def refold(graph: StallingsGraph) -> StallingsGraph:
     """Re-run folding on the edges of an already folded graph (idempotence)."""
     folder = _Folder(graph.rank)
-    for _ in range(graph.vertex_count):
+    for _ in range(len(graph.rows)):
         folder.new_vertex()
     for v, row in enumerate(graph.rows):
         for column in range(0, 2 * graph.rank, 2):
@@ -311,7 +401,7 @@ def has_k_cycle_at_by_elements(
     k-cycle through point, if any."""
     elements = group.enumerate(cap)
     for element in elements:
-        if element.cycle_through(point) == k:
+        if cycle_through(element, point) == k:
             return elements[element]
     return None
 
@@ -405,7 +495,7 @@ def coloring_by_words(p, n_table: CosetTable) -> tuple[int, ...]:
     invalid partition fails with the library's message."""
     color = []
     for rep in transversal(n_table):
-        hits = [i for i, spec in enumerate(p.specs) if spec.contains(rep)]
+        hits = [i for i, spec in enumerate(p.specs) if contains(spec, rep)]
         if len(hits) != 1:
             raise ValueError(
                 f"coset of {rep} lies in {len(hits)} blocks; partition invalid")

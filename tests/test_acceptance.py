@@ -14,7 +14,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import P, gens, G_GENERATORS
-from helpers import eval_word, loop_z_partition, max_cycle_length
+from helpers import (
+    cycle_through,
+    eval_word,
+    loop_z_partition,
+    max_cycle_length,
+    spanning_generators,
+)
 from hsforge.files import load_partition
 from hsforge.hsgraph import build_hs_graph, fiber_loop_count
 from hsforge.partition import (
@@ -31,7 +37,6 @@ from hsforge.sampling import (
     random_split_chain,
     random_table,
     random_word,
-    spanning_generators,
 )
 from hsforge.schreier import (
     coset_of,
@@ -129,7 +134,7 @@ def test_criterion_05_full_cycle_checker(p44, p77):
         block = report.details["witness_block"]
         spec = p44.specs[block]
         image = eval_word(transition_group(spec.table), witness)
-        assert image.cycle_through(spec.marked) == 4
+        assert cycle_through(image, spec.marked) == 4
         assert sorted(p44.indices).count(4) >= 2
         assert sorted(p44.indices) == [2, 4, 4]
 

@@ -10,13 +10,17 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hsforge
 from hsforge import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -288,6 +292,48 @@ def test_entrypoint_raises_systemexit(capsys, monkeypatch):
         cli.entrypoint()
     assert excinfo.value.code == 0
     capsys.readouterr()
+
+
+def test_parser_is_built_once_per_process():
+    assert cli._parser() is cli._parser()
+
+
+def test_repeated_calls_in_one_process(capsys, monkeypatch):
+    # a cached parser keeps no state between calls: the output mode, a
+    # usage error and the environment's cap are each read afresh
+    code, out, _ = run_cli(capsys, ["analyze", MIXED, "--json"])
+    assert code == 0
+    assert out == (GOLDEN / "analyze_two_four_four.json").read_text()
+    code, out, _ = run_cli(capsys, ["analyze", MIXED])
+    assert code == 0
+    assert out == (GOLDEN / "analyze_two_four_four.txt").read_text()
+
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["zcheck"])
+    assert excinfo.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: hsforge zcheck")
+    code, out, _ = run_cli(capsys, ["zcheck", "2:0,4:1,4:3", "--json"])
+    assert code == 0
+    assert out == (GOLDEN / "zcheck_cover.json").read_text()
+
+    monkeypatch.delenv("HSFORGE_CAP", raising=False)
+    assert run_cli(capsys, ["analyze", MIXED])[0] == 0
+    monkeypatch.setenv("HSFORGE_CAP", "1")
+    code, _, err = run_cli(capsys, ["analyze", MIXED])
+    assert code == 3
+    assert err.startswith("unknown:")
+
+
+def test_module_entry_point_in_a_fresh_interpreter():
+    src = str(Path(hsforge.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env.pop("HSFORGE_CAP", None)
+    child = subprocess.run(
+        [sys.executable, "-m", "hsforge.cli", "zcheck", "2:0,4:1,4:3", "--json"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert child.returncode == 0
+    assert child.stdout == (GOLDEN / "zcheck_cover.json").read_text()
 
 
 # Line fragments for the malformed-input test, valid and broken, some with

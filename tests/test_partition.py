@@ -19,12 +19,15 @@ from helpers import (
     first_bad_state_by_bfs,
     intersection_by_products,
     normal_core_by_cayley,
+    orbit_size_under,
     closure_by_bfs,
+    contains,
     partition_signature,
     product_by_columns,
     reduced_words_up_to,
     residue_partition,
     rho_recomputed,
+    separating_subgroup,
     sym_ladder_partition,
 )
 from hsforge.files import load_partition
@@ -42,13 +45,11 @@ from hsforge.partition import (
     multiplicity,
     normal_core,
     o_max_and_sharp,
-    orbit_size_under,
     order_rel,
     product,
     quotient_by_n,
     refinement_index,
     rho,
-    separating_subgroup,
     validate,
     _coset_action_table,
 )
@@ -62,6 +63,7 @@ from hsforge.sampling import (
 )
 from hsforge.schreier import (
     CapExceeded, CosetTable, coset_of, table_from_generators, transversal)
+from hsforge.theorems import analyze
 from hsforge.words import identity, multiply, parse_word
 
 BUNDLED = sorted((Path(__file__).resolve().parents[1] / "data").glob("*.partition"))
@@ -83,14 +85,31 @@ def test_spec_marked_and_contains(k_table):
     spec = CosetSpec(k_table, P("a"))
     assert spec.index == 4
     assert spec.marked == 1
-    assert spec.contains(P("a"))
-    assert spec.contains(P("ba"))       # b is in the subgroup
-    assert not spec.contains(P("abba"))  # that word is in the subgroup itself
-    assert not spec.contains(P("b"))
-    assert not spec.contains(identity(2))
+    assert contains(spec, P("a"))
+    assert contains(spec, P("ba"))       # b is in the subgroup
+    assert not contains(spec, P("abba"))  # that word is in the subgroup itself
+    assert not contains(spec, P("b"))
+    assert not contains(spec, identity(2))
     with pytest.raises(ValueError):
         from hsforge.words import parse_word
         CosetSpec(k_table, parse_word(3, "c"))
+
+
+def test_marked_vertex_is_traced_once_per_block(monkeypatch, k_table):
+    calls = []
+    coset_of = hsforge.partition.coset_of
+    monkeypatch.setattr(hsforge.partition, "coset_of",
+                        lambda *args: calls.append(args) or coset_of(*args))
+    p = sym_ladder_partition(6)
+    analyze(p)
+    assert len(calls) <= p.size
+    # the marked vertex is neither compared nor printed: blocks stay equal
+    # and hash alike exactly when their tables and reps do
+    spec = CosetSpec(k_table, P("a"))
+    assert spec == CosetSpec(k_table, P("a"))
+    assert hash(spec) == hash(CosetSpec(k_table, P("a")))
+    assert spec != CosetSpec(k_table, P("ba"))
+    assert "marked" not in repr(spec)
 
 
 def test_partition_sorts_blocks_ascending(h1_table, k_table):

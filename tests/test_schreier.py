@@ -45,7 +45,7 @@ from hsforge.schreier import (
     visited_set,
     word_step,
 )
-from hsforge.words import identity, multiply, parse_word, power
+from hsforge.words import Letter, identity, multiply, parse_word, power
 
 G_DELTA = ((1, 1, 0, 0), (0, 0, 2, 2), (2, 2, 1, 1))
 K_DELTA = ((1, 1, 0, 0), (0, 0, 2, 2), (3, 3, 1, 1), (2, 2, 3, 3))
@@ -141,6 +141,43 @@ def test_walkers_reject_a_word_of_another_rank(g_table):
                      lambda: visited_set(g_table, w, 2)):
             with pytest.raises(ValueError, match="word rank 3 != table rank 2"):
                 walk()
+
+
+def test_walkers_resolve_each_letter_once_per_call(monkeypatch):
+    rng = random.Random(11)
+    steps = []
+    for _ in range(3):
+        images = list(range(40))
+        rng.shuffle(images)
+        steps += [images, sorted(range(40), key=images.__getitem__)]
+    table = CosetTable(3, canonical_rows(
+        [tuple(step[v] for step in steps) for v in range(40)], 0))
+    assert table.degree == 40
+    w = parse_word(3, "aBcAbCabCA")
+    assert len(w) == 10
+    reads = []
+    column = Letter.column
+    monkeypatch.setattr(Letter, "column", property(
+        lambda letter: reads.append(1) or column.fget(letter)))
+
+    def counted(call):
+        reads.clear()
+        result = call()
+        assert len(reads) <= len(w)
+        return result
+
+    step = counted(lambda: word_step(table, w))
+    for vertex in range(table.degree):
+        order = counted(lambda: order_at(table, w, vertex))
+        seen = counted(lambda: visited_set(table, w, vertex))
+        assert counted(lambda: trace(table, vertex, w)) == step[vertex]
+        assert order == order_by_iteration(table, w, vertex)
+        cycle, v = {vertex}, trace_letters(table, vertex, w)
+        while v != vertex:
+            cycle.add(v)
+            v = trace_letters(table, v, w)
+        assert seen == cycle
+        assert step[vertex] == trace_letters(table, vertex, w)
 
 
 def test_trace_follows_letters(g_table):

@@ -6,20 +6,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import P, letters as letter_strategy, words
-from helpers import naive_reduce, reduced_words_up_to
+from helpers import cyclic_reduce, naive_reduce, reduced_words_up_to, signed_letters
 from hsforge.words import (
     Letter,
     MAX_PARSE_RANK,
     Word,
     WordError,
-    cyclic_reduce,
     identity,
     inverse,
     letter_from_column,
     multiply,
     parse_word,
     power,
-    signed_letters,
     word,
 )
 
