@@ -39,7 +39,6 @@ from .perm import (
 from .partition import (
     CosetPartition,
     CosetSpec,
-    EmptyWord,
     NotAPartition,
     StateCapExceeded,
     act,

@@ -37,7 +37,6 @@ from .words import Word, multiply
 
 __all__ = [
     "StateCapExceeded",
-    "EmptyWord",
     "NotAPartition",
     "CosetSpec",
     "CosetPartition",
@@ -68,10 +67,6 @@ _state_count = attrgetter("state_count")
 class StateCapExceeded(CapExceeded):
     def __init__(self, cap: int):
         super().__init__(cap, "product automaton larger than cap")
-
-
-class EmptyWord(ValueError):
-    """Raised where a nonempty word is required."""
 
 
 class NotAPartition(ValueError):

@@ -22,7 +22,6 @@ from hsforge.hsgraph import build_hs_graph
 from hsforge.partition import (
     CosetPartition,
     CosetSpec,
-    EmptyWord,
     PairIntersectionReport,
     ProductAutomaton,
     StateCapExceeded,
@@ -288,6 +287,10 @@ def spanning_generators(table: CosetTable) -> list[Word]:
             if not gen.is_identity:
                 out.append(gen)
     return out
+
+
+class EmptyWord(ValueError):
+    """Raised where a nonempty word is required."""
 
 
 def separating_subgroup(rank: int, w: Word) -> CosetTable:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 import hsforge.partition
 from conftest import P, nonempty_words, words
 from helpers import (
+    EmptyWord,
     big_n_by_cores,
     core_product_by_cayley,
     coset_action_table_by_cosets,
@@ -34,7 +35,6 @@ from hsforge.files import load_partition
 from hsforge.partition import (
     CosetPartition,
     CosetSpec,
-    EmptyWord,
     NotAPartition,
     StateCapExceeded,
     act,
