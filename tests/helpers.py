@@ -323,7 +323,6 @@ def separating_subgroup(rank: int, w: Word) -> CosetTable:
     return canonicalize(table, 0)
 
 
-
 def refold(graph: StallingsGraph) -> StallingsGraph:
     """Re-run folding on the edges of an already folded graph (idempotence)."""
     folder = _Folder(graph.rank)
