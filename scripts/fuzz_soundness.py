@@ -4,7 +4,8 @@
 Generates random partitions lifted from finite quotients, runs the full
 analysis on each, and fails loudly if any checker fires on a partition
 without a repeated index, or if any fired checker flunks its own
-verification (the exit-code-2 path).  ``analyze`` never builds N, so each
+verification (the exit-code-2 path), or if a block's cycle-type counts do
+not sum to its group order.  ``analyze`` never builds N, so each
 partition also gets the colored loop graph of one random word, with every
 fiber's loops counted, and m is checked against the size of N's table; any
 mismatch fails the same way.  The words come from their own generator, so
@@ -68,6 +69,12 @@ def main() -> int:
             if report.status == "applies" and not has_repeat:
                 print(f"[{n}] {report.name} fired without a repeated index: "
                       f"indices {list(p.indices)}")
+                failures += 1
+        for block in analysis.blocks:
+            total = sum(entry["count"] for entry in block.get("cycle_types", ()))
+            if not block.get("capped") and total != block["group_order"]:
+                print(f"[{n}] block {block['block']}: cycle types count "
+                      f"{total} elements of {block['group_order']}")
                 failures += 1
         if analysis.exit_code == 2:
             print(f"[{n}] self-verification failed: "

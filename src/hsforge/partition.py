@@ -11,7 +11,8 @@ coset's block.  The module also computes normal cores, the right action of
 words on partitions, a prefix metric, and partitions lifted from finite
 quotient groups.  A partition keeps its validation report, the all-blocks
 orbit size and move counts of ``intersection_conditions``, and F/N, each
-under the cap rule of ``schreier.Capped``.
+under the cap rule of ``schreier.Capped``; once F/N is kept, the all-blocks
+orbit is read off its elements instead of searched again.
 """
 
 from __future__ import annotations
@@ -149,9 +150,6 @@ class ProductAutomaton:
     def word(self, i: int) -> Word:
         """BFS discovery word of state i."""
         return self.orbit.word(i)
-
-    def as_table(self) -> CosetTable:
-        return CosetTable(self.tables[0].rank, tuple(self.orbit.rows))
 
 
 def product(
@@ -338,7 +336,7 @@ def intersection_conditions(
     if not (0 <= j < k < p.size):
         raise ValueError(f"bad pair ({j}, {k})")
     tables = [spec.table for spec in p.specs]
-    index_all, moved = p._marked(cap, p.specs)
+    index_all, moved = p._marked(cap, p)
     fibre = sum(moved.get(key, 0) for key in ((), (j,), (k,), (j, k)))
     index_without = index_all // fibre
     strict = index_all > index_without
@@ -350,18 +348,35 @@ def intersection_conditions(
         (j, k), index_all, index_without, strict, obstruction, holds, equal)
 
 
-def _marked_moves(specs: Sequence[CosetSpec], cap: int) -> tuple[int, dict]:
+def _marked_moves(p: CosetPartition, cap: int) -> tuple[int, dict]:
     """Size of the all-blocks orbit of the marked tuple, and the number of
     its states that move at most two coordinates, keyed by those coordinates
-    (the tuple itself under ())."""
-    marked = tuple(spec.marked for spec in specs)
-    states = product([spec.table for spec in specs], marked, cap).orbit.states
+    (the tuple itself under ()).
+
+    Once F/N is kept, the orbit is read off its elements: each moves the
+    tuple of marked vertices, offset as in ``side_by_side``, to one orbit
+    state, and every state is reached by as many elements as fix the tuple.
+    Otherwise the orbit is the product automaton at the marked tuple, where
+    each state is reached once.
+    """
+    tables = [spec.table for spec in p.specs]
+    marked = tuple(spec.marked for spec in p.specs)
+    quotient = p._quotient.value
+    if quotient is None:
+        elements = states = product(tables, marked, cap).orbit.states
+    else:
+        shift, _ = side_by_side(tables)
+        marked = tuple(map(add, marked, shift))
+        elements = quotient.states
+        states = map(itemgetter(*marked), elements)
     moved: dict[tuple[int, ...], int] = {}
     for state in states:
         if sum(map(ne, state, marked)) <= 2:
             changed = tuple(i for i, v in enumerate(state) if v != marked[i])
             moved[changed] = moved.get(changed, 0) + 1
-    return len(states), moved
+    fixing = moved[()]
+    return (len(elements) // fixing,
+            {key: count // fixing for key, count in moved.items()})
 
 
 def rho(p: CosetPartition, q: CosetPartition) -> Fraction:

@@ -17,10 +17,11 @@ transition group it is.  The closure is cached under the cap rule of
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import partial
-from math import lcm
+from math import factorial, lcm, prod
 
 from .schreier import CapExceeded, Capped, CosetTable, Orbit, cycles, gather, orbit
 from .words import Word
@@ -180,20 +181,59 @@ def cycle_type_census(
     A cycle type is the ascending tuple of cycle lengths (fixed points
     included).  Returns (type, count, witness) triples sorted by type, the
     witness being the shortest word whose element was enumerated first.
-    The census is kept on the closure, so it is computed once.
+    The counts of S_d and A_d are their class sizes, so their elements are
+    scanned only until every type has its witness.  The census is kept on
+    the closure, so it is computed once.
     """
     elements = group.enumerate(cap)
     if elements.census is None:
-        counts: dict[tuple[int, ...], int] = {}
+        counts = _class_sizes(group.degree, len(elements))
+        counting = counts is None
+        if counting:
+            counts = {}
         first: dict[tuple[int, ...], int] = {}
         for position, images in enumerate(elements.orbit.states):
             shape = tuple(sorted(map(len, cycles(images))))
-            counts[shape] = counts.get(shape, 0) + 1
             first.setdefault(shape, position)
+            if counting:
+                counts[shape] = counts.get(shape, 0) + 1
+            elif len(first) == len(counts):
+                break
         elements.census = tuple(
             (shape, counts[shape], elements.orbit.word(first[shape]))
             for shape in sorted(counts))
     return elements.census
+
+
+def _class_sizes(degree: int, order: int) -> dict[tuple[int, ...], int] | None:
+    """Elements per cycle type of a group of this degree and order when it
+    is S_d (order d!) or A_d (order d!/2, d >= 2), else None.  In S_d the
+    type with m_k cycles of length k has d!/prod(k^m_k m_k!) elements; A_d
+    has as many of each even type and none of the others."""
+    full = 1
+    for k in range(2, degree + 1):
+        full *= k
+        if full > 2 * order:
+            return None
+    if order != full and not (degree >= 2 and 2 * order == full):
+        return None
+    sizes = {}
+    for shape in _partitions(degree):
+        if order == full or (degree - len(shape)) % 2 == 0:
+            sizes[shape] = full // prod(
+                k**m * factorial(m) for k, m in Counter(shape).items())
+    return sizes
+
+
+def _partitions(n: int, least: int = 1) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into parts >= least, as ascending tuples."""
+    if n == 0:
+        yield ()
+    for part in range(least, n // 2 + 1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+    if n >= least:
+        yield (n,)
 
 
 def has_k_cycle_at(

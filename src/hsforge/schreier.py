@@ -43,6 +43,7 @@ __all__ = [
     "order_at",
     "visited_set",
     "word_step",
+    "rows_step",
 ]
 
 
@@ -345,7 +346,10 @@ def _walker(table: CosetTable, w: Word, start: int = 0) -> Callable[[int], int]:
         raise ValueError(f"word rank {w.rank} != table rank {table.rank}")
     if not 0 <= start < table.degree:
         raise ValueError(f"vertex {start} out of range")
-    delta = table.delta
+    return _rows_walker(table.delta, w)
+
+
+def _rows_walker(delta: Sequence[Sequence[int]], w: Word) -> Callable[[int], int]:
     columns = [letter.column for letter in w.letters]
 
     def walk(v: int) -> int:
@@ -377,6 +381,12 @@ def transversal(table: CosetTable) -> list[Word]:
 def word_step(table: CosetTable, w: Word) -> tuple[int, ...]:
     """The permutation of vertices induced by one application of w."""
     return tuple(map(_walker(table, w), range(table.degree)))
+
+
+def rows_step(rows: Sequence[Sequence[int]], w: Word) -> tuple[int, ...]:
+    """``word_step`` on complete rows of w's rank that need no check, such
+    as the rows of an orbit under a complete table's columns."""
+    return tuple(map(_rows_walker(rows, w), range(len(rows))))
 
 
 def order_at(table: CosetTable, w: Word, vertex: int) -> int:

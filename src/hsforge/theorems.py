@@ -27,7 +27,7 @@ from .partition import (
     validate,
 )
 from .perm import CapExceeded, DEFAULT_GROUP_CAP, cycle_type_census, has_k_cycle_at
-from .schreier import cycles, word_step
+from .schreier import cycles, rows_step, word_step
 from .words import Word, parse_word
 from .zcover import (
     InvalidPartition,
@@ -399,7 +399,7 @@ def loop_consistency(
     orders = [order_rel(p, i, w) for i in range(p.size)]
     verdicts: dict[Any, str] = {}
     problems = []
-    for cycle in cycles(word_step(report.automaton.as_table(), w)):
+    for cycle in cycles(rows_step(report.automaton.orbit.rows, w)):
         if o_n % len(cycle):
             raise AssertionError(
                 f"a w-cycle of length {len(cycle)} does not divide {o_n}")
@@ -526,6 +526,11 @@ def analyze(
     if not report.valid:
         return Analysis(False, list(p.indices), [], None, [], [], [], False, [])
     blocks, blocks_capped = _block_summaries(p, group_cap)
+    # F/N, kept once m is known, also answers every pair index
+    try:
+        m = refinement_index(p, group_cap, state_cap)
+    except CapExceeded:
+        m = None
     reports = [
         check_full_cycle(p, group_cap),
         check_cycle_bounds(p, group_cap),
@@ -537,12 +542,8 @@ def analyze(
             problems.append(
                 f"{theorem.name}: condition fired but prediction failed")
     loop_checks = []
-    unknown = blocks_capped or any(r.status == UNKNOWN for r in reports)
-    try:
-        m = refinement_index(p, group_cap, state_cap)
-    except CapExceeded:
-        m = None
-        unknown = True
+    unknown = (blocks_capped or m is None
+               or any(r.status == UNKNOWN for r in reports))
     if m is not None:
         try:
             sample = words if words is not None else default_word_sample(p, reports)

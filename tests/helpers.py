@@ -14,6 +14,7 @@ loop checks walked on N's table.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import lcm
 from operator import getitem
@@ -29,6 +30,7 @@ from hsforge.partition import (
     product,
 )
 from hsforge.perm import PermGroup, Permutation, _cycle_through, transition_group
+from hsforge.sampling import random_lifted_partition
 from hsforge.schreier import (
     CapExceeded,
     CosetTable,
@@ -230,6 +232,14 @@ def residue_partition(classes: list[tuple[int, int]]) -> CosetPartition:
         rows = tuple(((v + 1) % n, (v - 1) % n, v, v) for v in range(n))
         specs.append(CosetSpec(CosetTable(2, rows), word(2, [Letter(1, 1)] * r)))
     return CosetPartition(2, specs)
+
+
+def fuzz_partitions(count: int):
+    """The partitions fuzz_soundness.py draws for --seed 0, in its order."""
+    rng = random.Random(0)
+    for _ in range(count):
+        rank = rng.choice((2, 2, 3))
+        yield random_lifted_partition(rng, rank, max_order=64)
 
 
 def partition_signature(p) -> tuple:
@@ -434,6 +444,11 @@ def product_by_columns(tables, base, cap: int = 10**6) -> ProductAutomaton:
     return ProductAutomaton(tuple(tables), reached)
 
 
+def automaton_table(auto: ProductAutomaton) -> CosetTable:
+    """A product automaton's states as the vertices of a checked table."""
+    return CosetTable(auto.tables[0].rank, tuple(auto.orbit.rows))
+
+
 def core_product_by_cayley(
     p, group_cap: int = 10**6, state_cap: int = 10**6
 ) -> ProductAutomaton:
@@ -452,7 +467,7 @@ def core_product_by_cayley(
 def big_n_by_cores(p, group_cap: int = 10**6, state_cap: int = 10**6) -> CosetTable:
     """Product of every block's core (duplicates included), canonicalized."""
     cores = [normal_core_by_cayley(spec.table, group_cap) for spec in p.specs]
-    return canonicalize(product(cores, [0] * len(cores), state_cap).as_table(), 0)
+    return canonicalize(automaton_table(product(cores, [0] * len(cores), state_cap)), 0)
 
 
 def coset_action_table_by_cosets(

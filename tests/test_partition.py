@@ -13,6 +13,7 @@ import hsforge.partition
 from conftest import P, nonempty_words, words
 from helpers import (
     EmptyWord,
+    automaton_table,
     big_n_by_cores,
     core_product_by_cayley,
     coset_action_table_by_cosets,
@@ -184,7 +185,7 @@ def test_product_state_counts(h1_table, k_table, g_table):
     assert product([g_table, g_table], [0, 0]).state_count == 3
     assert product([g_table], [1]).state_count == 3
     auto = product([h1_table, k_table], [0, 0])
-    assert auto.as_table().degree == 4
+    assert automaton_table(auto).degree == 4
     with pytest.raises(StateCapExceeded):
         product([h1_table, k_table], [0, 0], cap=3)
 
@@ -217,7 +218,7 @@ def test_product_matches_the_per_column_reference():
     for p in lifted + [whole]:
         cores = [group.cayley_table() for group in p.groups.values()]
         cases.append((cores, [0] * len(cores)))
-        assert big_n(p) == product_by_columns(cores, [0] * len(cores)).as_table()
+        assert big_n(p) == automaton_table(product_by_columns(cores, [0] * len(cores)))
     table = bundled[0].specs[-1].table
     cases += [([table], [v]) for v in range(table.degree)]
     cases.append(([whole.specs[0].table] * 2, [0, 0]))
@@ -388,10 +389,12 @@ def test_intersection_conditions_argument_checks(p44, p22):
         intersection_conditions(p22, 0, 1)
 
 
-def test_pair_indices_match_per_pair_products():
+def test_pair_indices_match_per_pair_products(monkeypatch):
     # every pair's report, read off the one cached all-blocks orbit, equals
     # the report built from its own product automata; a fresh copy at cap =
-    # the all-blocks index answers alike, and one below it raises in both
+    # the all-blocks index answers alike, and one below it raises in both.
+    # On a copy whose F/N is kept the orbit is read off F/N's elements, with
+    # no product built, and answers the same reports and caps
     pool = [load_partition(str(path)) for path in BUNDLED]
     lifted = (lift_partition(*draw) for draw in lifted_draws(305, 200))
     pool += [p for p in lifted if p.size >= 3][:60]
@@ -408,6 +411,22 @@ def test_pair_indices_match_per_pair_products():
         for call in (intersection_conditions, intersection_by_products):
             with pytest.raises(StateCapExceeded):
                 call(CosetPartition(p.rank, p.specs), 1, 2, index - 1)
+        with_quotient = []
+        for _ in range(3):
+            copy = CosetPartition(p.rank, p.specs)
+            refinement_index(copy)
+            with_quotient.append(copy)
+        with monkeypatch.context() as patch:
+            patch.setattr(hsforge.partition, "product", None)
+            copy, at_cap, below_cap = with_quotient
+            for j in range(p.size):
+                for k in range(j + 1, p.size):
+                    assert (intersection_conditions(copy, j, k)
+                            == intersection_by_products(p, j, k))
+            assert (intersection_conditions(at_cap, 0, 2, index)
+                    == intersection_by_products(p, 0, 2, index))
+            with pytest.raises(StateCapExceeded):
+                intersection_conditions(below_cap, 1, 2, index - 1)
 
 
 def klein_quotient() -> PermGroup:
@@ -565,7 +584,7 @@ def test_fn_closure_matches_the_product_of_cores():
     assert sum(len(p.groups) > 1 for p in inputs) >= 15
     for p in inputs:
         reference = core_product_by_cayley(p)
-        assert big_n(p) == reference.as_table()
+        assert big_n(p) == automaton_table(reference)
         assert refinement_index(p) == reference.state_count
         if len(p.groups) == 1:
             (group,) = p.groups.values()

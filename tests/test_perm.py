@@ -4,19 +4,23 @@ from __future__ import annotations
 
 import itertools
 import random
+from math import factorial
 
 import pytest
 from hypothesis import given
 
+import hsforge.perm
 from conftest import P, words
 from helpers import (
     closure_by_bfs,
     cycle_through,
     cycle_type_census_by_elements,
     eval_word,
+    fuzz_partitions,
     has_k_cycle_at_by_elements,
     max_cycle_length,
     perm_by_tracing,
+    sym_ladder_partition,
     table_permutation,
 )
 from hsforge.partition import StateCapExceeded, normal_core, product
@@ -239,3 +243,68 @@ def test_orbit_walks_match_the_element_scans(g_table, k_table, h1_table, m_table
             for k in range(1, table.degree + 1):
                 assert (has_k_cycle_at(group, k, point)
                         == has_k_cycle_at_by_elements(group, k, point))
+
+
+def symmetric(d: int) -> PermGroup:
+    """S_d as the transition group of the d-point ladder (S_1 on its own)."""
+    if d == 1:
+        return PermGroup(1, (Permutation((0,)),))
+    (group,) = sym_ladder_partition(d).groups.values()
+    return group
+
+
+def alternating(d: int) -> PermGroup:
+    """A_d from (0 1 2) and the cycle through 0..d-1 for odd d, 1..d-1 for
+    even d (the identity for d <= 2)."""
+    if d <= 2:
+        return PermGroup(d, (Permutation.identity(d),))
+    moved = list(range(1 - d % 2, d))
+    long = list(range(d))
+    for v, image in zip(moved, moved[1:] + moved[:1]):
+        long[v] = image
+    three = [1, 2, 0] + list(range(3, d))
+    return PermGroup(d, (Permutation(tuple(three)), Permutation(tuple(long))))
+
+
+def test_census_of_symmetric_and_alternating_groups():
+    # orders d! and d!/2 take the class sizes; counts and witnesses are the
+    # scan over every element
+    for d in range(1, 9):
+        full, half = symmetric(d), alternating(d)
+        assert full.order() == factorial(d)
+        assert half.order() == max(factorial(d) // 2, 1)
+        for group in (full, half):
+            census = cycle_type_census(group)
+            assert census == cycle_type_census_by_elements(group)
+            assert sum(count for _, count, _ in census) == group.order()
+
+
+def test_census_of_other_fuzz_stream_groups():
+    # the fuzz stream's groups of any other order are counted element by
+    # element
+    others = 0
+    for p in fuzz_partitions(80):
+        for group in p.groups.values():
+            order, d = group.order(), group.degree
+            if order in (factorial(d), factorial(d) // 2):
+                continue
+            others += 1
+            assert cycle_type_census(group) == cycle_type_census_by_elements(group)
+    assert others >= 30
+
+
+def test_census_of_s6_decomposes_fewer_elements_than_the_group(monkeypatch):
+    # S_6 has 720 elements; its counts are class sizes, so cycles are only
+    # taken until every one of its 11 cycle types has a witness
+    decomposed = []
+
+    def counted(images, original=hsforge.perm.cycles):
+        decomposed.append(images)
+        return original(images)
+
+    group = symmetric(6)
+    group.enumerate()
+    monkeypatch.setattr(hsforge.perm, "cycles", counted)
+    census = cycle_type_census(group)
+    assert len(census) == 11 and sum(count for _, count, _ in census) == 720
+    assert len(decomposed) < group.order()

@@ -16,6 +16,7 @@ import hsforge.perm
 import hsforge.theorems
 from conftest import P
 from helpers import (
+    fuzz_partitions,
     loop_consistency_by_n,
     loop_z_partition,
     max_cycle_length,
@@ -72,14 +73,6 @@ NEIGHBORHOOD_STREAM_SHA256 = (
     "6be0abe67b28ada7d1a415fc0607be60218f7c158884c0bea0a6e0f351737865")
 
 DATA = Path(__file__).resolve().parents[1] / "data"
-
-
-def fuzz_partitions(count: int):
-    """The partitions fuzz_soundness.py draws for --seed 0, in its order."""
-    rng = random.Random(0)
-    for _ in range(count):
-        rank = rng.choice((2, 2, 3))
-        yield random_lifted_partition(rng, rank, max_order=64)
 
 
 def test_full_cycle_applies_on_mixed_partition(p44):
@@ -473,6 +466,27 @@ def test_a_cap_is_hit_once_not_once_per_caller(monkeypatch):
     assert len(pairs) == 15 and all(pair["capped"] for pair in pairs)
     # validation and the all-blocks orbit are the two products
     assert searches == {"orbit": 1, "product": 2}
+
+
+def test_one_closure_answers_the_census_and_every_pair(monkeypatch):
+    # at default caps on the d = 6 ladder, the one closure of its single
+    # table gives the census, m and all 15 pair indices: the only product is
+    # validation's
+    searches = Counter()
+    for module, name in ((hsforge.perm, "orbit"), (hsforge.partition, "product"),
+                         (hsforge.partition, "orbit")):
+        def counted(*args, original=getattr(module, name),
+                    key=f"{module.__name__}.{name}"):
+            searches[key] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counted)
+    analysis = analyze(sym_ladder_partition(6))
+    assert analysis.exit_code == 0 and analysis.m == 720
+    pairs = analysis.to_json()["per_theorem"]["intersection"]["details"]["pairs"]
+    assert len(pairs) == 15 and all(pair["index_all"] == 720 for pair in pairs)
+    # the one partition.orbit is the BFS inside validation's product
+    assert searches == {"hsforge.perm.orbit": 1, "hsforge.partition.product": 1,
+                        "hsforge.partition.orbit": 1}
 
 
 def test_analyze_builds_no_n_table():
