@@ -42,7 +42,6 @@ __all__ = [
     "CosetSpec",
     "CosetPartition",
     "coset_partition",
-    "ProductAutomaton",
     "product",
     "ValidationReport",
     "validate",
@@ -113,8 +112,7 @@ class CosetPartition:
                        for t in dict.fromkeys(spec.table for spec in self.specs)}
         self._checked = Capped(_check, StateCapExceeded, _state_count)
         self._marked = Capped(_marked_moves, StateCapExceeded, itemgetter(0))
-        self._quotient = Capped(
-            _close_quotient, StateCapExceeded, lambda o: len(o.states))
+        self._quotient = Capped(_close_quotient, StateCapExceeded, _state_count)
         self._n: CosetTable | None = None
 
     @property
@@ -135,28 +133,13 @@ def coset_partition(rank: int, specs: Iterable[CosetSpec]) -> CosetPartition:
     return CosetPartition(rank, list(specs))
 
 
-@dataclass(frozen=True)
-class ProductAutomaton:
-    """Reachable part of the synchronous product of several tables: the
-    orbit of the base tuple, each table stepping its own coordinate."""
-
-    tables: tuple[CosetTable, ...]
-    orbit: Orbit
-
-    @property
-    def state_count(self) -> int:
-        return len(self.orbit.states)
-
-    def word(self, i: int) -> Word:
-        """BFS discovery word of state i."""
-        return self.orbit.word(i)
-
-
 def product(
     tables: Sequence[CosetTable],
     base: Sequence[int],
     cap: int = DEFAULT_STATE_CAP,
-) -> ProductAutomaton:
+) -> Orbit:
+    """Reachable part of the synchronous product of several tables: the
+    orbit of the base tuple, each table stepping its own coordinate."""
     if not tables:
         raise ValueError("need at least one table")
     rank = tables[0].rank
@@ -176,7 +159,7 @@ def product(
         states = [tuple(map(sub, state, shift)) for state in reached.states]
         reached = replace(reached, states=states,
                           index=dict(zip(states, range(len(states)))))
-    return ProductAutomaton(tuple(tables), reached)
+    return reached
 
 
 def side_by_side(tables: Sequence[CosetTable]) -> tuple[list[int], list[tuple]]:
@@ -196,7 +179,7 @@ class ValidationReport:
     gap_witness: Word | None = None
     overlap_witness: tuple[Word, int, int] | None = None
     # of a valid partition: the product automaton P and each state's block
-    automaton: ProductAutomaton | None = field(default=None, compare=False, repr=False)
+    automaton: Orbit | None = field(default=None, compare=False, repr=False)
     colors: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
 
@@ -214,7 +197,7 @@ def _check(p: CosetPartition, cap: int) -> ValidationReport:
     auto = product([spec.table for spec in p.specs], [0] * p.size, cap)
     marked = tuple(spec.marked for spec in p.specs)
     colors = []
-    for position, state in enumerate(auto.orbit.states):
+    for position, state in enumerate(auto.states):
         hits = [i for i, (v, m) in enumerate(zip(state, marked)) if v == m]
         if not hits:
             return ValidationReport(
@@ -295,7 +278,7 @@ def refinement_index(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> int:
     """m = [F : N], the size of ``quotient_by_n``, under the same caps."""
-    return len(quotient_by_n(p, group_cap, state_cap).states)
+    return quotient_by_n(p, group_cap, state_cap).state_count
 
 
 def act(p: CosetPartition, w: Word) -> CosetPartition:
@@ -363,7 +346,7 @@ def _marked_moves(p: CosetPartition, cap: int) -> tuple[int, dict]:
     marked = tuple(spec.marked for spec in p.specs)
     quotient = p._quotient.value
     if quotient is None:
-        elements = states = product(tables, marked, cap).orbit.states
+        elements = states = product(tables, marked, cap).states
     else:
         shift, _ = side_by_side(tables)
         marked = tuple(map(add, marked, shift))
@@ -434,18 +417,19 @@ def lift_partition(
         coset = frozenset(x * g for x in sub)
         covered |= coset
         total += len(coset)
-        specs.append((_coset_action_table(rank, quotient, sub), elements[g]))
+        specs.append((_coset_action_table(rank, quotient, sub, cap), elements[g]))
     if covered != every or total != len(every):
         raise NotAPartition("cosets do not partition the quotient")
     return CosetPartition(rank, [CosetSpec(t, rep) for t, rep in specs])
 
 
 def _coset_action_table(
-    rank: int, quotient: PermGroup, sub: frozenset[Permutation]
+    rank: int, quotient: PermGroup, sub: frozenset[Permutation],
+    cap: int = DEFAULT_GROUP_CAP,
 ) -> CosetTable:
     """The orbit of the coset K = sub under right multiplication by the
     generators and their inverses, numbered by BFS from K."""
     step = gather(quotient.columns, quotient.degree)
     start = frozenset(x.images for x in sub)
     images = lambda coset: map(frozenset, zip(*map(step, coset)))
-    return CosetTable(rank, tuple(orbit(start, images, quotient.order()).rows))
+    return CosetTable(rank, tuple(orbit(start, images, quotient.order(cap)).rows))

@@ -113,7 +113,7 @@ class _Closure(Mapping[Permutation, Word]):
         return map(Permutation, self.orbit.states)
 
     def __len__(self) -> int:
-        return len(self.orbit.states)
+        return self.orbit.state_count
 
 
 class PermGroup:

@@ -98,6 +98,10 @@ class Orbit:
     column: list[int]
     rows: list[tuple[int | None, ...]]
 
+    @property
+    def state_count(self) -> int:
+        return len(self.states)
+
     def word(self, position: int) -> Word:
         """The discovery word of a state: a shortest word reaching it."""
         letters = []

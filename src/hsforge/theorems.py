@@ -27,7 +27,7 @@ from .partition import (
     validate,
 )
 from .perm import CapExceeded, DEFAULT_GROUP_CAP, cycle_type_census, has_k_cycle_at
-from .schreier import cycles, rows_step, word_step
+from .schreier import cycles, rows_step
 from .words import Word, parse_word
 from .zcover import (
     InvalidPartition,
@@ -382,34 +382,33 @@ def loop_consistency(
     """Check every loop that w traces among the cosets of N.
 
     A coset's block depends only on its coordinates in the block tables,
-    which range over the validated product automaton P, and o_N is the lcm
-    of the cycle lengths of w's step on the distinct tables.  So each of the
-    m/o_N loops of length o_N repeats, from some start, the blocks along one
-    w-cycle of P, whose length divides o_N, and reads the same residue
-    classes off it.  Per cycle: participating blocks contribute o_N/o_i
-    elements summing to o_N, and the classes partition the integers and
-    pass all four structural checks, checked once per distinct system.  A
-    problem names its loop by a word reaching its start.
+    which range over the validated product automaton P.  P's states are the
+    cosets of the blocks' intersection, whose core is N, so F acts on them
+    with kernel N and o_N is the lcm of the lengths of P's w-cycles.  Each
+    of the m/o_N loops of length o_N repeats, from some start, the blocks
+    along one w-cycle of P and reads the same residue classes off it.  Per
+    cycle: each participating block i appears length/o_i times at gaps of
+    o_i, and the classes partition the integers and pass all four
+    structural checks, checked once per distinct system.  A problem names
+    its loop by a word reaching its start.
     """
     m = refinement_index(p, group_cap, state_cap)
     report = validate(p, state_cap)
     if not report.valid:
         raise ValueError("partition is not valid; run validation first")
-    o_n = lcm(*(len(c) for t in p.groups for c in cycles(word_step(t, w))))
     orders = [order_rel(p, i, w) for i in range(p.size)]
+    loops = cycles(rows_step(report.automaton.rows, w))
+    o_n = lcm(*map(len, loops))
     verdicts: dict[Any, str] = {}
     problems = []
-    for cycle in cycles(rows_step(report.automaton.orbit.rows, w)):
-        if o_n % len(cycle):
-            raise AssertionError(
-                f"a w-cycle of length {len(cycle)} does not divide {o_n}")
+    for cycle in loops:
         blocks = tuple(report.colors[v] for v in cycle)
-        moduli = {i: orders[i] for i in blocks}
-        contribution = sum(o_n // o for o in moduli.values())
-        if contribution != o_n:
-            problem = f"contributions sum to {contribution}, expected {o_n}"
+        try:
+            z = colored_loop_partition(
+                len(cycle), blocks, {i: orders[i] for i in blocks})
+        except ValueError as err:  # a count or spacing check failed
+            problem = str(err)
         else:
-            z = colored_loop_partition(len(cycle), blocks, moduli)
             if z not in verdicts:
                 try:
                     holds = erdos_checks(z).all_hold

@@ -24,7 +24,6 @@ from hsforge.partition import (
     CosetPartition,
     CosetSpec,
     PairIntersectionReport,
-    ProductAutomaton,
     StateCapExceeded,
     order_rel,
     product,
@@ -34,6 +33,7 @@ from hsforge.sampling import random_lifted_partition
 from hsforge.schreier import (
     CapExceeded,
     CosetTable,
+    Orbit,
     StallingsGraph,
     _Folder,
     canonicalize,
@@ -431,7 +431,7 @@ def normal_core_by_cayley(table: CosetTable, cap: int = 10**6) -> CosetTable:
     return canonicalize(CosetTable(table.rank, rows), 0)
 
 
-def product_by_columns(tables, base, cap: int = 10**6) -> ProductAutomaton:
+def product_by_columns(tables, base, cap: int = 10**6) -> Orbit:
     """The product automaton in each table's own vertex labels: every column
     steps the state coordinate by coordinate, one table column per block."""
     columns = [[tuple(row[c] for row in t.delta) for t in tables]
@@ -441,17 +441,18 @@ def product_by_columns(tables, base, cap: int = 10**6) -> ProductAutomaton:
         reached = orbit(tuple(base), steps, cap)
     except CapExceeded:
         raise StateCapExceeded(cap) from None
-    return ProductAutomaton(tuple(tables), reached)
+    return reached
 
 
-def automaton_table(auto: ProductAutomaton) -> CosetTable:
+def automaton_table(auto: Orbit) -> CosetTable:
     """A product automaton's states as the vertices of a checked table."""
-    return CosetTable(auto.tables[0].rank, tuple(auto.orbit.rows))
+    # a row has one entry per column, two columns per generator
+    return CosetTable(len(auto.rows[0]) // 2, tuple(auto.rows))
 
 
 def core_product_by_cayley(
     p, group_cap: int = 10**6, state_cap: int = 10**6
-) -> ProductAutomaton:
+) -> Orbit:
     """F/N as the product of the distinct tables' cores (the Cayley tables of
     fresh transition groups) from the identity tuple: its states are the
     cosets of N, each a tuple of group-element positions, and its table is

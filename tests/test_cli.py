@@ -8,6 +8,7 @@ under data/golden/, which scripts/make_goldens.py regenerates.
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -39,24 +40,13 @@ OVERLAP = ("rank 2\n"
            "coset H rep 1\n"
            "coset H rep 1\n")
 
-# Every bundled example round-trips: it validates and reproduces its golden
-# report byte-for-byte.
-GOLDEN_CASES = []
-for _path in sorted((ROOT / "data").glob("*.partition")):
-    _stem = _path.stem.removeprefix("ex_")
-    GOLDEN_CASES.append(
-        (f"validate_{_stem}.json", 0, ["validate", str(_path), "--json"]))
-    GOLDEN_CASES.append(
-        (f"analyze_{_stem}.json", 0, ["analyze", str(_path), "--json"]))
-GOLDEN_CASES += [
-    ("analyze_two_four_four.txt", 0, ["analyze", MIXED]),
-    ("zcheck_cover.json", 0, ["zcheck", "2:0,4:1,4:3", "--json"]),
-    ("zcheck_bad.json", 1, ["zcheck", "2:0,3:1", "--json"]),
-    ("metric_mixed_normal.json", 0, ["metric", MIXED, NORMAL, "--json"]),
-    ("graph_sub_mixed.dot", 0, ["graph", MIXED, "--target", "sub"]),
-    ("graph_sub_threes.dot", 0, ["graph", THREES, "--target", "sub"]),
-    ("graph_hs_mixed.dot", 0, ["graph", MIXED, "--target", "hs", "--word", "ab"]),
-]
+# The cases scripts/make_goldens.py writes: every bundled example validates
+# and reproduces its golden report byte-for-byte, plus the renderer cases.
+_spec = importlib.util.spec_from_file_location(
+    "make_goldens", ROOT / "scripts" / "make_goldens.py")
+make_goldens = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_goldens)
+GOLDEN_CASES = make_goldens.cases()
 
 
 def run_cli(capsys, argv):
@@ -71,6 +61,11 @@ def test_golden_output(capsys, name, expected_code, argv):
     code, out, _ = run_cli(capsys, argv)
     assert code == expected_code
     assert out == (GOLDEN / name).read_text()
+
+
+def test_every_golden_file_is_replayed():
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(
+        name for name, _, _ in GOLDEN_CASES)
 
 
 def test_validate_text_mode(capsys):

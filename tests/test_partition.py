@@ -461,6 +461,19 @@ def test_lift_partition_regular_quotient(h1_table):
     assert validate(lifted).valid
 
 
+def test_lift_partition_builds_coset_tables_under_its_own_cap(monkeypatch):
+    # a default cap of 10 on PermGroup.order stands in for a quotient
+    # larger than 10**6: S_4 is enumerated under cap 100, and its coset
+    # tables must be searched under that cap too
+    monkeypatch.setattr(PermGroup.order, "__defaults__", (10,))
+    quotient = PermGroup(4, (Permutation((1, 0, 2, 3)), Permutation((1, 2, 3, 0))))
+    every = frozenset(quotient.enumerate(100))
+    assert len(every) == 24
+    lifted = lift_partition(2, quotient, [(every, Permutation.identity(4))], cap=100)
+    assert lifted.indices == (1,)
+    assert validate(lifted).valid
+
+
 def test_lift_partition_symmetric_group(g_table):
     # S_3 partitioned into the three right cosets of a point stabilizer
     quotient = transition_group(g_table)

@@ -119,7 +119,7 @@ def test_enumeration_matches_bfs_oracle(g_table, k_table, h1_table, m_table):
             assert tuple(perm_by_tracing(table, witness)) == element.images
         d = table.degree
         auto = product([table] * d, range(d), size)
-        assert auto.orbit.states == [images for images, _ in expected]
+        assert auto.states == [images for images, _ in expected]
         assert [auto.word(i).letters for i in range(size)] == [
             letters for _, letters in expected]
         assert normal_core(table, size).degree == size

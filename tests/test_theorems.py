@@ -5,8 +5,10 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -20,9 +22,11 @@ from helpers import (
     loop_consistency_by_n,
     loop_z_partition,
     max_cycle_length,
+    reduced_words_up_to,
     residue_partition,
     sym_ladder_partition,
 )
+from hsforge import cli
 from hsforge.files import load_partition
 from hsforge.hsgraph import build_hs_graph
 from hsforge.partition import (
@@ -44,7 +48,7 @@ from hsforge.sampling import (
     random_table,
     random_word,
 )
-from hsforge.schreier import table_from_generators, transversal
+from hsforge.schreier import cycles, table_from_generators, transversal, word_step
 from hsforge.theorems import (
     Analysis,
     TheoremReport,
@@ -57,7 +61,7 @@ from hsforge.theorems import (
     loop_consistency,
 )
 from hsforge.words import parse_word
-from hsforge.zcover import erdos_checks, smallest_prime_factor
+from hsforge.zcover import SpacingViolation, erdos_checks, smallest_prime_factor
 
 # sha256 of analyze(p).to_json(), dumped with sorted keys, over the first 60
 # partitions of `scripts/fuzz_soundness.py --seed 0`; recorded when every
@@ -265,6 +269,46 @@ def test_loop_consistency(p44, p77):
     assert check["problems"] == []
     assert check["m"] == 4
     assert check["loop_count"] == 2
+
+
+def test_order_mod_n_read_off_p_is_the_per_table_lcm():
+    # P's action has kernel N, so the lcm of its w-cycle lengths is w's
+    # order on the distinct block tables taken together; on the ladders every
+    # word up to length 4 is tried, cycle types such as 2+3 among them, where
+    # the lcm is not the longest cycle
+    rng = random.Random(13)
+    cases = [(sym_ladder_partition(d), reduced_words_up_to(2, 4)) for d in range(5, 8)]
+    cases += [(p, [random_word(rng, p.rank, n) for n in (2, 4, 6)])
+              for p in fuzz_partitions(300)]
+    uneven = 0
+    for p, sample in cases:
+        for w in sample:
+            check = loop_consistency(p, w)
+            lengths = [len(c) for t in p.groups for c in cycles(word_step(t, w))]
+            assert check["order_mod_n"] == lcm(*lengths)
+            assert check["problems"] == []
+            uneven += lcm(*lengths) > max(lengths)
+    assert uneven > 0
+
+
+def test_a_failed_spacing_check_is_a_soundness_problem(monkeypatch, capsys):
+    # a loop whose colors fail their own spacing check is reported with the
+    # loop that broke it and exits 2, never as invalid input
+    def violated(length, colors, moduli):
+        raise SpacingViolation(f"color {colors[0]} off its progression")
+
+    monkeypatch.setattr(hsforge.theorems, "colored_loop_partition", violated)
+    path = str(DATA / "ex_two_four_four.partition")
+    analysis = analyze(load_partition(path))
+    assert analysis.exit_code == 2
+    assert analysis.loop_checks and all(c["problems"] for c in analysis.loop_checks)
+    assert analysis.soundness_problems == [
+        f"{c['word']}: {q}" for c in analysis.loop_checks for q in c["problems"]]
+    assert all(re.fullmatch(r"\S+: loop at \S+: color \d off its progression", q)
+               for q in analysis.soundness_problems)
+    assert cli.main(["analyze", path, "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["soundness_problems"] == (
+        analysis.soundness_problems)
 
 
 def test_default_word_sample(p44):
