@@ -7,11 +7,14 @@ without a repeated index, or if any fired checker flunks its own
 verification (the exit-code-2 path), or if a block's cycle-type counts do
 not sum to its group order.  ``analyze`` never builds N, so each
 partition also gets the colored loop graph of one random word, with every
-fiber's loops counted, m is checked against the size of N's table, and the
-word's order modulo N against the one ``loop_consistency`` reads off the
-product automaton; any mismatch fails the same way.  The words come from
-their own generator, so the partitions drawn do not depend on them.  Prints
-a status census at the end.
+fiber's loops counted, and the word's order modulo N is checked against the
+one ``loop_consistency`` reads off the product automaton.  m = [F : N] is
+checked against the block groups, enumerated apart from F/N: each is a
+quotient of F/N, which embeds in their product, so every distinct table's
+group order divides m and m divides the product of those orders.  Any
+mismatch fails the same way.  The words come from their own generator, so
+the partitions drawn do not depend on them.  Prints a status census at the
+end.
 """
 
 from __future__ import annotations
@@ -20,30 +23,32 @@ import argparse
 import random
 import sys
 from collections import Counter
+from math import prod
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from hsforge.hsgraph import build_hs_graph, fiber_loop_count  # noqa: E402
-from hsforge.partition import big_n, multiplicity, refinement_index  # noqa: E402
+from hsforge.partition import multiplicity, refinement_index  # noqa: E402
 from hsforge.sampling import random_lifted_partition, random_word  # noqa: E402
 from hsforge.theorems import analyze, loop_consistency  # noqa: E402
 
 
 def check_n_path(p, w) -> str | None:
     """What goes wrong on N's table for the word w, if anything: the loop
-    graph's own checks, each fiber's loop count, m against N's size, and
-    the two loop paths' orders of w modulo N against each other."""
+    graph's own checks, each fiber's loop count, m against the block group
+    orders, and the two loop paths' orders of w modulo N against each other."""
     try:
         graph = build_hs_graph(p, w)
         for i in range(p.size):
             fiber_loop_count(graph, i)
     except (AssertionError, ValueError) as err:  # failed checks on a valid partition
         return str(err)
-    m, n_size = refinement_index(p), big_n(p).degree
-    if m != n_size:
-        return f"m = {m} but N's table has {n_size} cosets"
+    m = refinement_index(p)
+    orders = [group.order() for group in p.groups.values()]
+    if any(m % order for order in orders) or prod(orders) % m:
+        return f"m = {m} does not lie between the block group orders {orders}"
     o_n = loop_consistency(p, w)["order_mod_n"]
     if o_n != graph.o_n:
         return (f"order of {w} modulo N is {graph.o_n} on N's table "

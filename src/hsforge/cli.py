@@ -8,9 +8,9 @@
     hsforge metric FILE1 FILE2 [--json]
 
 Exit codes: 0 the input is consistent, 1 the input is invalid, 2 a fired
-condition failed its own verification (a soundness bug worth a report),
-3 an enumeration cap was hit so the answer is unknown.  The HSFORGE_CAP
-environment variable overrides both default caps.
+condition or another self-check failed its own verification (a soundness
+bug worth a report), 3 an enumeration cap was hit so the answer is
+unknown.  The HSFORGE_CAP environment variable overrides both default caps.
 """
 
 from __future__ import annotations
@@ -250,13 +250,17 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; every library error maps to its exit code here:
-    a cap hit is unknown (3), bad input or a file error is invalid (1)."""
+    a cap hit is unknown (3), a failed self-check is unsound (2), bad input
+    or a file error is invalid (1)."""
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except CapExceeded as err:
         print(f"unknown: {err}", file=sys.stderr)
         return EXIT_UNKNOWN
+    except AssertionError as err:  # the library raises it only in self-checks
+        print(f"unsound: {err}", file=sys.stderr)
+        return EXIT_UNSOUND
     except (UsageError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID

@@ -72,13 +72,17 @@ class TheoremReport:
         return not (self.applies and self.verified is not True)
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "predicted": self.predicted,
-            "verified": self.verified,
-            "details": self.details,
-        }
+        return dict(vars(self))  # shallow: asdict would deep-copy details
+
+
+def _report(
+    name: str, predicted: str, verified: bool | None, capped: bool,
+    details: dict[str, Any],
+) -> TheoremReport:
+    """The one status rule: a report applies exactly when it carries a
+    verification result; otherwise it is unknown if a cap was hit."""
+    status = APPLIES if verified is not None else UNKNOWN if capped else SILENT
+    return TheoremReport(name, status, predicted, verified, details)
 
 
 def _require_valid(p: CosetPartition) -> None:
@@ -121,7 +125,6 @@ def check_full_cycle(
         if found is not None and witness is None:
             witness, witness_block = found, i
     prime = smallest_prime_factor(d_max)
-    count = len(candidates)
     predicted = f"index {d_max} occurs at least {prime} times"
     details = {
         "max_index": d_max,
@@ -130,16 +133,13 @@ def check_full_cycle(
         "subgroup_rank": d_max * (p.rank - 1) + 1,
         "candidates": per_candidate,
     }
+    verified = None
     if witness is not None:
-        orders = [order_rel(p, i, witness) for i in range(p.size)]
         details["witness"] = str(witness)
         details["witness_block"] = witness_block
-        details["relative_orders"] = orders
-        return TheoremReport(
-            "full_cycle", APPLIES, predicted, count >= prime, details)
-    if hit_cap:
-        return TheoremReport("full_cycle", UNKNOWN, predicted, None, details)
-    return TheoremReport("full_cycle", SILENT, predicted, None, details)
+        details["relative_orders"] = [order_rel(p, i, witness) for i in range(p.size)]
+        verified = len(candidates) >= prime
+    return _report("full_cycle", predicted, verified, hit_cap, details)
 
 
 def _cycle_bound_conditions(
@@ -230,13 +230,12 @@ def check_cycle_bounds(
         })
         fired_any.extend(fired)
     details["candidates"] = candidates
-    predicted = "some index occurs at least twice"
+    verified = None
     if fired_any:
-        repeated = sorted(multiplicity(p))
-        details["repeated_indices"] = repeated
-        return TheoremReport(
-            "cycle_bounds", APPLIES, predicted, bool(repeated), details)
-    return TheoremReport("cycle_bounds", SILENT, predicted, None, details)
+        details["repeated_indices"] = sorted(multiplicity(p))
+        verified = bool(details["repeated_indices"])
+    return _report("cycle_bounds", "some index occurs at least twice",
+                   verified, False, details)
 
 
 def check_intersections(
@@ -265,27 +264,13 @@ def check_intersections(
                 hit_cap = True
                 pairs.append({"pair": [j, k], "capped": True})
                 continue
-            entry = {
-                "pair": [j, k],
-                "index_all": report.index_all,
-                "index_without": report.index_without,
-                "strict_refinement": report.strict_refinement,
-                "lcm_obstruction": report.lcm_obstruction,
-                "condition_holds": report.condition_holds,
-                "subgroups_equal": report.subgroups_equal,
-            }
-            pairs.append(entry)
+            pairs.append({**vars(report), "pair": [j, k]})
             if report.condition_holds:
-                fired.append((j, k))
+                fired.append([j, k])
                 all_equal = all_equal and bool(report.subgroups_equal)
-    details = {"pairs": pairs, "fired": [list(f) for f in fired]}
-    predicted = "the two subgroups of any fired pair coincide"
-    if fired:
-        return TheoremReport(
-            "intersection", APPLIES, predicted, all_equal, details)
-    if hit_cap:
-        return TheoremReport("intersection", UNKNOWN, predicted, None, details)
-    return TheoremReport("intersection", SILENT, predicted, None, details)
+    return _report("intersection", "the two subgroups of any fired pair coincide",
+                   all_equal if fired else None, hit_cap,
+                   {"pairs": pairs, "fired": fired})
 
 
 # the two r = 3 conditions that transfer only their conclusion, a repeated index
@@ -362,15 +347,12 @@ def check_neighborhood(
                 "holds": holds,
             })
 
-    details = {"rho": str(distance), "assertions": assertions}
-    predicted = "all in-range assertions hold on the nearby partition"
-    if not assertions:
-        status = UNKNOWN if UNKNOWN in statuses else SILENT
-        return TheoremReport("neighborhood", status, predicted, None, details)
-    if any(a["holds"] is None for a in assertions):
-        return TheoremReport("neighborhood", UNKNOWN, predicted, None, details)
-    verified = all(a["holds"] for a in assertions)
-    return TheoremReport("neighborhood", APPLIES, predicted, verified, details)
+    outcomes = [a["holds"] for a in assertions]
+    capped = None in outcomes or (not outcomes and UNKNOWN in statuses)
+    return _report("neighborhood",
+                   "all in-range assertions hold on the nearby partition",
+                   all(outcomes) if outcomes and not capped else None, capped,
+                   {"rho": str(distance), "assertions": assertions})
 
 
 def loop_consistency(
@@ -535,24 +517,17 @@ def analyze(
         check_cycle_bounds(p, group_cap),
         check_intersections(p, state_cap),
     ]
-    problems = []
-    for theorem in reports:
-        if not theorem.sound:
-            problems.append(
-                f"{theorem.name}: condition fired but prediction failed")
+    problems = [f"{theorem.name}: condition fired but prediction failed"
+                for theorem in reports if not theorem.sound]
     loop_checks = []
     unknown = (blocks_capped or m is None
                or any(r.status == UNKNOWN for r in reports))
-    if m is not None:
-        try:
-            sample = words if words is not None else default_word_sample(p, reports)
-            for w in sample:
-                check = loop_consistency(p, w, group_cap, state_cap)
-                loop_checks.append(check)
-                problems.extend(
-                    f"{check['word']}: {q}" for q in check["problems"])
-        except CapExceeded:
-            unknown = True
+    if m is not None:  # m, validation and F/N are cached under these caps
+        sample = words if words is not None else default_word_sample(p, reports)
+        for w in sample:
+            check = loop_consistency(p, w, group_cap, state_cap)
+            loop_checks.append(check)
+            problems.extend(f"{check['word']}: {q}" for q in check["problems"])
     return Analysis(
         True, list(p.indices), sorted(multiplicity(p)), m, blocks,
         reports, loop_checks, unknown, problems)

@@ -142,7 +142,4 @@ def inverse(u: Word) -> Word:
 def power(u: Word, k: int) -> Word:
     if k < 0:
         raise WordError(f"exponent must be >= 0, got {k}")
-    result = identity(u.rank)
-    for _ in range(k):
-        result = multiply(result, u)
-    return result
+    return word(u.rank, u.letters * k)  # one reduction, not k

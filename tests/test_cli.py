@@ -236,6 +236,25 @@ def test_graph_rejects_bad_word(capsys):
     assert err.startswith("error:")
 
 
+def test_failed_cycle_bound_self_check_exits_two(capsys, monkeypatch):
+    # no k-cycle through the marked vertex, though the census found one
+    monkeypatch.setattr("hsforge.theorems.has_k_cycle_at", lambda *args: None)
+    code, out, err = run_cli(capsys, ["analyze", MIXED])
+    assert code == 2
+    assert out == ""
+    assert err == ("unsound: block 1: a 4-cycle exists but none passes the "
+                   "marked vertex of a transitive group\n")
+
+
+def test_failed_loop_graph_self_check_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr("hsforge.hsgraph.lcm", lambda *args: 0)
+    code, out, err = run_cli(capsys, ["graph", MIXED, "--target", "hs",
+                                      "--word", "ab"])
+    assert code == 2
+    assert out == ""
+    assert err == ("unsound: order of w modulo N is 4 but blockwise lcm is 0\n")
+
+
 def test_zcheck_text_mode(capsys):
     code, out, _ = run_cli(capsys, ["zcheck", "2:0,4:1,4:3"])
     assert code == 0

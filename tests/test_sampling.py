@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from hsforge.sampling import random_lifted_partition, random_table
 
@@ -29,3 +32,13 @@ def test_fuzz_stream_is_pinned():
         t = random_table(rng, rng.choice((2, 3)), 12)
         digest.update(repr((t.rank, t.delta)).encode())
     assert digest.hexdigest() == FUZZ_STREAM_SHA256
+
+
+def test_fuzz_script_finds_no_soundness_failures():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "fuzz_soundness.py"
+    child = subprocess.run(
+        [sys.executable, str(script), "--count", "150", "--seed", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stdout + child.stderr
+    assert child.stdout.splitlines()[-1] == (
+        "ok: 150 partitions, no soundness failures")

@@ -7,6 +7,7 @@ import json
 import random
 import re
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -32,6 +33,7 @@ from hsforge.hsgraph import build_hs_graph
 from hsforge.partition import (
     CosetPartition,
     CosetSpec,
+    PairIntersectionReport,
     act,
     big_n,
     coset_partition,
@@ -331,6 +333,42 @@ def test_report_soundness_property():
     assert silent.sound and not silent.applies
     as_json = good.to_json()
     assert as_json["name"] == "x" and as_json["status"] == "applies"
+
+
+def _assert_report_shape(report: TheoremReport) -> None:
+    """One status rule and one field list for every report and pair entry."""
+    assert (report.status == "applies") == (report.verified is not None)
+    assert list(report.to_json()) == [f.name for f in fields(TheoremReport)]
+    for entry in report.details.get("pairs", ()):
+        if "capped" not in entry:
+            assert list(entry) == [f.name for f in fields(PairIntersectionReport)]
+            assert type(entry["pair"]) is list
+
+
+def test_every_report_applies_exactly_when_verified(p44, p77):
+    pool = [load_partition(path) for path in sorted(DATA.glob("*.partition"))]
+    pool += list(fuzz_partitions(60))
+    pool += [sym_ladder_partition(5), sym_ladder_partition(6)]
+    statuses = Counter()
+    for p in pool:
+        # fresh copies under small caps reach the unknown statuses
+        reports = [*analyze(p).reports,
+                   *analyze(CosetPartition(p.rank, p.specs), group_cap=40).reports,
+                   check_intersections(CosetPartition(p.rank, p.specs), 2)]
+        for report in reports:
+            _assert_report_shape(report)
+            statuses[report.name, report.status] += 1
+    moved = act(p44, P("ab"))
+    pairs = [(p44, p44), (p44, p77), (p77, p77), (p44, moved)]
+    pairs += neighborhood_pairs()
+    for p0, q in pairs:
+        for cap in (10**6, 2):
+            report = check_neighborhood(p0, CosetPartition(q.rank, q.specs), cap)
+            _assert_report_shape(report)
+            statuses[report.name, report.status] += 1
+    for name in ("full_cycle", "cycle_bounds", "intersection", "neighborhood"):
+        assert {status for key, status in statuses if key == name} >= {
+            "applies", "does_not_apply", "unknown"}
 
 
 def test_analysis_exit_codes():

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import P, letters as letter_strategy, words
 from helpers import cyclic_reduce, naive_reduce, reduced_words_up_to, signed_letters
+from hsforge.sampling import random_word
 from hsforge.words import (
     Letter,
     MAX_PARSE_RANK,
@@ -103,6 +106,20 @@ def test_power_and_errors():
         power(P("ab"), -1)
     with pytest.raises(WordError):
         multiply(P("a"), parse_word(3, "a"))
+
+
+def test_power_is_the_repeated_product():
+    # u^k reduced once equals k left multiplications, also where u's ends
+    # cancel across each seam (aBA^2 = aBBA, aBAb^3 = aBAbaBAbaBAb)
+    rng = random.Random(14)
+    samples = [P("aBA"), P("aBAb"), P("abA", 3), P("1")]
+    samples += [random_word(rng, rng.choice((1, 2, 3)), 9) for _ in range(60)]
+    for u in samples:
+        product = identity(u.rank)
+        for k in range(7):
+            assert power(u, k) == product
+            product = multiply(product, u)
+    assert str(power(P("aBA"), 2)) == "aBBA"
 
 
 def test_signed_letters_covers_alphabet():
