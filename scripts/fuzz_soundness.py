@@ -11,10 +11,16 @@ fiber's loops counted, and the word's order modulo N is checked against the
 one ``loop_consistency`` reads off the product automaton.  m = [F : N] is
 checked against the block groups, enumerated apart from F/N: each is a
 quotient of F/N, which embeds in their product, so every distinct table's
-group order divides m and m divides the product of those orders.  Any
-mismatch fails the same way.  The words come from their own generator, so
-the partitions drawn do not depend on them.  Prints a status census at the
-end.
+group order divides m and m divides the product of those orders.  The
+census scan, which learns the order of S_d and A_d without enumerating
+them, is checked on every uncapped block group and on the transition group
+of one random table per partition (mostly S_d or A_d): its order, counts
+and witness words against a fresh copy enumerated in full.  Every pair
+index the intersection checker reports, closed-form ones included, is
+checked against the sizes of its own product automata.  Any mismatch fails
+the same way.  The words and the extra tables come from their own
+generators, so the partitions drawn do not depend on them.  Prints a status
+census at the end.
 """
 
 from __future__ import annotations
@@ -30,8 +36,13 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from hsforge.hsgraph import build_hs_graph, fiber_loop_count  # noqa: E402
-from hsforge.partition import multiplicity, refinement_index  # noqa: E402
-from hsforge.sampling import random_lifted_partition, random_word  # noqa: E402
+from hsforge.partition import multiplicity, product, refinement_index  # noqa: E402
+from hsforge.perm import PermGroup, cycle_type_census, transition_group  # noqa: E402
+from hsforge.sampling import (  # noqa: E402
+    random_lifted_partition,
+    random_table,
+    random_word,
+)
 from hsforge.theorems import analyze, loop_consistency  # noqa: E402
 
 
@@ -56,6 +67,49 @@ def check_n_path(p, w) -> str | None:
     return None
 
 
+def check_group(group) -> str | None:
+    """What goes wrong with a group's census scan, if anything: its order,
+    counts and witness words against a fresh copy enumerated in full, each
+    element's cycle type taken apart on its own."""
+    try:
+        census = cycle_type_census(group)
+    except AssertionError as err:  # the scan's own self-check failed
+        return str(err)
+    elements = PermGroup(group.degree, group.gens).enumerate()
+    counts: Counter[tuple[int, ...]] = Counter()
+    first = {}
+    for element in elements:
+        shape = tuple(sorted(len(cycle) for cycle in element.cycles()))
+        counts[shape] += 1
+        first.setdefault(shape, element)
+    expected = tuple((shape, counts[shape], elements[first[shape]])
+                     for shape in sorted(counts))
+    if group.known_order != len(elements) or census != expected:
+        return (f"a group of degree {group.degree} and order {len(elements)} "
+                f"was scanned as order {group.known_order}")
+    return None
+
+
+def check_pair_indices(p, analysis) -> str | None:
+    """What goes wrong with a reported pair index, closed-form ones
+    included, if anything: each against the orbit size of the marked tuple,
+    with and without the pair, in its own product automaton."""
+    report = next(r for r in analysis.reports if r.name == "intersection")
+    tables = [spec.table for spec in p.specs]
+    marked = [spec.marked for spec in p.specs]
+    for pair in report.details.get("pairs", ()):
+        if pair.get("capped"):
+            continue
+        rest = [i for i in range(p.size) if i not in pair["pair"]]
+        indices = (product(tables, marked).state_count,
+                   product([tables[i] for i in rest],
+                           [marked[i] for i in rest]).state_count)
+        if indices != (pair["index_all"], pair["index_without"]):
+            return (f"pair {pair['pair']} has indices {indices}, reported "
+                    f"{pair['index_all']} and {pair['index_without']}")
+    return None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description="soundness fuzzing harness for the condition checkers")
@@ -68,6 +122,7 @@ def main() -> int:
 
     rng = random.Random(args.seed)
     words = random.Random(f"words {args.seed}")
+    tables = random.Random(f"tables {args.seed}")
     statuses: Counter[str] = Counter()
     failures = 0
     for n in range(args.count):
@@ -90,6 +145,13 @@ def main() -> int:
         if analysis.exit_code == 2:
             print(f"[{n}] self-verification failed: "
                   f"{analysis.soundness_problems}")
+            failures += 1
+        groups = [g for g in p.groups.values() if g.known_order is not None]
+        groups.append(transition_group(random_table(tables, 2, 7)))
+        problem = (next(filter(None, map(check_group, groups)), None)
+                   or check_pair_indices(p, analysis))
+        if problem:
+            print(f"[{n}] read off without a search: {problem}")
             failures += 1
         problem = check_n_path(p, random_word(words, rank, 6))
         if problem:

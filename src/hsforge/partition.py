@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 from operator import add, attrgetter, itemgetter, ne, sub
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .perm import DEFAULT_GROUP_CAP, PermGroup, Permutation, transition_group
 from .schreier import (
@@ -277,8 +277,16 @@ def refinement_index(
     group_cap: int = DEFAULT_GROUP_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> int:
-    """m = [F : N], the size of ``quotient_by_n``, under the same caps."""
-    return quotient_by_n(p, group_cap, state_cap).state_count
+    """m = [F : N], the size of ``quotient_by_n``, under the same caps.  With
+    one table F/N is its transition group, so m is that group's order and
+    a recognized S_d or A_d is not enumerated."""
+    if len(p.groups) > 1:
+        return quotient_by_n(p, group_cap, state_cap).state_count
+    (group,) = p.groups.values()
+    m = group.order(group_cap)
+    if m > state_cap:
+        raise StateCapExceeded(state_cap)
+    return m
 
 
 def act(p: CosetPartition, w: Word) -> CosetPartition:
@@ -336,15 +344,33 @@ def _marked_moves(p: CosetPartition, cap: int) -> tuple[int, dict]:
     its states that move at most two coordinates, keyed by those coordinates
     (the tuple itself under ()).
 
-    Once F/N is kept, the orbit is read off its elements: each moves the
-    tuple of marked vertices, offset as in ``side_by_side``, to one orbit
-    state, and every state is reached by as many elements as fix the tuple.
-    Otherwise the orbit is the product automaton at the marked tuple, where
-    each state is reached once.
+    For one table whose group is known to be S_d or A_d, and distinct
+    marked vertices, both follow from the orbit lengths of tuples of
+    distinct points: the states that agree with the tuple off a set of
+    coordinates are as many as the ratio of the two orbit lengths.
+    Otherwise, once F/N is kept, the orbit is read off its elements: each
+    moves the tuple of marked vertices, offset as in ``side_by_side``, to
+    one orbit state, and every state is reached by as many elements as fix
+    the tuple.  Otherwise the orbit is the product automaton at the marked
+    tuple, where each state is reached once.
     """
     tables = [spec.table for spec in p.specs]
     marked = tuple(spec.marked for spec in p.specs)
+    length = _symmetric_orbit_length(p)
+    if length is not None:
+        t = p.size
+        index_all = length(t)
+        one = index_all // length(t - 1) - 1
+        two = index_all // length(t - 2) - 2 * one - 1
+        moved = {(): 1}
+        moved.update(((j,), one) for j in range(t) if one)
+        moved.update(((j, k), two) for j in range(t) for k in range(j + 1, t) if two)
+        return index_all, moved
     quotient = p._quotient.value
+    if quotient is None and len(p.groups) == 1:
+        (group,) = p.groups.values()
+        if group._elements is not None and group._elements.orbit.complete:
+            quotient = group._elements.orbit
     if quotient is None:
         elements = states = product(tables, marked, cap).states
     else:
@@ -360,6 +386,22 @@ def _marked_moves(p: CosetPartition, cap: int) -> tuple[int, dict]:
     fixing = moved[()]
     return (len(elements) // fixing,
             {key: count // fixing for key, count in moved.items()})
+
+
+def _symmetric_orbit_length(p: CosetPartition) -> Callable[[int], int] | None:
+    """For one table whose group is known to be S_d or A_d and blocks with
+    distinct marked vertices, the orbit length of any s of those vertices:
+    d!/(d-s)!, except d!/2 in A_d when d - s < 2, since A_d is
+    (d-2)-transitive and an element of it is fixed by the images of any
+    d - 1 points.  None otherwise."""
+    if len(p.groups) > 1 or len({spec.marked for spec in p.specs}) < p.size:
+        return None
+    (group,) = p.groups.values()
+    d, order = group.degree, group.known_order
+    full = factorial(d)
+    if order not in (full, full // 2):
+        return None
+    return lambda s: full // factorial(d - s) if order == full or d - s >= 2 else order
 
 
 def rho(p: CosetPartition, q: CosetPartition) -> Fraction:

@@ -20,10 +20,20 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from functools import partial
-from math import factorial, lcm, prod
+from functools import cached_property, partial
+from math import factorial, isqrt, lcm, prod
+from operator import attrgetter
 
-from .schreier import CapExceeded, Capped, CosetTable, Orbit, cycles, gather, orbit
+from .schreier import (
+    CapExceeded,
+    Capped,
+    CosetTable,
+    Orbit,
+    cycles,
+    gather,
+    orbit,
+    resume,
+)
 from .words import Word
 
 __all__ = [
@@ -94,10 +104,15 @@ class _Closure(Mapping[Permutation, Word]):
 
     Only the orbit of image tuples is held: iterating wraps each element in
     a ``Permutation`` as it is reached, and a lookup rebuilds the witness
-    word from the orbit's parent pointers."""
+    word from the orbit's parent pointers.  ``order`` is the group's order;
+    the orbit holds fewer elements only while a census scan that stopped
+    early on S_d or A_d is not resumed (``PermGroup.enumerate`` resumes it).
+    """
 
-    def __init__(self, reached: Orbit):
+    def __init__(self, reached: Orbit, order: int, scan: _Census):
         self.orbit = reached
+        self.order = order
+        self.scan = scan
         self.census: tuple[tuple[tuple[int, ...], int, Word], ...] | None = None
 
     def __getitem__(self, element: Permutation) -> Word:
@@ -120,7 +135,9 @@ class PermGroup:
     """Group generated by one permutation per free-group generator.
 
     ``columns`` holds the image tuples of the generators and their inverses
-    in letter-column order (a, a^-1, b, b^-1, ...)."""
+    in letter-column order (a, a^-1, b, b^-1, ...).  ``known_order`` is the
+    order once a search has found it, by enumerating the group or by
+    recognizing it as S_d or A_d; it is kept even when it exceeds the cap."""
 
     def __init__(self, degree: int, gens: tuple[Permutation, ...]):
         if not gens:
@@ -135,10 +152,18 @@ class PermGroup:
         self.rank = len(gens)
         self.columns = tuple(images for g in gens
                              for images in (g.images, _inverse(g.images)))
-        self._closure = Capped(_close, _GROUP_TOO_LARGE)
+        self.known_order: int | None = None
+        self._closure = Capped(_close, _GROUP_TOO_LARGE, attrgetter("order"))
 
-    # the cached closure, None until an enumeration succeeds
+    # the cached closure, None until a search succeeds
     _elements = property(lambda self: self._closure.value)
+
+    def _closed(self, cap: int) -> _Closure:
+        """The cached closure under the cap rule of ``schreier.Capped``, a
+        known order above the cap raising at once."""
+        if self.known_order is not None and self.known_order > cap:
+            raise _GROUP_TOO_LARGE(cap)
+        return self._closure(cap, self)
 
     def enumerate(self, cap: int = DEFAULT_GROUP_CAP) -> Mapping[Permutation, Word]:
         """Closure with shortest witness words; cached after first success.
@@ -147,9 +172,13 @@ class PermGroup:
         letters tried in column order.  Each witness is rebuilt from the BFS
         parent pointers when its element is looked up: it is the discovery
         path, a shortest word, and the same on every lookup.  Caps are
-        answered by the rule of ``schreier.Capped``.
+        answered by the rule of ``schreier.Capped``; a census scan that
+        stopped early is resumed.
         """
-        return self._closure(cap, self)
+        closure = self._closed(cap)
+        if not closure.orbit.complete:
+            resume(closure.orbit, gather(self.columns, self.degree), cap)
+        return closure
 
     def cayley_table(self, cap: int = DEFAULT_GROUP_CAP) -> CosetTable:
         """The group acting on itself by right multiplication, in enumeration
@@ -157,12 +186,126 @@ class PermGroup:
         return CosetTable(self.rank, tuple(self.enumerate(cap).orbit.rows))
 
     def order(self, cap: int = DEFAULT_GROUP_CAP) -> int:
-        return len(self.enumerate(cap))
+        """The known order, else the order the census scan finds."""
+        if self.known_order is None or self.known_order > cap:
+            return self._closed(cap).order
+        return self.known_order
+
+    @cached_property
+    def primitive(self) -> bool:
+        return _is_primitive(self.degree, self.columns[::2])
 
 
 def _close(group: PermGroup, cap: int) -> _Closure:
-    images = gather(group.columns, group.degree)
-    return _Closure(orbit(tuple(range(group.degree)), images, cap))
+    """The census scan: the group's orbit from the identity with the census
+    as its stop predicate, so it ends early on S_d and A_d."""
+    census = _Census(group, cap)
+    reached = orbit(tuple(range(group.degree)), gather(group.columns, group.degree),
+                    cap, census)
+    if reached.complete:
+        group.known_order = reached.state_count
+    return _Closure(reached, group.known_order, census)
+
+
+class _Census:
+    """Cycle types of a group's elements, fed one at a time in BFS order
+    from the identity: the first position of each type and, until the
+    group is recognized as S_d or A_d, the number of each.
+
+    Recognition is Jordan's theorem (Wielandt, Finite Permutation Groups,
+    Thm 13.9): a primitive group of degree d that holds a p-cycle, p a prime
+    <= d - 3, contains A_d.  A power of an element with exactly one cycle of
+    length p and no other cycle length divisible by p is such a p-cycle.
+    The group is then S_d when some generator is odd, else A_d; its order
+    is set on the group, and its counts are the class sizes.  As a stop
+    predicate, a call returns true once the group is recognized and each
+    of its cycle types has a witness; a recognized order above the cap
+    ends the scan at once with CapExceeded.  An element of a cycle type that the
+    recognized group lacks, or a complete scan that misses one of its
+    types, fails the self-check with an AssertionError."""
+
+    def __init__(self, group: PermGroup, cap: int):
+        self.group, self.cap = group, cap
+        self.seen = 0
+        self.first: dict[tuple[int, ...], int] = {}
+        self.counts: dict[tuple[int, ...], int] = {}
+        self.sizes: dict[tuple[int, ...], int] | None = None
+        self(tuple(range(group.degree)))
+
+    def __call__(self, images: tuple[int, ...]) -> bool:
+        shape = tuple(sorted(map(len, cycles(images))))
+        if shape not in self.first:
+            self.first[shape] = self.seen
+            if self.sizes is None and _jordan(shape, self.group.degree):
+                self._recognize()
+            if self.sizes is not None and not self.first.keys() <= self.sizes.keys():
+                raise AssertionError(
+                    f"a group of degree {self.group.degree} recognized as one of "
+                    f"order {sum(self.sizes.values())} has an element of another "
+                    "cycle type")
+        self.seen += 1
+        if self.sizes is None:
+            self.counts[shape] = self.counts.get(shape, 0) + 1
+            return False
+        return len(self.first) == len(self.sizes)
+
+    def _recognize(self) -> None:
+        group, d = self.group, self.group.degree
+        if group.primitive:
+            odd = any((d - len(cycles(g.images))) % 2 for g in group.gens)
+            group.known_order = factorial(d) if odd else factorial(d) // 2
+            if group.known_order > self.cap:
+                raise CapExceeded(self.cap)
+            self.sizes = _class_sizes(d, group.known_order)
+
+    def census(self, reached: Orbit) -> tuple[tuple[tuple[int, ...], int, Word], ...]:
+        counts = self.counts if self.sizes is None else self.sizes
+        if len(self.first) < len(counts):
+            raise AssertionError(
+                f"a group of degree {self.group.degree} recognized as one of "
+                f"order {sum(counts.values())} lacks some of its cycle types")
+        return tuple((shape, counts[shape], reached.word(self.first[shape]))
+                     for shape in sorted(counts))
+
+
+def _jordan(shape: tuple[int, ...], degree: int) -> bool:
+    """Whether a power of an element of this cycle type is a p-cycle for a
+    prime p <= degree - 3."""
+    return any(
+        shape.count(p) == 1 and all(length % p for length in shape if length != p)
+        for p in set(shape)
+        if 2 <= p <= degree - 3 and all(p % q for q in range(2, isqrt(p) + 1)))
+
+
+def _is_primitive(degree: int, gens: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether the gens generate a transitive group with no block system
+    but the trivial ones.  Atkinson's test: for every point b, the finest
+    invariant partition that joins 0 and b, closed under the gens by
+    union-find, is one block, so it takes degree - 1 joins."""
+    reached = {0}
+    for _ in range(degree):
+        reached |= {g[v] for g in gens for v in reached}
+    if len(reached) < degree:
+        return False
+    for b in range(1, degree):
+        parent = list(range(degree))
+
+        def find(v: int) -> int:
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+        parent[b] = 0
+        joins = [(0, b)]
+        for x, y in joins:
+            for g in gens:
+                u, v = find(g[x]), find(g[y])
+                if u != v:
+                    parent[v] = u
+                    joins.append((u, v))
+        if len(joins) < degree - 1:
+            return False
+    return True
 
 
 def transition_group(table: CosetTable) -> PermGroup:
@@ -181,48 +324,25 @@ def cycle_type_census(
     A cycle type is the ascending tuple of cycle lengths (fixed points
     included).  Returns (type, count, witness) triples sorted by type, the
     witness being the shortest word whose element was enumerated first.
-    The counts of S_d and A_d are their class sizes, so their elements are
-    scanned only until every type has its witness.  The census is kept on
-    the closure, so it is computed once.
+    The census is read off the group's census scan (see ``_Census``): the
+    counts of a recognized S_d or A_d are their class sizes, and its scan
+    stopped once every type had its witness.  The census is kept on the
+    closure, so it is computed once.
     """
-    elements = group.enumerate(cap)
-    if elements.census is None:
-        counts = _class_sizes(group.degree, len(elements))
-        counting = counts is None
-        if counting:
-            counts = {}
-        first: dict[tuple[int, ...], int] = {}
-        for position, images in enumerate(elements.orbit.states):
-            shape = tuple(sorted(map(len, cycles(images))))
-            first.setdefault(shape, position)
-            if counting:
-                counts[shape] = counts.get(shape, 0) + 1
-            elif len(first) == len(counts):
-                break
-        elements.census = tuple(
-            (shape, counts[shape], elements.orbit.word(first[shape]))
-            for shape in sorted(counts))
-    return elements.census
+    closure = group._closed(cap)
+    if closure.census is None:
+        closure.census = closure.scan.census(closure.orbit)
+    return closure.census
 
 
-def _class_sizes(degree: int, order: int) -> dict[tuple[int, ...], int] | None:
-    """Elements per cycle type of a group of this degree and order when it
-    is S_d (order d!) or A_d (order d!/2, d >= 2), else None.  In S_d the
-    type with m_k cycles of length k has d!/prod(k^m_k m_k!) elements; A_d
-    has as many of each even type and none of the others."""
-    full = 1
-    for k in range(2, degree + 1):
-        full *= k
-        if full > 2 * order:
-            return None
-    if order != full and not (degree >= 2 and 2 * order == full):
-        return None
-    sizes = {}
-    for shape in _partitions(degree):
-        if order == full or (degree - len(shape)) % 2 == 0:
-            sizes[shape] = full // prod(
-                k**m * factorial(m) for k, m in Counter(shape).items())
-    return sizes
+def _class_sizes(degree: int, order: int) -> dict[tuple[int, ...], int]:
+    """Elements per cycle type of S_d (order d!) or A_d (order d!/2).  In
+    S_d the type with m_k cycles of length k has d!/prod(k^m_k m_k!)
+    elements; A_d has as many of each even type and none of the others."""
+    full = factorial(degree)
+    return {shape: full // prod(k**m * factorial(m) for k, m in Counter(shape).items())
+            for shape in _partitions(degree)
+            if order == full or (degree - len(shape)) % 2 == 0}
 
 
 def _partitions(n: int, least: int = 1) -> Iterator[tuple[int, ...]]:
@@ -239,13 +359,21 @@ def _partitions(n: int, least: int = 1) -> Iterator[tuple[int, ...]]:
 def has_k_cycle_at(
     group: PermGroup, k: int, point: int, cap: int = DEFAULT_GROUP_CAP
 ) -> Word | None:
-    """Witness word whose permutation has a k-cycle through point, if any."""
+    """Witness word whose permutation has a k-cycle through point, if any:
+    the first in BFS order.  A census scan that stopped early is resumed
+    only when its elements hold no such permutation."""
     if not 1 <= k <= group.degree:
         raise ValueError(f"cycle length {k} out of range for degree {group.degree}")
     if not 0 <= point < group.degree:
         raise ValueError(f"point {point} out of range")
-    reached = group.enumerate(cap).orbit
-    for position, images in enumerate(reached.states):
-        if _cycle_through(images, point) == k:
-            return reached.word(position)
-    return None
+    closure = group._closed(cap)
+    scanned = 0
+    while True:
+        states = closure.orbit.states
+        for position in range(scanned, len(states)):
+            if _cycle_through(states[position], point) == k:
+                return closure.orbit.word(position)
+        if closure.orbit.complete:
+            return None
+        scanned = len(states)
+        group.enumerate(cap)

@@ -6,7 +6,8 @@ normal cores, product automata and coset actions are all orbits of one start
 state, ``images(state)`` giving its targets in column order (a < a^-1 < b <
 b^-1 < ...); ``gather`` steps a tuple of points with one ``itemgetter``.  It
 records each state's BFS parent and column, so a shortest word reaching a
-state is built from these pointers only when a caller asks for it.
+state is built from these pointers only when a caller asks for it.  A stop
+predicate ends a search early, and ``resume`` continues it in the same order.
 ``Capped`` caches such a search and holds the one rule for answering a cap
 from the cache, successes and failures alike.
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 
 from .words import Letter, Word, letter_from_column
@@ -29,6 +31,7 @@ __all__ = [
     "Capped",
     "Orbit",
     "orbit",
+    "resume",
     "gather",
     "cycles",
     "canonical_rows",
@@ -89,7 +92,8 @@ class Orbit:
     ``index`` maps a state to its position.  ``parent[i]`` and ``column[i]``
     are the position of the state that first reached state i and the column
     it took (-1 for the start); ``rows[i][c]`` is the position of state i's
-    image under column c, or None where that action has no edge.
+    image under column c, or None where that action has no edge.  A search
+    that stopped early has rows for a prefix of the states only.
     """
 
     states: list
@@ -102,6 +106,10 @@ class Orbit:
     def state_count(self) -> int:
         return len(self.states)
 
+    @property
+    def complete(self) -> bool:
+        return len(self.rows) == len(self.states)
+
     def word(self, position: int) -> Word:
         """The discovery word of a state: a shortest word reaching it."""
         letters = []
@@ -112,20 +120,33 @@ class Orbit:
         return Word(len(self.rows[0]) // 2, tuple(reversed(letters)))
 
 
-def orbit(start: Hashable, images: Callable[[Hashable], Iterable], cap: int) -> Orbit:
+def orbit(
+    start: Hashable, images: Callable[[Hashable], Iterable], cap: int,
+    stop: Callable[[Hashable], bool] | None = None,
+) -> Orbit:
     """Breadth-first orbit of start, taking each state's images in column order.
 
     ``images(state)`` yields the state's image under every column, or None
     for no edge.  Raises CapExceeded when more than cap states are reached.
+    ``stop(state)``, if given, is called on every state after the start as
+    it is discovered; once it returns true the search ends with the row
+    being built, so the later states have no row yet (see ``resume``).
     """
     if cap < 1:
         raise CapExceeded(cap)
-    index = {start: 0}
-    states = [start]
-    parent = [-1]
-    column = [-1]
-    rows = []
-    for head, state in enumerate(states):
+    return resume(Orbit([start], {start: 0}, [-1], [-1], []), images, cap, stop)
+
+
+def resume(
+    reached: Orbit, images: Callable[[Hashable], Iterable], cap: int,
+    stop: Callable[[Hashable], bool] | None = None,
+) -> Orbit:
+    """Continue reached's search in place from its first state without a
+    row, as ``orbit`` would have gone on; returns reached."""
+    states, index, parent, column, rows = (
+        reached.states, reached.index, reached.parent, reached.column, reached.rows)
+    stopped = False
+    for head, state in enumerate(islice(states, len(rows), None), len(rows)):
         row = []
         for c, target in enumerate(images(state)):
             if target is None:
@@ -139,9 +160,13 @@ def orbit(start: Hashable, images: Callable[[Hashable], Iterable], cap: int) -> 
                 states.append(target)
                 parent.append(head)
                 column.append(c)
+                if stop is not None and stop(target):
+                    stopped = True
             row.append(position)
         rows.append(tuple(row))
-    return Orbit(states, index, parent, column, rows)
+        if stopped:
+            break
+    return reached
 
 
 def gather(columns: Sequence[Sequence[int]], width: int) -> Callable:

@@ -308,3 +308,86 @@ def test_census_of_s6_decomposes_fewer_elements_than_the_group(monkeypatch):
     census = cycle_type_census(group)
     assert len(census) == 11 and sum(count for _, count, _ in census) == 720
     assert len(decomposed) < group.order()
+
+
+def _scan_agrees_with_full_enumeration(group: PermGroup) -> bool:
+    """Assert that the census scan of group answers as a fresh copy of it
+    enumerated in full: order, counts and witness words, every k-cycle
+    witness, and the enumeration itself once resumed.  Returns whether the
+    scan recognized the group and stopped before its last element."""
+    fresh = PermGroup(group.degree, group.gens)
+    elements = fresh.enumerate()
+    assert cycle_type_census(group) == cycle_type_census_by_elements(fresh)
+    assert group.order() == fresh.order() == len(elements)
+    recognized = not group._elements.orbit.complete
+    for point in range(group.degree):
+        for k in range(1, group.degree + 1):
+            assert (has_k_cycle_at(group, k, point)
+                    == has_k_cycle_at_by_elements(fresh, k, point))
+    reached, expected = group.enumerate().orbit, elements.orbit
+    assert (reached.states, reached.parent, reached.column, reached.rows) == (
+        expected.states, expected.parent, expected.column, expected.rows)
+    return recognized
+
+
+def test_symmetric_and_alternating_groups_are_recognized_soundly():
+    # Jordan's theorem needs a prime p <= d - 3, so S_d is recognized from
+    # d = 5 and A_d from d = 6 (A_5's only candidates, a transposition times
+    # a 3-cycle or alone, are odd); every smaller group is enumerated
+    for d in range(1, 10):
+        assert _scan_agrees_with_full_enumeration(symmetric(d)) == (d >= 5)
+    for d in range(1, 9):
+        assert _scan_agrees_with_full_enumeration(alternating(d)) == (d >= 6)
+
+
+def test_fuzz_stream_and_random_table_groups_are_recognized_soundly():
+    # the fuzz stream's groups have order at most 64, so none is S_d or A_d
+    # of degree 5 or more; random tables of index up to 7 mostly are
+    for p in fuzz_partitions(80):
+        for group in p.groups.values():
+            assert not _scan_agrees_with_full_enumeration(group)
+    rng = random.Random(15)
+    recognized = sum(_scan_agrees_with_full_enumeration(
+        transition_group(random_table(rng, 2, 7))) for _ in range(40))
+    assert recognized >= 5
+
+
+def test_groups_that_only_resemble_s_d_are_enumerated():
+    # PGL(2,5) on the projective line over GF(5) (infinity is point 5) is
+    # primitive of order 120, but its prime cycles are 5-cycles and 5 > 6 - 3;
+    # S_2 wr S_3 holds the transposition (0 1) but keeps the blocks {0,1},
+    # {2,3}, {4,5}; M_11 is primitive and has no element with one cycle of
+    # a prime length p <= 8 and no other length divisible by p
+    pgl = PermGroup(6, (Permutation((1, 2, 3, 4, 0, 5)),
+                        Permutation((0, 2, 4, 1, 3, 5)),
+                        Permutation((5, 4, 2, 3, 1, 0))))
+    wreath = PermGroup(6, (Permutation((1, 0, 2, 3, 4, 5)),
+                           Permutation((2, 3, 4, 5, 0, 1)),
+                           Permutation((2, 3, 0, 1, 4, 5))))
+    m11 = PermGroup(11, (Permutation(tuple(range(1, 11)) + (0,)),
+                         Permutation((0, 1, 6, 9, 5, 3, 10, 2, 8, 4, 7))))
+    for group, order, primitive in ((pgl, 120, True), (wreath, 48, False),
+                                    (m11, 7920, True)):
+        assert group.primitive == primitive
+        assert not _scan_agrees_with_full_enumeration(group)
+        assert group.known_order == order
+    assert any(shape == (1, 1, 1, 1, 2) for shape, _, _ in cycle_type_census(wreath))
+    assert any(shape == (1, 5) for shape, _, _ in cycle_type_census(pgl))
+
+
+def test_a_known_order_answers_every_cap_with_no_search(monkeypatch):
+    # the scan of S_7 under cap 100 recognizes it before the cap and keeps
+    # its order: every later cap below 5040 raises at once, and a cap at or
+    # above it answers the order with no search
+    group = symmetric(7)
+    with pytest.raises(CapExceeded, match="transition group larger than cap"):
+        group.order(100)
+    assert group.known_order == 5040
+    monkeypatch.setattr(hsforge.perm, "orbit", None)
+    monkeypatch.setattr(hsforge.perm, "resume", None)
+    for call in (group.order, group.enumerate, lambda cap: cycle_type_census(group, cap),
+                 lambda cap: has_k_cycle_at(group, 7, 0, cap)):
+        for cap in (50, 100, 5039):
+            with pytest.raises(CapExceeded, match=f"\\({cap}\\)"):
+                call(cap)
+    assert group.order(5040) == 5040

@@ -532,9 +532,11 @@ def test_cached_objects_take_smaller_caps_like_fresh_copies():
 
 
 def test_a_cap_is_hit_once_not_once_per_caller(monkeypatch):
-    # on the d = 6 ladder both caps below 6! = 720: one enumeration of the
-    # single table's group and one all-blocks orbit serve every block, the
-    # two cycle checkers, all 15 pairs and m
+    # on the d = 6 ladder both caps below 6! = 720: one census scan of the
+    # single table's group serves every block, the two cycle checkers, all
+    # 15 pairs and m; the scan hits its cap after it recognized S_6, so the
+    # known order 720 raises every later cap at once, the all-blocks index
+    # among them
     searches = Counter()
     for module, name in ((hsforge.perm, "orbit"), (hsforge.partition, "product")):
         def counted(*args, original=getattr(module, name), name=name):
@@ -546,8 +548,8 @@ def test_a_cap_is_hit_once_not_once_per_caller(monkeypatch):
     assert all(block["capped"] for block in analysis.blocks)
     pairs = analysis.to_json()["per_theorem"]["intersection"]["details"]["pairs"]
     assert len(pairs) == 15 and all(pair["capped"] for pair in pairs)
-    # validation and the all-blocks orbit are the two products
-    assert searches == {"orbit": 1, "product": 2}
+    # validation's is the one product
+    assert searches == {"orbit": 1, "product": 1}
 
 
 def test_one_closure_answers_the_census_and_every_pair(monkeypatch):
@@ -569,6 +571,34 @@ def test_one_closure_answers_the_census_and_every_pair(monkeypatch):
     # the one partition.orbit is the BFS inside validation's product
     assert searches == {"hsforge.perm.orbit": 1, "hsforge.partition.product": 1,
                         "hsforge.partition.orbit": 1}
+
+
+def test_the_d10_ladder_hits_its_caps_with_no_search_run_to_them(monkeypatch):
+    # S_10 has 3,628,800 elements, above both default caps of 10^6.  The
+    # census scan recognizes it within its first states and stops there; the
+    # known order then raises m's, every block's and all 45 pairs' caps at
+    # once.  Validation's product is left out of the count.
+    expanded = Counter()
+    for name in ("orbit", "resume"):
+        def counted(start, images, *rest, original=getattr(hsforge.perm, name), name=name):
+            def counted_images(state):
+                expanded[name] += 1
+                return images(state)
+            return original(start, counted_images, *rest)
+        monkeypatch.setattr(hsforge.perm, name, counted)
+    p = sym_ladder_partition(10)
+    assert validate(p).valid
+    products = []
+    monkeypatch.setattr(hsforge.partition, "product", lambda *args: products.append(args))
+    analysis = analyze(p)
+    assert analysis.exit_code == 3 and analysis.m is None
+    assert all(block["capped"] for block in analysis.blocks)
+    reports = analysis.to_json()["per_theorem"]
+    pairs = reports["intersection"]["details"]["pairs"]
+    assert len(pairs) == 45 and all(pair["capped"] for pair in pairs)
+    assert all(report["status"] == "unknown" for report in reports.values())
+    assert products == [] and expanded.keys() <= {"orbit"}
+    assert expanded["orbit"] < 10**3
 
 
 def test_analyze_builds_no_n_table():
