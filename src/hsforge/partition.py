@@ -11,8 +11,12 @@ coset's block.  The module also computes normal cores, the right action of
 words on partitions, a prefix metric, and partitions lifted from finite
 quotient groups.  A partition keeps its validation report, the all-blocks
 orbit size and move counts of ``intersection_conditions``, and F/N, each
-under the cap rule of ``schreier.Capped``; once F/N is kept, the all-blocks
-orbit is read off its elements instead of searched again.
+under the cap rule of ``schreier.Capped``.  With one table F/N is the
+table's transition group, so m is its order, which the census scan learns
+for S_d and A_d without enumerating them; for such a table, with distinct
+marked vertices, the all-blocks orbit and every pair index follow from the
+orbit lengths of tuples of distinct points.  Otherwise, once F/N is kept,
+the all-blocks orbit is read off its elements instead of searched again.
 """
 
 from __future__ import annotations

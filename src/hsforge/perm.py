@@ -11,12 +11,23 @@ becomes a ``Permutation`` when a caller iterates the public mapping, and a
 shortest witness word is rebuilt from the orbit's parent pointers when it is
 looked up, so the same element always gets the same word.  The orbit's rows
 are the group's Cayley table, which is the normal core of any table whose
-transition group it is.  The closure is cached under the cap rule of
-``schreier.Capped`` and keeps its cycle-type census, which is computed once.
+transition group it is.
+
+Every search of a group is its census scan: the orbit with the cycle-type
+census as its stop predicate.  The census recognizes S_d and A_d by
+Jordan's theorem as their elements go by, which gives the order and the
+counts (the class sizes) without enumerating them; the scan then stops at
+the first witness of the last cycle type, or at once when the order
+exceeds the cap.  Any other group is enumerated in full and counted
+element by element.  The known order answers every later cap with no
+search, and a scan that stopped early is resumed, in the same order, only
+for a caller that needs more elements.  The closure is cached under the
+cap rule of ``schreier.Capped`` and keeps its census, computed once.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -225,7 +236,9 @@ class _Census:
     types, fails the self-check with an AssertionError."""
 
     def __init__(self, group: PermGroup, cap: int):
-        self.group, self.cap = group, cap
+        # the group's closure keeps this census; a weak reference back
+        # leaves no cycle for the garbage collector to find
+        self.group, self.cap = weakref.proxy(group), cap
         self.seen = 0
         self.first: dict[tuple[int, ...], int] = {}
         self.counts: dict[tuple[int, ...], int] = {}

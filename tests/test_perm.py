@@ -341,8 +341,9 @@ def test_symmetric_and_alternating_groups_are_recognized_soundly():
 
 
 def test_fuzz_stream_and_random_table_groups_are_recognized_soundly():
-    # the fuzz stream's groups have order at most 64, so none is S_d or A_d
-    # of degree 5 or more; random tables of index up to 7 mostly are
+    # the fuzz stream's groups have order at most 64, so none is recognized
+    # (the only S_d or A_d of degree 5 or more among them could be A_5);
+    # random tables of index up to 7 mostly are S_d or A_d
     for p in fuzz_partitions(80):
         for group in p.groups.values():
             assert not _scan_agrees_with_full_enumeration(group)
