@@ -43,7 +43,6 @@ from .partition import (
     StateCapExceeded,
     act,
     big_n,
-    coset_partition,
     intersection_conditions,
     lift_partition,
     multiplicity,

@@ -207,10 +207,10 @@ def _parser() -> argparse.ArgumentParser:
 
     def cap_flags(cmd, group=True):
         cmd.add_argument("--cap-states", type=_positive_int, default=None,
-                         help="max product-automaton states")
+                         help="max states of a product automaton or F/N search")
         if group:
             cmd.add_argument("--cap-group", type=_positive_int, default=None,
-                             help="max transition-group elements")
+                             help="max states of a transition-group search")
 
     validate_cmd = sub.add_parser("validate", help="check the partition property")
     validate_cmd.add_argument("file")

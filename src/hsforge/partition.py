@@ -11,12 +11,13 @@ coset's block.  The module also computes normal cores, the right action of
 words on partitions, a prefix metric, and partitions lifted from finite
 quotient groups.  A partition keeps its validation report, the all-blocks
 orbit size and move counts of ``intersection_conditions``, and F/N, each
-under the cap rule of ``schreier.Capped``.  With one table F/N is the
-table's transition group, so m is its order, which the census scan learns
-for S_d and A_d without enumerating them; for such a table, with distinct
-marked vertices, the all-blocks orbit and every pair index follow from the
-orbit lengths of tuples of distinct points.  Otherwise, once F/N is kept,
-the all-blocks orbit is read off its elements instead of searched again.
+under the cap rule of ``schreier.Capped``: the state cap bounds the states
+each one's search held.  With one table F/N is the closure of the table's
+transition group, so m is its order, which the census scan learns for S_d
+and A_d without enumerating them, and the state cap bounds that scan; for
+such a table, with distinct marked vertices, the all-blocks orbit and every
+pair index follow from the orbit lengths of tuples of distinct points.
+Otherwise the all-blocks orbit is the product automaton at the marked tuple.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import factorial, lcm
-from operator import add, attrgetter, itemgetter, ne, sub
+from operator import add, ne, sub
 from typing import Callable, Iterable, Sequence
 
 from .perm import DEFAULT_GROUP_CAP, PermGroup, Permutation, transition_group
@@ -45,7 +46,6 @@ __all__ = [
     "NotAPartition",
     "CosetSpec",
     "CosetPartition",
-    "coset_partition",
     "product",
     "ValidationReport",
     "validate",
@@ -65,7 +65,6 @@ __all__ = [
 ]
 
 DEFAULT_STATE_CAP = 10**6
-_state_count = attrgetter("state_count")
 
 
 class StateCapExceeded(CapExceeded):
@@ -114,9 +113,9 @@ class CosetPartition:
             sorted(specs, key=lambda s: (s.table.degree, s.table.key())))
         self.groups = {t: transition_group(t)
                        for t in dict.fromkeys(spec.table for spec in self.specs)}
-        self._checked = Capped(_check, StateCapExceeded, _state_count)
-        self._marked = Capped(_marked_moves, StateCapExceeded, itemgetter(0))
-        self._quotient = Capped(_close_quotient, StateCapExceeded, _state_count)
+        self._checked = Capped(_check, StateCapExceeded)
+        self._marked = Capped(_marked_moves, StateCapExceeded)
+        self._quotient = Capped(_close_quotient, StateCapExceeded)
         self._n: CosetTable | None = None
 
     @property
@@ -131,10 +130,6 @@ class CosetPartition:
         return sorted(
             (spec.table for spec in self.specs),
             key=lambda t: (-t.degree, t.key()))
-
-
-def coset_partition(rank: int, specs: Iterable[CosetSpec]) -> CosetPartition:
-    return CosetPartition(rank, list(specs))
 
 
 def product(
@@ -250,14 +245,17 @@ def quotient_by_n(
     """F/N: the closure of the identity under ``side_by_side(list(p.groups))``,
     the transition group itself for one table.  Its states are the cosets of
     N, its rows N's table.  Every block group is enumerated under group_cap,
-    then F/N is held to state_cap; the partition keeps it."""
+    then F/N's search is held to state_cap; the partition keeps F/N."""
     closures = [group.enumerate(group_cap) for group in p.groups.values()]
-    return p._quotient(state_cap, list(p.groups), closures)
+    quotient = p._quotient(state_cap, list(p.groups), closures)
+    return quotient.orbit if len(closures) == 1 else quotient
 
 
-def _close_quotient(tables, closures, cap: int) -> Orbit:
+def _close_quotient(tables, closures, cap: int):
+    """F/N's search: for one table its group's closure, whose census scan
+    is the search held to the cap; else the orbit of the tables' columns."""
     if len(closures) == 1:
-        return closures[0].orbit
+        return closures[0]
     _, columns = side_by_side(tables)
     degree = len(columns[0])
     return orbit(tuple(range(degree)), gather(columns, degree), cap)
@@ -281,16 +279,13 @@ def refinement_index(
     group_cap: int = DEFAULT_GROUP_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> int:
-    """m = [F : N], the size of ``quotient_by_n``, under the same caps.  With
-    one table F/N is its transition group, so m is that group's order and
-    a recognized S_d or A_d is not enumerated."""
+    """m = [F : N], the size of ``quotient_by_n``.  With one table F/N is
+    its transition group, so m is that group's order, and a recognized S_d
+    or A_d is not enumerated: both caps bound the census scan alone."""
     if len(p.groups) > 1:
         return quotient_by_n(p, group_cap, state_cap).state_count
     (group,) = p.groups.values()
-    m = group.order(group_cap)
-    if m > state_cap:
-        raise StateCapExceeded(state_cap)
-    return m
+    return p._quotient(state_cap, list(p.groups), [group._closed(group_cap)]).order
 
 
 def act(p: CosetPartition, w: Word) -> CosetPartition:
@@ -331,7 +326,8 @@ def intersection_conditions(
     if not (0 <= j < k < p.size):
         raise ValueError(f"bad pair ({j}, {k})")
     tables = [spec.table for spec in p.specs]
-    index_all, moved = p._marked(cap, p)
+    marked = p._marked(cap, p)
+    index_all, moved = marked.index_all, marked.moved
     fibre = sum(moved.get(key, 0) for key in ((), (j,), (k,), (j, k)))
     index_without = index_all // fibre
     strict = index_all > index_without
@@ -343,24 +339,29 @@ def intersection_conditions(
         (j, k), index_all, index_without, strict, obstruction, holds, equal)
 
 
-def _marked_moves(p: CosetPartition, cap: int) -> tuple[int, dict]:
-    """Size of the all-blocks orbit of the marked tuple, and the number of
-    its states that move at most two coordinates, keyed by those coordinates
-    (the tuple itself under ()).
+@dataclass(frozen=True)
+class _MarkedOrbit:
+    """The all-blocks orbit of the marked tuple: its size, the number of its
+    states that move at most two coordinates, keyed by those coordinates
+    (the tuple itself under ()), and the states its search held."""
 
-    For one table whose group is known to be S_d or A_d, and distinct
-    marked vertices, both follow from the orbit lengths of tuples of
-    distinct points: the states that agree with the tuple off a set of
-    coordinates are as many as the ratio of the two orbit lengths.
-    Otherwise, once F/N is kept, the orbit is read off its elements: each
-    moves the tuple of marked vertices, offset as in ``side_by_side``, to
-    one orbit state, and every state is reached by as many elements as fix
-    the tuple.  Otherwise the orbit is the product automaton at the marked
-    tuple, where each state is reached once.
+    index_all: int
+    moved: dict[tuple[int, ...], int]
+    state_count: int
+
+
+def _marked_moves(p: CosetPartition, cap: int) -> _MarkedOrbit:
+    """The all-blocks orbit of the marked tuple under the state cap.
+
+    For one table whose group is S_d or A_d, and distinct marked vertices,
+    the orbit follows from the orbit lengths of tuples of distinct points:
+    the states that agree with the tuple off a set of coordinates are as
+    many as the ratio of the two orbit lengths.  Its search is the group's
+    census scan, or the product automaton when that is smaller, as a scan
+    that exceeds the cap falls back to it.  Otherwise the orbit is the
+    product automaton at the marked tuple, where each state is reached once.
     """
-    tables = [spec.table for spec in p.specs]
-    marked = tuple(spec.marked for spec in p.specs)
-    length = _symmetric_orbit_length(p)
+    length = _symmetric_orbit_length(p, cap)
     if length is not None:
         t = p.size
         index_all = length(t)
@@ -369,40 +370,34 @@ def _marked_moves(p: CosetPartition, cap: int) -> tuple[int, dict]:
         moved = {(): 1}
         moved.update(((j,), one) for j in range(t) if one)
         moved.update(((j, k), two) for j in range(t) for k in range(j + 1, t) if two)
-        return index_all, moved
-    quotient = p._quotient.value
-    if quotient is None and len(p.groups) == 1:
         (group,) = p.groups.values()
-        if group._elements is not None and group._elements.orbit.complete:
-            quotient = group._elements.orbit
-    if quotient is None:
-        elements = states = product(tables, marked, cap).states
-    else:
-        shift, _ = side_by_side(tables)
-        marked = tuple(map(add, marked, shift))
-        elements = quotient.states
-        states = map(itemgetter(*marked), elements)
-    moved: dict[tuple[int, ...], int] = {}
-    for state in states:
+        scanned = group._closed(cap).state_count
+        return _MarkedOrbit(index_all, moved, min(scanned, index_all))
+    marked = tuple(spec.marked for spec in p.specs)
+    reached = product([spec.table for spec in p.specs], marked, cap)
+    moved = {}
+    for state in reached.states:
         if sum(map(ne, state, marked)) <= 2:
             changed = tuple(i for i, v in enumerate(state) if v != marked[i])
             moved[changed] = moved.get(changed, 0) + 1
-    fixing = moved[()]
-    return (len(elements) // fixing,
-            {key: count // fixing for key, count in moved.items()})
+    return _MarkedOrbit(reached.state_count, moved, reached.state_count)
 
 
-def _symmetric_orbit_length(p: CosetPartition) -> Callable[[int], int] | None:
-    """For one table whose group is known to be S_d or A_d and blocks with
-    distinct marked vertices, the orbit length of any s of those vertices:
-    d!/(d-s)!, except d!/2 in A_d when d - s < 2, since A_d is
-    (d-2)-transitive and an element of it is fixed by the images of any
-    d - 1 points.  None otherwise."""
+def _symmetric_orbit_length(p: CosetPartition, cap: int) -> Callable[[int], int] | None:
+    """For one table whose group's census scan, under the cap, finds S_d or
+    A_d, and blocks with distinct marked vertices, the orbit length of any
+    s of those vertices: d!/(d-s)!, except d!/2 in A_d when d - s < 2,
+    since A_d is (d-2)-transitive and an element of it is fixed by the
+    images of any d - 1 points.  None otherwise, a scan that exceeds the
+    cap included."""
     if len(p.groups) > 1 or len({spec.marked for spec in p.specs}) < p.size:
         return None
     (group,) = p.groups.values()
-    d, order = group.degree, group.known_order
-    full = factorial(d)
+    try:
+        order = group.order(cap)
+    except CapExceeded:
+        return None
+    d, full = group.degree, factorial(group.degree)
     if order not in (full, full // 2):
         return None
     return lambda s: full // factorial(d - s) if order == full or d - s >= 2 else order

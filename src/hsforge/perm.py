@@ -17,12 +17,14 @@ Every search of a group is its census scan: the orbit with the cycle-type
 census as its stop predicate.  The census recognizes S_d and A_d by
 Jordan's theorem as their elements go by, which gives the order and the
 counts (the class sizes) without enumerating them; the scan then stops at
-the first witness of the last cycle type, or at once when the order
-exceeds the cap.  Any other group is enumerated in full and counted
-element by element.  The known order answers every later cap with no
-search, and a scan that stopped early is resumed, in the same order, only
-for a caller that needs more elements.  The closure is cached under the
-cap rule of ``schreier.Capped`` and keeps its census, computed once.
+the first witness of the last cycle type.  Any other group is enumerated in
+full and counted element by element.  A cap bounds the states a search
+holds: the order and the census are answered whenever the scan fits under
+the cap, whatever their size, while a caller that needs elements past the
+scan's own needs the whole orbit, so the order must fit too.  A scan that
+stopped early is then resumed, in the same order.  The closure is cached
+under the cap rule of ``schreier.Capped`` and keeps its census, computed
+once.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property, partial
 from math import factorial, isqrt, lcm, prod
-from operator import attrgetter
 
 from .schreier import (
     CapExceeded,
@@ -115,14 +116,17 @@ class _Closure(Mapping[Permutation, Word]):
 
     Only the orbit of image tuples is held: iterating wraps each element in
     a ``Permutation`` as it is reached, and a lookup rebuilds the witness
-    word from the orbit's parent pointers.  ``order`` is the group's order;
-    the orbit holds fewer elements only while a census scan that stopped
-    early on S_d or A_d is not resumed (``PermGroup.enumerate`` resumes it).
+    word from the orbit's parent pointers.  ``order`` is the group's order,
+    counted or recognized, and ``state_count`` the states its census scan
+    held, which a cap bounds; the orbit holds fewer than ``order`` elements
+    only while a scan that stopped early on S_d or A_d is not resumed
+    (``PermGroup.enumerate`` resumes it).
     """
 
-    def __init__(self, reached: Orbit, order: int, scan: _Census):
+    def __init__(self, reached: Orbit, scan: _Census):
         self.orbit = reached
-        self.order = order
+        self.state_count = reached.state_count
+        self.order = reached.state_count if reached.complete else scan.order
         self.scan = scan
         self.census: tuple[tuple[tuple[int, ...], int, Word], ...] | None = None
 
@@ -146,9 +150,7 @@ class PermGroup:
     """Group generated by one permutation per free-group generator.
 
     ``columns`` holds the image tuples of the generators and their inverses
-    in letter-column order (a, a^-1, b, b^-1, ...).  ``known_order`` is the
-    order once a search has found it, by enumerating the group or by
-    recognizing it as S_d or A_d; it is kept even when it exceeds the cap."""
+    in letter-column order (a, a^-1, b, b^-1, ...)."""
 
     def __init__(self, degree: int, gens: tuple[Permutation, ...]):
         if not gens:
@@ -163,17 +165,14 @@ class PermGroup:
         self.rank = len(gens)
         self.columns = tuple(images for g in gens
                              for images in (g.images, _inverse(g.images)))
-        self.known_order: int | None = None
-        self._closure = Capped(_close, _GROUP_TOO_LARGE, attrgetter("order"))
+        self._closure = Capped(_close, _GROUP_TOO_LARGE)
 
     # the cached closure, None until a search succeeds
     _elements = property(lambda self: self._closure.value)
 
     def _closed(self, cap: int) -> _Closure:
-        """The cached closure under the cap rule of ``schreier.Capped``, a
-        known order above the cap raising at once."""
-        if self.known_order is not None and self.known_order > cap:
-            raise _GROUP_TOO_LARGE(cap)
+        """The census scan's closure, cached under the cap rule of
+        ``schreier.Capped``: the cap bounds the states the scan held."""
         return self._closure(cap, self)
 
     def enumerate(self, cap: int = DEFAULT_GROUP_CAP) -> Mapping[Permutation, Word]:
@@ -182,11 +181,14 @@ class PermGroup:
         The read-only mapping iterates in BFS order from the identity, the
         letters tried in column order.  Each witness is rebuilt from the BFS
         parent pointers when its element is looked up: it is the discovery
-        path, a shortest word, and the same on every lookup.  Caps are
-        answered by the rule of ``schreier.Capped``; a census scan that
-        stopped early is resumed.
+        path, a shortest word, and the same on every lookup.  The whole
+        orbit must fit under the cap, so a group whose order exceeds it
+        raises, even when an earlier, larger cap already resumed its scan; a
+        census scan that stopped early is resumed.
         """
         closure = self._closed(cap)
+        if closure.order > cap:
+            raise _GROUP_TOO_LARGE(cap)
         if not closure.orbit.complete:
             resume(closure.orbit, gather(self.columns, self.degree), cap)
         return closure
@@ -197,10 +199,9 @@ class PermGroup:
         return CosetTable(self.rank, tuple(self.enumerate(cap).orbit.rows))
 
     def order(self, cap: int = DEFAULT_GROUP_CAP) -> int:
-        """The known order, else the order the census scan finds."""
-        if self.known_order is None or self.known_order > cap:
-            return self._closed(cap).order
-        return self.known_order
+        """The order the census scan finds, counted or recognized, whatever
+        its size; the cap bounds the states the scan holds."""
+        return self._closed(cap).order
 
     @cached_property
     def primitive(self) -> bool:
@@ -210,12 +211,10 @@ class PermGroup:
 def _close(group: PermGroup, cap: int) -> _Closure:
     """The census scan: the group's orbit from the identity with the census
     as its stop predicate, so it ends early on S_d and A_d."""
-    census = _Census(group, cap)
+    census = _Census(group)
     reached = orbit(tuple(range(group.degree)), gather(group.columns, group.degree),
                     cap, census)
-    if reached.complete:
-        group.known_order = reached.state_count
-    return _Closure(reached, group.known_order, census)
+    return _Closure(reached, census)
 
 
 class _Census:
@@ -228,17 +227,17 @@ class _Census:
     <= d - 3, contains A_d.  A power of an element with exactly one cycle of
     length p and no other cycle length divisible by p is such a p-cycle.
     The group is then S_d when some generator is odd, else A_d; its order
-    is set on the group, and its counts are the class sizes.  As a stop
+    is kept as ``order``, and its counts are the class sizes.  As a stop
     predicate, a call returns true once the group is recognized and each
-    of its cycle types has a witness; a recognized order above the cap
-    ends the scan at once with CapExceeded.  An element of a cycle type that the
+    of its cycle types has a witness.  An element of a cycle type that the
     recognized group lacks, or a complete scan that misses one of its
     types, fails the self-check with an AssertionError."""
 
-    def __init__(self, group: PermGroup, cap: int):
+    def __init__(self, group: PermGroup):
         # the group's closure keeps this census; a weak reference back
         # leaves no cycle for the garbage collector to find
-        self.group, self.cap = weakref.proxy(group), cap
+        self.group = weakref.proxy(group)
+        self.order: int | None = None
         self.seen = 0
         self.first: dict[tuple[int, ...], int] = {}
         self.counts: dict[tuple[int, ...], int] = {}
@@ -266,10 +265,8 @@ class _Census:
         group, d = self.group, self.group.degree
         if group.primitive:
             odd = any((d - len(cycles(g.images))) % 2 for g in group.gens)
-            group.known_order = factorial(d) if odd else factorial(d) // 2
-            if group.known_order > self.cap:
-                raise CapExceeded(self.cap)
-            self.sizes = _class_sizes(d, group.known_order)
+            self.order = factorial(d) if odd else factorial(d) // 2
+            self.sizes = _class_sizes(d, self.order)
 
     def census(self, reached: Orbit) -> tuple[tuple[tuple[int, ...], int, Word], ...]:
         counts = self.counts if self.sizes is None else self.sizes
@@ -373,20 +370,18 @@ def has_k_cycle_at(
     group: PermGroup, k: int, point: int, cap: int = DEFAULT_GROUP_CAP
 ) -> Word | None:
     """Witness word whose permutation has a k-cycle through point, if any:
-    the first in BFS order.  A census scan that stopped early is resumed
-    only when its elements hold no such permutation."""
+    the first in BFS order.  The census scan's own states are searched
+    first; only when they hold no such permutation is the whole orbit
+    needed, under the cap rule of ``PermGroup.enumerate``."""
     if not 1 <= k <= group.degree:
         raise ValueError(f"cycle length {k} out of range for degree {group.degree}")
     if not 0 <= point < group.degree:
         raise ValueError(f"point {point} out of range")
     closure = group._closed(cap)
-    scanned = 0
-    while True:
-        states = closure.orbit.states
-        for position in range(scanned, len(states)):
-            if _cycle_through(states[position], point) == k:
-                return closure.orbit.word(position)
-        if closure.orbit.complete:
-            return None
-        scanned = len(states)
-        group.enumerate(cap)
+    states = closure.orbit.states  # a resumed scan appends to this list
+    for position in range(closure.order):
+        if position == closure.state_count:
+            group.enumerate(cap)
+        if _cycle_through(states[position], point) == k:
+            return closure.orbit.word(position)
+    return None

@@ -8,8 +8,9 @@ b^-1 < ...); ``gather`` steps a tuple of points with one ``itemgetter``.  It
 records each state's BFS parent and column, so a shortest word reaching a
 state is built from these pointers only when a caller asks for it.  A stop
 predicate ends a search early, and ``resume`` continues it in the same order.
-``Capped`` caches such a search and holds the one rule for answering a cap
-from the cache, successes and failures alike.
+A cap bounds the states a search holds: ``orbit`` and ``resume`` raise past
+it, and ``Capped`` caches such a search and holds the one rule for answering
+a cap from the cache, successes and failures alike.
 
 Folding a subgroup's generator words gives its transition graph; when that is
 complete the subgroup has finite index d and the graph is a complete table on
@@ -59,18 +60,19 @@ class CapExceeded(Exception):
 class Capped:
     """A cached search under a cap: the one cap rule of every cached search.
 
-    ``capped(cap, *args)`` runs ``search(*args, cap)`` until one succeeds and
-    keeps its result, which answers a later cap as a fresh search would:
-    ``error(cap)`` is raised when the result's ``measure`` exceeds the cap.
-    Every cap at or below the largest one a search exceeded raises at once,
-    and a larger cap searches again.
+    A cap bounds the states a search holds.  ``capped(cap, *args)`` runs
+    ``search(*args, cap)`` until one succeeds and keeps its result, which
+    answers a later cap as a fresh search would: ``error(cap)`` is raised
+    when the result's ``state_count``, the states its search held, exceeds
+    the cap.  Every cap at or below the largest one a search exceeded raises
+    at once, and a larger cap searches again.
     """
 
-    __slots__ = ("search", "error", "measure", "value", "size", "exceeded")
+    __slots__ = ("search", "error", "value", "exceeded")
 
-    def __init__(self, search, error: Callable[[int], CapExceeded], measure=len):
-        self.search, self.error, self.measure = search, error, measure
-        self.value, self.size, self.exceeded = None, 0, 0
+    def __init__(self, search, error: Callable[[int], CapExceeded]):
+        self.search, self.error = search, error
+        self.value, self.exceeded = None, 0
 
     def __call__(self, cap: int, *args):
         if self.value is None and cap > self.exceeded:
@@ -79,8 +81,7 @@ class Capped:
             except CapExceeded:
                 self.exceeded = cap
                 raise self.error(cap) from None
-            self.size = self.measure(self.value)
-        if self.value is None or self.size > cap:
+        if self.value is None or self.value.state_count > cap:
             raise self.error(cap)
         return self.value
 

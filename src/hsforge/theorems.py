@@ -507,7 +507,6 @@ def analyze(
     if not report.valid:
         return Analysis(False, list(p.indices), [], None, [], [], [], False, [])
     blocks, blocks_capped = _block_summaries(p, group_cap)
-    # F/N, kept once m is known, also answers every pair index
     try:
         m = refinement_index(p, group_cap, state_cap)
     except CapExceeded:

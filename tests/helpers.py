@@ -15,6 +15,7 @@ loop checks walked on N's table.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
 from operator import getitem
@@ -248,6 +249,11 @@ def partition_signature(p) -> tuple:
 
 
 # -- library code only the tests use ----------------------------------------
+
+
+def coset_partition(rank: int, specs: Iterable[CosetSpec]) -> CosetPartition:
+    """A partition of any iterable of blocks."""
+    return CosetPartition(rank, list(specs))
 
 
 def signed_letters(rank: int) -> tuple[Letter, ...]:

@@ -9,14 +9,18 @@ from pathlib import Path
 import pytest
 
 from conftest import P
-from helpers import coloring_by_words, loop_z_partition, table_permutation
+from helpers import (
+    coloring_by_words,
+    coset_partition,
+    loop_z_partition,
+    table_permutation,
+)
 from hsforge.files import load_partition
 from hsforge.hsgraph import build_hs_graph, fiber_loop_count
 from hsforge.partition import (
     CosetPartition,
     CosetSpec,
     big_n,
-    coset_partition,
     validate,
 )
 from hsforge.sampling import random_lifted_partition, random_word

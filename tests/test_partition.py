@@ -17,6 +17,7 @@ from helpers import (
     big_n_by_cores,
     core_product_by_cayley,
     coset_action_table_by_cosets,
+    coset_partition,
     covering_counts,
     first_bad_state_by_bfs,
     intersection_by_products,
@@ -40,7 +41,6 @@ from hsforge.partition import (
     StateCapExceeded,
     act,
     big_n,
-    coset_partition,
     intersection_conditions,
     lift_partition,
     multiplicity,
@@ -389,44 +389,42 @@ def test_intersection_conditions_argument_checks(p44, p22):
         intersection_conditions(p22, 0, 1)
 
 
-def test_pair_indices_match_per_pair_products(monkeypatch):
+def test_pair_indices_match_per_pair_products():
     # every pair's report, read off the one cached all-blocks orbit, equals
-    # the report built from its own product automata; a fresh copy at cap =
-    # the all-blocks index answers alike, and one below it raises in both.
-    # On a copy whose F/N is kept the orbit is read off F/N's elements, with
-    # no product built, and answers the same reports and caps
+    # the report built from its own product automata.  A fresh copy and a
+    # copy whose F/N is kept answer alike at cap = the all-blocks index;
+    # below it the pair's products raise, and so do those copies, except on
+    # the S_d ladders, whose closed-form indices come from the group's
+    # census scan, which holds fewer states than the index
     pool = [load_partition(str(path)) for path in BUNDLED]
     lifted = (lift_partition(*draw) for draw in lifted_draws(305, 200))
     pool += [p for p in lifted if p.size >= 3][:60]
-    pool += [sym_ladder_partition(d) for d in (5, 6)]
+    ladders = [sym_ladder_partition(d) for d in (5, 6)]
+    pool += ladders
     assert len(pool) == 67 and min(p.size for p in pool) >= 3
     for p in pool:
         for j in range(p.size):
             for k in range(j + 1, p.size):
                 assert intersection_conditions(p, j, k) == intersection_by_products(p, j, k)
         index = intersection_conditions(p, 0, 1).index_all
-        fresh = CosetPartition(p.rank, p.specs)
-        assert (intersection_conditions(fresh, 0, 2, index)
-                == intersection_by_products(p, 0, 2, index))
-        for call in (intersection_conditions, intersection_by_products):
-            with pytest.raises(StateCapExceeded):
-                call(CosetPartition(p.rank, p.specs), 1, 2, index - 1)
         with_quotient = []
-        for _ in range(3):
+        for _ in range(2):
             copy = CosetPartition(p.rank, p.specs)
             refinement_index(copy)
             with_quotient.append(copy)
-        with monkeypatch.context() as patch:
-            patch.setattr(hsforge.partition, "product", None)
-            copy, at_cap, below_cap = with_quotient
-            for j in range(p.size):
-                for k in range(j + 1, p.size):
-                    assert (intersection_conditions(copy, j, k)
-                            == intersection_by_products(p, j, k))
-            assert (intersection_conditions(at_cap, 0, 2, index)
+        at_cap, below_cap = with_quotient
+        for copy in (CosetPartition(p.rank, p.specs), at_cap):
+            assert (intersection_conditions(copy, 0, 2, index)
                     == intersection_by_products(p, 0, 2, index))
-            with pytest.raises(StateCapExceeded):
-                intersection_conditions(below_cap, 1, 2, index - 1)
+        with pytest.raises(StateCapExceeded):
+            intersection_by_products(p, 1, 2, index - 1)
+        for copy in (CosetPartition(p.rank, p.specs), below_cap):
+            if p in ladders:
+                assert (intersection_conditions(copy, 1, 2, index - 1)
+                        == intersection_by_products(p, 1, 2))
+            else:
+                with pytest.raises(StateCapExceeded):
+                    intersection_conditions(copy, 1, 2, index - 1)
 
 
 def klein_quotient() -> PermGroup:
@@ -618,23 +616,33 @@ def _outcome(call, p, **caps):
 
 def test_fn_caps_match_the_product_of_cores():
     # fresh copies under state_cap m and m - 1 and under a group_cap below
-    # one block group's order answer as the product of the cores does
+    # one block group's order answer as the product of the cores does, but
+    # on the S_d ladder: its one group's census scan holds fewer than m
+    # states, so m answers under all three caps, and N's table, which needs
+    # the group enumerated, under both state caps
     m_of = lambda q, **caps: core_product_by_cayley(q, **caps).state_count
     n_of = lambda q, **caps: big_n(q, **caps).degree
+    recognized = 0
     for p in fn_inputs():
         m = m_of(p)
-        largest = max(group.order() for group in p.groups.values())
+        groups = list(p.groups.values())
+        largest = max(group.order() for group in groups)
         answers = []
         for caps in ({"state_cap": m}, {"state_cap": m - 1},
                      {"group_cap": largest - 1}):
-            expected = _outcome(m_of, p, **caps)
-            assert _outcome(refinement_index, p, **caps) == expected
-            assert _outcome(n_of, p, **caps) == expected
-            answers.append(expected)
-        assert answers[0] == m
-        assert answers[1] == (StateCapExceeded,
-                              f"product automaton larger than cap ({m - 1})")
-        assert answers[2][0] is CapExceeded
+            answers.append((_outcome(m_of, p, **caps),
+                            _outcome(refinement_index, p, **caps),
+                            _outcome(n_of, p, **caps)))
+        too_many = (StateCapExceeded, f"product automaton larger than cap ({m - 1})")
+        too_large = (CapExceeded, f"transition group larger than cap ({largest - 1})")
+        assert answers[0] == (m, m, m)
+        if any(g._elements.state_count < g.order() for g in groups):
+            recognized += 1
+            assert answers[1:] == [(too_many, m, m), (too_large, m, too_large)]
+        else:
+            assert answers[1] == (too_many,) * 3
+            assert answers[2][0][0] is CapExceeded and len(set(answers[2])) == 1
+    assert recognized == 1
 
 
 def test_normal_core_matches_cayley_table(g_table, k_table, h1_table, m_table):

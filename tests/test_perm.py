@@ -353,42 +353,96 @@ def test_fuzz_stream_and_random_table_groups_are_recognized_soundly():
     assert recognized >= 5
 
 
+def pgl25() -> PermGroup:
+    """PGL(2,5) on the projective line over GF(5), infinity as point 5."""
+    return PermGroup(6, (Permutation((1, 2, 3, 4, 0, 5)),
+                         Permutation((0, 2, 4, 1, 3, 5)),
+                         Permutation((5, 4, 2, 3, 1, 0))))
+
+
+def m11() -> PermGroup:
+    """The Mathieu group M_11 on 11 points."""
+    return PermGroup(11, (Permutation(tuple(range(1, 11)) + (0,)),
+                          Permutation((0, 1, 6, 9, 5, 3, 10, 2, 8, 4, 7))))
+
+
 def test_groups_that_only_resemble_s_d_are_enumerated():
-    # PGL(2,5) on the projective line over GF(5) (infinity is point 5) is
-    # primitive of order 120, but its prime cycles are 5-cycles and 5 > 6 - 3;
-    # S_2 wr S_3 holds the transposition (0 1) but keeps the blocks {0,1},
-    # {2,3}, {4,5}; M_11 is primitive and has no element with one cycle of
-    # a prime length p <= 8 and no other length divisible by p
-    pgl = PermGroup(6, (Permutation((1, 2, 3, 4, 0, 5)),
-                        Permutation((0, 2, 4, 1, 3, 5)),
-                        Permutation((5, 4, 2, 3, 1, 0))))
+    # PGL(2,5) is primitive of order 120, but its prime cycles are 5-cycles
+    # and 5 > 6 - 3; S_2 wr S_3 holds the transposition (0 1) but keeps the
+    # blocks {0,1}, {2,3}, {4,5}; M_11 is primitive and has no element with
+    # one cycle of a prime length p <= 8 and no other length divisible by p
+    pgl, group_m11 = pgl25(), m11()
     wreath = PermGroup(6, (Permutation((1, 0, 2, 3, 4, 5)),
                            Permutation((2, 3, 4, 5, 0, 1)),
                            Permutation((2, 3, 0, 1, 4, 5))))
-    m11 = PermGroup(11, (Permutation(tuple(range(1, 11)) + (0,)),
-                         Permutation((0, 1, 6, 9, 5, 3, 10, 2, 8, 4, 7))))
     for group, order, primitive in ((pgl, 120, True), (wreath, 48, False),
-                                    (m11, 7920, True)):
+                                    (group_m11, 7920, True)):
         assert group.primitive == primitive
         assert not _scan_agrees_with_full_enumeration(group)
-        assert group.known_order == order
+        assert group.order() == order
     assert any(shape == (1, 1, 1, 1, 2) for shape, _, _ in cycle_type_census(wreath))
     assert any(shape == (1, 5) for shape, _, _ in cycle_type_census(pgl))
 
 
-def test_a_known_order_answers_every_cap_with_no_search(monkeypatch):
-    # the scan of S_7 under cap 100 recognizes it before the cap and keeps
-    # its order: every later cap below 5040 raises at once, and a cap at or
-    # above it answers the order with no search
+def test_a_recognized_order_answers_every_cap_its_scan_fits(monkeypatch):
+    # the census scan of S_7 recognizes it and stops after 502 of its 5040
+    # elements: a cap below 502 raises, and every cap from 502 up answers
+    # the order and the census from that one scan; enumerate needs all 5040
+    # elements, so it raises below 5040, even once the orbit was resumed
     group = symmetric(7)
     with pytest.raises(CapExceeded, match="transition group larger than cap"):
-        group.order(100)
-    assert group.known_order == 5040
-    monkeypatch.setattr(hsforge.perm, "orbit", None)
-    monkeypatch.setattr(hsforge.perm, "resume", None)
-    for call in (group.order, group.enumerate, lambda cap: cycle_type_census(group, cap),
-                 lambda cap: has_k_cycle_at(group, 7, 0, cap)):
-        for cap in (50, 100, 5039):
-            with pytest.raises(CapExceeded, match=f"\\({cap}\\)"):
-                call(cap)
-    assert group.order(5040) == 5040
+        group.order(501)
+    assert group.order(502) == 5040 and group._elements.state_count == 502
+    census = cycle_type_census(group, 502)
+    assert sum(count for _, count, _ in census) == 5040
+    with monkeypatch.context() as patch:
+        patch.setattr(hsforge.perm, "orbit", None)  # no second scan
+        for cap in (502, 5039, 5040, 5039):
+            assert group.order(cap) == 5040
+            assert cycle_type_census(group, cap) is census
+            assert has_k_cycle_at(group, 7, 0, cap) is not None
+            if cap < 5040:
+                with pytest.raises(CapExceeded, match=f"larger than cap \\({cap}\\)"):
+                    group.enumerate(cap)
+            else:
+                assert len(group.enumerate(cap)) == 5040
+    # A_7 has no 6-cycle: its census scan of 108 states holds none, so the
+    # k-cycle search needs all 2520 elements
+    group = alternating(7)
+    assert has_k_cycle_at(group, 3, 0, 108) is not None
+    for cap in (108, 2519, 2520, 2519):
+        if cap < 2520:
+            with pytest.raises(CapExceeded, match=f"larger than cap \\({cap}\\)"):
+                has_k_cycle_at(group, 6, 0, cap)
+        else:
+            assert has_k_cycle_at(group, 6, 0, cap) is None
+
+
+def _group_outcome(call, group: PermGroup, cap: int):
+    try:
+        return call(group, cap)
+    except CapExceeded as err:
+        return type(err), str(err)
+
+
+def test_warm_groups_take_every_cap_like_fresh_copies():
+    # a group already enumerated under cap 10**6 answers order, enumerate,
+    # the census and k-cycle searches as a fresh copy does at caps 1,
+    # scan - 1, scan, order - 1 and order, scan being the states its census
+    # scan held (the order itself for the groups not recognized)
+    for group in (symmetric(7), alternating(7), pgl25(), m11()):
+        d = group.degree
+        calls = {
+            "order": lambda g, cap: g.order(cap),
+            "enumerate": lambda g, cap: g.enumerate(cap).orbit.states,
+            "census": lambda g, cap: cycle_type_census(g, cap),
+        }
+        calls.update((f"{k}-cycle", lambda g, cap, k=k: has_k_cycle_at(g, k, 0, cap))
+                     for k in (2, 3, d - 1, d))
+        group.enumerate(10**6)
+        scan, order = group._elements.state_count, group.order()
+        for cap in (1, scan - 1, scan, order - 1, order):
+            for name, call in calls.items():
+                fresh = PermGroup(d, group.gens)
+                assert (_group_outcome(call, group, cap)
+                        == _group_outcome(call, fresh, cap)), (d, name, cap)

@@ -377,9 +377,7 @@ def test_capped_answers_caps_from_its_result_and_its_failures():
 
     def search(tag, cap):
         calls.append((tag, cap))
-        if cap < 10:
-            raise CapExceeded(cap)
-        return list(range(10))
+        return orbit(0, lambda v: ((v + 1) % 10,), cap)
 
     class Refused(CapExceeded):
         pass
@@ -402,7 +400,7 @@ def test_capped_answers_caps_from_its_result_and_its_failures():
         capped(7, "x")
     assert calls == [("x", 6), ("x", 8)]
     result = capped(12, "x")
-    assert result == list(range(10)) and calls[-1] == ("x", 12)
+    assert result.states == list(range(10)) and calls[-1] == ("x", 12)
     # the result answers caps at or above its size without a search, and
     # raises below it, as a fresh search would
     for cap in (10, 11, 12, 10**6):
@@ -413,13 +411,13 @@ def test_capped_answers_caps_from_its_result_and_its_failures():
         assert str(raised.value) == f"refused ({cap})"
     assert len(calls) == 3
     assert refused == [6, 6, 3, 1, 8, 7, 9, 1]
-    # the measure sizes the result; an error other than a cap hit is not
-    # remembered
-    sized = Capped(search, error, measure=lambda states: states[-1])
-    assert sized(10, "y") == list(range(10))
-    assert sized(9, "y") == list(range(10))
+    # the states the result's search held size it, whatever the cap it ran
+    # under; an error other than a cap hit is not remembered
+    sized = Capped(lambda cap: orbit(0, lambda v: ((v + 1) % 9,), cap), error)
+    assert sized(10).states == list(range(9))
+    assert sized(9).states == list(range(9))
     with pytest.raises(Refused):
-        sized(8, "y")
+        sized(8)
     broken = Capped(lambda cap: 1 // 0, error)
     for _ in range(2):
         with pytest.raises(ZeroDivisionError):

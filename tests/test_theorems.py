@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import re
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ import hsforge.perm
 import hsforge.theorems
 from conftest import P
 from helpers import (
+    coset_partition,
     fuzz_partitions,
     loop_consistency_by_n,
     loop_z_partition,
@@ -36,7 +38,6 @@ from hsforge.partition import (
     PairIntersectionReport,
     act,
     big_n,
-    coset_partition,
     intersection_conditions,
     multiplicity,
     o_max_and_sharp,
@@ -499,10 +500,12 @@ def test_cached_objects_take_smaller_caps_like_fresh_copies():
     # so does a partition moved by act after its source was analyzed; a
     # group or all-blocks orbit that failed under a cap raises at once for
     # any cap at or below it, as a fresh copy raises after its own search,
-    # and a larger cap searches again
+    # and a larger cap searches again; the S_5..S_7 ladders add groups that
+    # the census scan recognizes
     rng = random.Random(406)
     capped = Counter()
-    for p in fuzz_partitions(150):
+    ladders = (sym_ladder_partition(d) for d in (5, 6, 7))
+    for p in itertools.chain(fuzz_partitions(150), ladders):
         validate(p)
         capped["validate"] += _like_fresh_copy(validate, p, 5)
         analysis = analyze(p)
@@ -532,11 +535,11 @@ def test_cached_objects_take_smaller_caps_like_fresh_copies():
 
 
 def test_a_cap_is_hit_once_not_once_per_caller(monkeypatch):
-    # on the d = 6 ladder both caps below 6! = 720: one census scan of the
-    # single table's group serves every block, the two cycle checkers, all
-    # 15 pairs and m; the scan hits its cap after it recognized S_6, so the
-    # known order 720 raises every later cap at once, the all-blocks index
-    # among them
+    # on the d = 6 ladder both caps are 100: one census scan of the single
+    # table's group serves every block, the two cycle checkers and m, and
+    # the scan of S_6 holds 135 states, so it fails once and every later
+    # caller raises at once; the pairs then take the all-blocks product,
+    # which fails once under its own cap, 720 states being more than 100
     searches = Counter()
     for module, name in ((hsforge.perm, "orbit"), (hsforge.partition, "product")):
         def counted(*args, original=getattr(module, name), name=name):
@@ -548,8 +551,8 @@ def test_a_cap_is_hit_once_not_once_per_caller(monkeypatch):
     assert all(block["capped"] for block in analysis.blocks)
     pairs = analysis.to_json()["per_theorem"]["intersection"]["details"]["pairs"]
     assert len(pairs) == 15 and all(pair["capped"] for pair in pairs)
-    # validation's is the one product
-    assert searches == {"orbit": 1, "product": 1}
+    # the products are validation's and the all-blocks orbit's
+    assert searches == {"orbit": 1, "product": 2}
 
 
 def test_one_closure_answers_the_census_and_every_pair(monkeypatch):
@@ -573,32 +576,38 @@ def test_one_closure_answers_the_census_and_every_pair(monkeypatch):
                         "hsforge.partition.orbit": 1}
 
 
-def test_the_d10_ladder_hits_its_caps_with_no_search_run_to_them(monkeypatch):
-    # S_10 has 3,628,800 elements, above both default caps of 10^6.  The
-    # census scan recognizes it within its first states and stops there; the
-    # known order then raises m's, every block's and all 45 pairs' caps at
-    # once.  Validation's product is left out of the count.
-    expanded = Counter()
-    for name in ("orbit", "resume"):
-        def counted(start, images, *rest, original=getattr(hsforge.perm, name), name=name):
-            def counted_images(state):
-                expanded[name] += 1
-                return images(state)
-            return original(start, counted_images, *rest)
-        monkeypatch.setattr(hsforge.perm, name, counted)
-    p = sym_ladder_partition(10)
-    assert validate(p).valid
-    products = []
-    monkeypatch.setattr(hsforge.partition, "product", lambda *args: products.append(args))
-    analysis = analyze(p)
-    assert analysis.exit_code == 3 and analysis.m is None
-    assert all(block["capped"] for block in analysis.blocks)
-    reports = analysis.to_json()["per_theorem"]
-    pairs = reports["intersection"]["details"]["pairs"]
-    assert len(pairs) == 45 and all(pair["capped"] for pair in pairs)
-    assert all(report["status"] == "unknown" for report in reports.values())
-    assert products == [] and expanded.keys() <= {"orbit"}
-    assert expanded["orbit"] < 10**3
+def test_the_d10_and_d11_ladders_are_decided_under_default_caps(monkeypatch):
+    # S_10 and S_11 have 3,628,800 and 39,916,800 elements, above both
+    # default caps of 10^6, but the census scan recognizes each and stops
+    # after fewer than 10^5 states: m, every block's census, both cycle
+    # checkers and every pair's closed-form indices are read off that one
+    # scan, with no product.  Validation's product is left out of the count.
+    for d in (10, 11):
+        expanded = Counter()
+        products = []
+        with monkeypatch.context() as patch:
+            for name in ("orbit", "resume"):
+                def counted(start, images, *rest,
+                            original=getattr(hsforge.perm, name), name=name):
+                    def counted_images(state):
+                        expanded[name] += 1
+                        return images(state)
+                    return original(start, counted_images, *rest)
+                patch.setattr(hsforge.perm, name, counted)
+            p = sym_ladder_partition(d)
+            assert validate(p).valid
+            patch.setattr(hsforge.partition, "product",
+                          lambda *args: products.append(args))
+            analysis = analyze(p)
+        assert analysis.exit_code == 0 and analysis.m == factorial(d)
+        assert all(block["group_order"] == factorial(d) for block in analysis.blocks)
+        reports = analysis.to_json()["per_theorem"]
+        assert all(report["status"] != "unknown" for report in reports.values())
+        pairs = reports["intersection"]["details"]["pairs"]
+        assert len(pairs) == d * (d - 1) // 2
+        assert all(pair["index_all"] == factorial(d) for pair in pairs)
+        assert products == [] and expanded.keys() <= {"orbit"}
+        assert expanded["orbit"] < 10**5
 
 
 def test_analyze_builds_no_n_table():
