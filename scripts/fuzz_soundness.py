@@ -17,8 +17,11 @@ them, is checked on every uncapped block group and on the transition group
 of one random table per partition (mostly S_d or A_d): its order, counts
 and witness words against a fresh copy enumerated in full.  Every pair
 index the intersection checker reports, closed-form ones included, is
-checked against the sizes of its own product automata.  Any mismatch fails
-the same way.  The words and the extra tables come from their own
+checked against the sizes of its own product automata.  Fresh copies of
+each partition are analyzed again under group_cap 40, with state_cap m - 1
+and with the default state cap: every number they report (m, group
+orders, census counts, pair indices) and every checker status must be the
+uncapped one, or else capped or unknown.  Any mismatch fails the same way.  The words and the extra tables come from their own
 generators, so the partitions drawn do not depend on them.  Prints a status
 census at the end.
 """
@@ -36,8 +39,18 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from hsforge.hsgraph import build_hs_graph, fiber_loop_count  # noqa: E402
-from hsforge.partition import multiplicity, product, refinement_index  # noqa: E402
-from hsforge.perm import PermGroup, cycle_type_census, transition_group  # noqa: E402
+from hsforge.partition import (  # noqa: E402
+    CosetPartition,
+    multiplicity,
+    product,
+    refinement_index,
+)
+from hsforge.perm import (  # noqa: E402
+    CapExceeded,
+    PermGroup,
+    cycle_type_census,
+    transition_group,
+)
 from hsforge.sampling import (  # noqa: E402
     random_lifted_partition,
     random_table,
@@ -84,9 +97,9 @@ def check_group(group) -> str | None:
         first.setdefault(shape, element)
     expected = tuple((shape, counts[shape], elements[first[shape]])
                      for shape in sorted(counts))
-    if group.known_order != len(elements) or census != expected:
+    if group.order() != len(elements) or census != expected:
         return (f"a group of degree {group.degree} and order {len(elements)} "
-                f"was scanned as order {group.known_order}")
+                f"was scanned as order {group.order()}")
     return None
 
 
@@ -107,6 +120,40 @@ def check_pair_indices(p, analysis) -> str | None:
         if indices != (pair["index_all"], pair["index_without"]):
             return (f"pair {pair['pair']} has indices {indices}, reported "
                     f"{pair['index_all']} and {pair['index_without']}")
+    return None
+
+
+def reported(analysis) -> dict:
+    """What an analysis reports, keyed by what it is: m, each block's group
+    order and cycle-type counts, each checker's status and each pair's
+    indices, None where a cap was hit."""
+    out = {"m": analysis.m}
+    for block in analysis.blocks:
+        out[f"block {block['block']} order"] = block.get("group_order")
+        for entry in block.get("cycle_types", ()):
+            out[f"block {block['block']} type {entry['type']}"] = entry["count"]
+    for report in analysis.reports:
+        out[report.name] = report.status
+        for pair in report.details.get("pairs", ()):
+            out[f"pair {pair['pair']} indices"] = (
+                None if pair.get("capped") else (pair["index_all"], pair["index_without"]))
+    return out
+
+
+def check_capped(p, analysis) -> str | None:
+    """What a fresh copy of p, analyzed under group_cap 40 and a state cap
+    of m - 1 or the default, reports that differs from the uncapped
+    analysis, if anything: each answer may only be the uncapped one, capped
+    or unknown."""
+    expected = reported(analysis)
+    for caps in ({"group_cap": 40, "state_cap": analysis.m - 1}, {"group_cap": 40}):
+        try:
+            capped = analyze(CosetPartition(p.rank, p.specs), **caps)
+        except CapExceeded:  # validation's product automaton exceeded the cap
+            continue
+        for key, value in reported(capped).items():
+            if value not in (expected.get(key), None, "unknown"):
+                return f"under {caps}, {key} is {value}, not {expected.get(key)}"
     return None
 
 
@@ -146,12 +193,18 @@ def main() -> int:
             print(f"[{n}] self-verification failed: "
                   f"{analysis.soundness_problems}")
             failures += 1
-        groups = [g for g in p.groups.values() if g.known_order is not None]
+        uncapped = {p.specs[block["block"]].table for block in analysis.blocks
+                    if not block.get("capped")}
+        groups = [group for table, group in p.groups.items() if table in uncapped]
         groups.append(transition_group(random_table(tables, 2, 7)))
         problem = (next(filter(None, map(check_group, groups)), None)
                    or check_pair_indices(p, analysis))
         if problem:
             print(f"[{n}] read off without a search: {problem}")
+            failures += 1
+        problem = check_capped(p, analysis)
+        if problem:
+            print(f"[{n}] capped analysis: {problem}")
             failures += 1
         problem = check_n_path(p, random_word(words, rank, 6))
         if problem:
