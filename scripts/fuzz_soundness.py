@@ -21,14 +21,18 @@ checked against the sizes of its own product automata.  Fresh copies of
 each partition are analyzed again under group_cap 40, with state_cap m - 1
 and with the default state cap: every number they report (m, group
 orders, census counts, pair indices) and every checker status must be the
-uncapped one, or else capped or unknown.  Any mismatch fails the same way.  The words and the extra tables come from their own
-generators, so the partitions drawn do not depend on them.  Prints a status
-census at the end.
+uncapped one, or else capped or unknown.  The analysis' JSON report, as
+``hsforge analyze --json`` writes it, must equal ``json.dumps(indent=2,
+sort_keys=True)`` byte for byte.  Any mismatch fails the same way.  The
+words and the extra tables come from their own generators, so the
+partitions drawn do not depend on them.  Prints a status census at the
+end.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 from collections import Counter
@@ -38,6 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from hsforge.cli import dumps  # noqa: E402
 from hsforge.hsgraph import build_hs_graph, fiber_loop_count  # noqa: E402
 from hsforge.partition import (  # noqa: E402
     CosetPartition,
@@ -201,6 +206,10 @@ def main() -> int:
                    or check_pair_indices(p, analysis))
         if problem:
             print(f"[{n}] read off without a search: {problem}")
+            failures += 1
+        payload = analysis.to_json()
+        if dumps(payload) != json.dumps(payload, indent=2, sort_keys=True):
+            print(f"[{n}] the JSON writer differs from json.dumps")
             failures += 1
         problem = check_capped(p, analysis)
         if problem:

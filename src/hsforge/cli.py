@@ -16,10 +16,10 @@ unknown.  The HSFORGE_CAP environment variable overrides both default caps.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .dot import hs_dot, table_dot
@@ -31,7 +31,7 @@ from .theorems import analyze
 from .words import parse_word
 from .zcover import InvalidPartition, erdos_checks, parse_zpartition
 
-__all__ = ["main", "entrypoint"]
+__all__ = ["main", "entrypoint", "dumps"]
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -58,9 +58,64 @@ def _caps(args) -> tuple[int, int]:
     return group_cap, state_cap
 
 
+def dumps(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    dicts with str keys, lists, tuples, str, int, finite float, bool and
+    None.
+
+    The stdlib encodes with indentation only in pure Python, a generator
+    per container; this writer appends every chunk to one list and joins it
+    once.  A dict key that is not a str raises TypeError."""
+    chunks: list[str] = []
+    _write(value, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _write(value, newline: str, put) -> None:
+    kind = type(value)
+    if kind is str:
+        put(encode_basestring_ascii(value))
+    elif kind is dict:
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(separator + encode_basestring_ascii(key) + ": ")
+            _write(value[key], inner, put)
+            separator = "," + inner
+        put(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            put(separator)
+            _write(item, inner, put)
+            separator = "," + inner
+        put(newline + "]")
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif kind is int:
+        put(int.__repr__(value))
+    elif kind is float:
+        put(float.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(dumps(payload))
     else:
         for line in lines:
             print(line)

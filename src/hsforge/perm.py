@@ -13,18 +13,21 @@ looked up, so the same element always gets the same word.  The orbit's rows
 are the group's Cayley table, which is the normal core of any table whose
 transition group it is.
 
-Every search of a group is its census scan: the orbit with the cycle-type
-census as its stop predicate.  The census recognizes S_d and A_d by
-Jordan's theorem as their elements go by, which gives the order and the
-counts (the class sizes) without enumerating them; the scan then stops at
-the first witness of the last cycle type.  Any other group is enumerated in
-full and counted element by element.  A cap bounds the states a search
-holds: the order and the census are answered whenever the scan fits under
-the cap, whatever their size, while a caller that needs elements past the
-scan's own needs the whole orbit, so the order must fit too.  A scan that
-stopped early is then resumed, in the same order.  The closure is cached
-under the cap rule of ``schreier.Capped`` and keeps its census, computed
-once.
+A primitive group of degree at least 5 is searched by its census scan: the
+orbit with the cycle-type census as its stop predicate.  The census
+recognizes S_d and A_d by Jordan's theorem as their elements go by, which
+gives the order and the counts (the class sizes) without enumerating them;
+the scan then stops at the first witness of the last cycle type.  Jordan's
+test can fire on no other group, so any other group runs the plain orbit,
+and its census is counted element by element over the kept states, in BFS
+order, only when it is asked for; a primitive group that the scan does not
+recognize is enumerated in full and counted on the way.  A cap bounds the
+states a search holds: the order and the census are answered whenever the
+search fits under the cap, whatever their size, while a caller that needs
+elements past the scan's own needs the whole orbit, so the order must fit
+too.  A scan that stopped early is then resumed, in the same order.  The
+closure is cached under the cap rule of ``schreier.Capped`` and keeps its
+census, computed once.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import islice
 from math import factorial, isqrt, lcm, prod
 
 from .schreier import (
@@ -117,13 +121,14 @@ class _Closure(Mapping[Permutation, Word]):
     Only the orbit of image tuples is held: iterating wraps each element in
     a ``Permutation`` as it is reached, and a lookup rebuilds the witness
     word from the orbit's parent pointers.  ``order`` is the group's order,
-    counted or recognized, and ``state_count`` the states its census scan
-    held, which a cap bounds; the orbit holds fewer than ``order`` elements
-    only while a scan that stopped early on S_d or A_d is not resumed
-    (``PermGroup.enumerate`` resumes it).
+    counted or recognized, and ``state_count`` the states its search held,
+    which a cap bounds; the orbit holds fewer than ``order`` elements only
+    while a scan that stopped early on S_d or A_d is not resumed
+    (``PermGroup.enumerate`` resumes it).  ``scan`` is the census scan's
+    census, None for a group that ran the plain orbit.
     """
 
-    def __init__(self, reached: Orbit, scan: _Census):
+    def __init__(self, reached: Orbit, scan: _Census | None):
         self.orbit = reached
         self.state_count = reached.state_count
         self.order = reached.state_count if reached.complete else scan.order
@@ -171,8 +176,8 @@ class PermGroup:
     _elements = property(lambda self: self._closure.value)
 
     def _closed(self, cap: int) -> _Closure:
-        """The census scan's closure, cached under the cap rule of
-        ``schreier.Capped``: the cap bounds the states the scan held."""
+        """The group's closure (see ``_close``), cached under the cap rule
+        of ``schreier.Capped``: the cap bounds the states its search held."""
         return self._closure(cap, self)
 
     def enumerate(self, cap: int = DEFAULT_GROUP_CAP) -> Mapping[Permutation, Word]:
@@ -199,8 +204,8 @@ class PermGroup:
         return CosetTable(self.rank, tuple(self.enumerate(cap).orbit.rows))
 
     def order(self, cap: int = DEFAULT_GROUP_CAP) -> int:
-        """The order the census scan finds, counted or recognized, whatever
-        its size; the cap bounds the states the scan holds."""
+        """The order the group's search finds, counted or recognized,
+        whatever its size; the cap bounds the states the search holds."""
         return self._closed(cap).order
 
     @cached_property
@@ -209,9 +214,10 @@ class PermGroup:
 
 
 def _close(group: PermGroup, cap: int) -> _Closure:
-    """The census scan: the group's orbit from the identity with the census
-    as its stop predicate, so it ends early on S_d and A_d."""
-    census = _Census(group)
+    """The group's orbit from the identity.  Where Jordan's test can fire,
+    on a primitive group of degree >= 5, it is the census scan, with the
+    census as its stop predicate, so it ends early on S_d and A_d."""
+    census = _Census(group) if group.degree >= 5 and group.primitive else None
     reached = orbit(tuple(range(group.degree)), gather(group.columns, group.degree),
                     cap, census)
     return _Closure(reached, census)
@@ -336,12 +342,18 @@ def cycle_type_census(
     witness being the shortest word whose element was enumerated first.
     The census is read off the group's census scan (see ``_Census``): the
     counts of a recognized S_d or A_d are their class sizes, and its scan
-    stopped once every type had its witness.  The census is kept on the
-    closure, so it is computed once.
+    stopped once every type had its witness.  A group that ran the plain
+    orbit feeds its states to a census in one pass, in BFS order.  The
+    census is kept on the closure, so it is computed once.
     """
     closure = group._closed(cap)
     if closure.census is None:
-        closure.census = closure.scan.census(closure.orbit)
+        scan = closure.scan
+        if scan is None:
+            scan = _Census(group)
+            for images in islice(closure.orbit.states, 1, None):
+                scan(images)
+        closure.census = scan.census(closure.orbit)
     return closure.census
 
 
@@ -370,8 +382,8 @@ def has_k_cycle_at(
     group: PermGroup, k: int, point: int, cap: int = DEFAULT_GROUP_CAP
 ) -> Word | None:
     """Witness word whose permutation has a k-cycle through point, if any:
-    the first in BFS order.  The census scan's own states are searched
-    first; only when they hold no such permutation is the whole orbit
+    the first in BFS order.  The states the group's search kept are
+    searched first; only when they hold no such permutation is the whole orbit
     needed, under the cap rule of ``PermGroup.enumerate``."""
     if not 1 <= k <= group.degree:
         raise ValueError(f"cycle length {k} out of range for degree {group.degree}")

@@ -437,27 +437,23 @@ def default_word_sample(p: CosetPartition, reports: list[TheoremReport]) -> list
 def _block_summaries(
     p: CosetPartition, group_cap: int
 ) -> tuple[list[dict[str, Any]], bool]:
-    """Per-block index, representative, and cycle-type census (one per table)."""
-    blocks = []
-    capped = False
-    for i, spec in enumerate(p.specs):
-        entry: dict[str, Any] = {
-            "block": i,
-            "index": spec.index,
-            "rep": str(spec.rep),
-            "marked": spec.marked,
-        }
-        group = p.groups[spec.table]
+    """Per-block index, representative, and cycle-type census; the blocks of
+    one table share its summary, built once."""
+    summaries: dict[Any, dict[str, Any]] = {}
+    for table, group in p.groups.items():
         try:
-            entry["group_order"] = group.order(group_cap)
-            entry["cycle_types"] = [
-                {"type": "+".join(map(str, shape)), "count": count, "witness": str(wit)}
-                for shape, count, wit in cycle_type_census(group, group_cap)]
+            summaries[table] = {
+                "group_order": group.order(group_cap),
+                "cycle_types": [
+                    {"type": "+".join(map(str, shape)), "count": count,
+                     "witness": str(wit)}
+                    for shape, count, wit in cycle_type_census(group, group_cap)]}
         except CapExceeded:
-            entry["capped"] = True
-            capped = True
-        blocks.append(entry)
-    return blocks, capped
+            summaries[table] = {"capped": True}
+    blocks = [{"block": i, "index": spec.index, "rep": str(spec.rep),
+               "marked": spec.marked, **summaries[spec.table]}
+              for i, spec in enumerate(p.specs)]
+    return blocks, any("capped" in summary for summary in summaries.values())
 
 
 @dataclass

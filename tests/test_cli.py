@@ -22,7 +22,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hsforge
+from helpers import fuzz_partitions, sym_ladder_partition
 from hsforge import cli
+from hsforge.theorems import analyze
 
 ROOT = Path(__file__).resolve().parents[1]
 MIXED = str(ROOT / "data" / "ex_two_four_four.partition")
@@ -412,3 +414,50 @@ def test_malformed_input_gets_a_clean_exit_code(text, classes):
                 ["metric", path, MIXED], ["zcheck", classes]]
         for argv in runs:
             assert _exit_code(argv) in (0, 1, 3), argv
+
+
+# Strings that the encoder must escape: quotes, backslashes, control and
+# non-ASCII characters (an astral one takes a surrogate pair).
+json_texts = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€😀'),
+                               st.characters()))
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.integers(-2**200, 2**200), st.floats(allow_nan=False,
+                                                      allow_infinity=False),
+              json_texts),
+    lambda children: st.one_of(st.lists(children),
+                               st.lists(children).map(tuple),
+                               st.dictionaries(json_texts, children)),
+    max_leaves=40)
+
+
+def _stdlib(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+@given(json_values)
+def test_the_writer_matches_the_stdlib_byte_for_byte(value):
+    assert cli.dumps(value) == _stdlib(value)
+
+
+def _keys_are_str(value) -> bool:
+    if isinstance(value, dict):
+        return all(type(key) is str and _keys_are_str(item)
+                   for key, item in value.items())
+    if isinstance(value, (list, tuple)):
+        return all(map(_keys_are_str, value))
+    return True
+
+
+def test_the_writer_matches_the_stdlib_on_analyze_payloads():
+    partitions = [*fuzz_partitions(60), *map(sym_ladder_partition, range(5, 8))]
+    for p in partitions:
+        payload = analyze(p).to_json()
+        assert _keys_are_str(payload)
+        assert cli.dumps(payload) == _stdlib(payload)
+
+
+def test_the_writer_rejects_a_key_that_is_not_a_str():
+    for value in ({1: "a"}, {"a": [{None: 0}]}, {"a": 0, 2.5: 1}):
+        with pytest.raises(TypeError):
+            cli.dumps(value)

@@ -366,15 +366,46 @@ def m11() -> PermGroup:
                           Permutation((0, 1, 6, 9, 5, 3, 10, 2, 8, 4, 7))))
 
 
+def s2_wr_s3() -> PermGroup:
+    """S_2 wr S_3 on 6 points, with blocks {0,1}, {2,3}, {4,5}."""
+    return PermGroup(6, (Permutation((1, 0, 2, 3, 4, 5)),
+                         Permutation((2, 3, 4, 5, 0, 1)),
+                         Permutation((2, 3, 0, 1, 4, 5))))
+
+
+def test_groups_jordan_cannot_recognize_run_the_plain_orbit(monkeypatch):
+    # Jordan's test needs a primitive group and a prime p <= d - 3, so a
+    # group of degree < 5 or an imprimitive one is searched with no census:
+    # order and enumerate decompose no element, and the census, when asked
+    # for, takes each kept state's cycle type once, in one pass
+    groups = [symmetric(1), symmetric(4), alternating(4), s2_wr_s3()]
+    groups += [group for p in fuzz_partitions(20) for group in p.groups.values()
+               if group.degree < 5 or not group.primitive]
+    assert any(group.degree >= 5 for group in groups[4:])
+    decomposed = []
+
+    def counted(images, original=hsforge.perm.cycles):
+        decomposed.append(images)
+        return original(images)
+    monkeypatch.setattr(hsforge.perm, "cycles", counted)
+    for group in groups:
+        assert group.order() == len(group.enumerate())
+    assert decomposed == []
+    for group in groups:
+        census = cycle_type_census(group)
+        assert decomposed == list(group.enumerate().orbit.states)
+        decomposed.clear()
+        assert census == cycle_type_census_by_elements(
+            PermGroup(group.degree, group.gens))
+        decomposed.clear()
+
+
 def test_groups_that_only_resemble_s_d_are_enumerated():
     # PGL(2,5) is primitive of order 120, but its prime cycles are 5-cycles
     # and 5 > 6 - 3; S_2 wr S_3 holds the transposition (0 1) but keeps the
     # blocks {0,1}, {2,3}, {4,5}; M_11 is primitive and has no element with
     # one cycle of a prime length p <= 8 and no other length divisible by p
-    pgl, group_m11 = pgl25(), m11()
-    wreath = PermGroup(6, (Permutation((1, 0, 2, 3, 4, 5)),
-                           Permutation((2, 3, 4, 5, 0, 1)),
-                           Permutation((2, 3, 0, 1, 4, 5))))
+    pgl, group_m11, wreath = pgl25(), m11(), s2_wr_s3()
     for group, order, primitive in ((pgl, 120, True), (wreath, 48, False),
                                     (group_m11, 7920, True)):
         assert group.primitive == primitive

@@ -576,6 +576,28 @@ def test_one_closure_answers_the_census_and_every_pair(monkeypatch):
                         "hsforge.partition.orbit": 1}
 
 
+def test_blocks_of_one_table_share_one_census_summary(monkeypatch):
+    # the census is formatted once per distinct table, not once per block:
+    # one call on the d = 6 ladder's six blocks, one per table of the mixed
+    # example, and the blocks of a table share its cycle_types list
+    calls = []
+
+    def counted(group, cap, original=hsforge.theorems.cycle_type_census):
+        calls.append(group)
+        return original(group, cap)
+    monkeypatch.setattr(hsforge.theorems, "cycle_type_census", counted)
+    for p in (sym_ladder_partition(6),
+              load_partition(str(DATA / "ex_two_four_four.partition"))):
+        calls.clear()
+        blocks, capped = hsforge.theorems._block_summaries(p, 10**6)
+        assert not capped and len(blocks) == p.size
+        assert len(calls) == len(set(map(id, calls))) == len(p.groups)
+        for block, spec in zip(blocks, p.specs):
+            first = next(b for b, s in zip(blocks, p.specs) if s.table == spec.table)
+            assert block["cycle_types"] is first["cycle_types"]
+    assert len(calls) == 2 and p.size == 3
+
+
 def test_the_d10_and_d11_ladders_are_decided_under_default_caps(monkeypatch):
     # S_10 and S_11 have 3,628,800 and 39,916,800 elements, above both
     # default caps of 10^6, but the census scan recognizes each and stops
