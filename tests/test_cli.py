@@ -421,13 +421,10 @@ def test_malformed_input_gets_a_clean_exit_code(text, classes):
 json_texts = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€😀'),
                                st.characters()))
 json_values = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(),
-              st.integers(-2**200, 2**200), st.floats(allow_nan=False,
-                                                      allow_infinity=False),
-              json_texts),
-    lambda children: st.one_of(st.lists(children),
-                               st.lists(children).map(tuple),
-                               st.dictionaries(json_texts, children)),
+    st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
+    | st.floats(allow_nan=False, allow_infinity=False) | json_texts,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(json_texts, children)),
     max_leaves=40)
 
 
