@@ -23,10 +23,13 @@ and with the default state cap: every number they report (m, group
 orders, census counts, pair indices) and every checker status must be the
 uncapped one, or else capped or unknown.  The analysis' JSON report, as
 ``hsforge analyze --json`` writes it, must equal ``json.dumps(indent=2,
-sort_keys=True)`` byte for byte.  Any mismatch fails the same way.  The
-words and the extra tables come from their own generators, so the
-partitions drawn do not depend on them.  Prints a status census at the
-end.
+sort_keys=True)`` byte for byte.  Each draw also takes one split chain of
+residue classes and a copy with a residue moved, a class duplicated or a
+class dropped: ``validate_z`` must agree with a scan of one period on both,
+and the four structural facts must hold on the chain.  Any mismatch fails
+the same way.  The words, the extra tables and the residue classes come
+from their own generators, so the partitions drawn do not depend on them.
+Prints a status census at the end.
 """
 
 from __future__ import annotations
@@ -58,10 +61,18 @@ from hsforge.perm import (  # noqa: E402
 )
 from hsforge.sampling import (  # noqa: E402
     random_lifted_partition,
+    random_split_chain,
     random_table,
     random_word,
 )
 from hsforge.theorems import analyze, loop_consistency  # noqa: E402
+from hsforge.zcover import (  # noqa: E402
+    ZCheck,
+    ZClass,
+    ZPartition,
+    erdos_checks,
+    validate_z,
+)
 
 
 def check_n_path(p, w) -> str | None:
@@ -162,6 +173,38 @@ def check_capped(p, analysis) -> str | None:
     return None
 
 
+def scan_z(z: ZPartition) -> ZCheck:
+    """Validity and witness from the cover count of every integer in one
+    period."""
+    counts = [0] * z.period
+    for c in z.classes:
+        for n in range(c.residue, len(counts), c.modulus):
+            counts[n] += 1
+    witness = next((n for n, hits in enumerate(counts) if hits != 1), None)
+    return ZCheck(witness is None, witness)
+
+
+def check_residue_classes(rng: random.Random) -> str | None:
+    """What goes wrong with a split chain of residue classes and a broken
+    copy, if anything: each one's validity and witness against a scan of
+    one period, and the structural facts on the chain."""
+    chain = random_split_chain(rng)
+    classes = list(chain.classes)
+    which = rng.randrange(len(classes))
+    o, r = classes[which].modulus, classes[which].residue
+    broken = rng.choice((
+        classes[:which] + [ZClass(o, (r + 1) % o)] + classes[which + 1:],
+        classes + [classes[which]],
+        classes[:which] + classes[which + 1:],
+    ))
+    for z in (chain, ZPartition(tuple(broken))):
+        if validate_z(z) != scan_z(z):
+            return f"{z}: validate_z gives {validate_z(z)}, a scan {scan_z(z)}"
+    if not erdos_checks(chain).all_hold:
+        return f"{chain}: a structural fact fails"
+    return None
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description="soundness fuzzing harness for the condition checkers")
@@ -175,6 +218,7 @@ def main() -> int:
     rng = random.Random(args.seed)
     words = random.Random(f"words {args.seed}")
     tables = random.Random(f"tables {args.seed}")
+    residues = random.Random(f"residue classes {args.seed}")
     statuses: Counter[str] = Counter()
     failures = 0
     for n in range(args.count):
@@ -218,6 +262,10 @@ def main() -> int:
         problem = check_n_path(p, random_word(words, rank, 6))
         if problem:
             print(f"[{n}] N path failed: {problem}")
+            failures += 1
+        problem = check_residue_classes(residues)
+        if problem:
+            print(f"[{n}] residue classes: {problem}")
             failures += 1
     for key in sorted(statuses):
         print(f"{key:40s} {statuses[key]}")

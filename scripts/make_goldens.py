@@ -37,6 +37,8 @@ def cases() -> list[tuple[str, int, list[str]]]:
         ("analyze_two_four_four.txt", 0, ["analyze", MIXED]),
         ("zcheck_cover.json", 0, ["zcheck", "2:0,4:1,4:3", "--json"]),
         ("zcheck_bad.json", 1, ["zcheck", "2:0,3:1", "--json"]),
+        ("zcheck_repeat.json", 1, ["zcheck", "2:0,4:1,4:1,4:3", "--json"]),
+        ("zcheck_moduli.json", 0, ["zcheck", "3:0,3:1,6:2,6:5", "--json"]),
         ("metric_mixed_normal.json", 0, ["metric", MIXED, NORMAL, "--json"]),
         ("graph_sub_mixed.dot", 0, ["graph", MIXED, "--target", "sub"]),
         ("graph_sub_threes.dot", 0, ["graph", THREES, "--target", "sub"]),

@@ -1,18 +1,21 @@
 """Partitions of the integers into arithmetic residue classes.
 
 A system of classes o_1*Z + r_1, ..., o_t*Z + r_t partitions Z exactly when
-every integer in one full period L = lcm(o_i) is covered exactly once.  For
-genuine partitions (more than one class, so all moduli exceed 1) four
-structural facts hold: the moduli are not pairwise coprime, the largest
-modulus repeats at least p times where p is its smallest prime factor, every
-modulus divides another one, and every modulus that properly divides no other
-appears at least twice.
+every integer in one full period L = lcm(o_i) is covered exactly once.  Two
+classes meet exactly when their residues agree modulo the gcd of their
+moduli, so validity is decided per pair of distinct moduli, not per pair of
+classes, and without a scan of the period.  For genuine partitions (more
+than one class, so all moduli exceed 1) four structural facts hold: the
+moduli are not pairwise coprime, the largest modulus repeats at least p
+times where p is its smallest prime factor, every modulus divides another
+one, and every modulus that properly divides no other appears at least
+twice.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd, lcm
 
 __all__ = [
@@ -102,18 +105,35 @@ def validate_z(z: ZPartition) -> ZCheck:
     """Exact test: the classes partition Z when their densities sum to 1 and
     no two meet (oZ + r and o'Z + r' meet when gcd(o, o') divides r - r').
 
-    Otherwise the witness is the first meeting point of two classes, unless
-    a gap lies below it.  t classes that cover [0, 2**t) cover Z
+    Classes are grouped by modulus: two of one modulus meet when their
+    residues are equal, and for moduli o < o' with gcd g the two sets of
+    residues mod g must be disjoint.  Only the classes of two moduli whose
+    sets meet are compared in pairs, to find where they first meet.  The
+    witness of an invalid system is the first meeting point of two classes,
+    unless a gap lies below it.  t classes that cover [0, 2**t) cover Z
     (Crittenden and Vanden Eynden, 1970), so gaps are sought below that
     bound only, counting covers in windows upward from 0.
     """
-    period, classes = z.period, z.classes
-    if sum(period // c.modulus for c in classes) == period and all(
-            (a.residue - b.residue) % gcd(a.modulus, b.modulus)
-            for a, b in combinations(classes, 2)):
+    classes = z.classes
+    groups: dict[int, set[int]] = {}
+    meets = []  # points where two classes meet
+    for c in classes:
+        residues = groups.setdefault(c.modulus, set())
+        if c.residue in residues:
+            meets.append(c.residue)
+        residues.add(c.residue)
+    period = lcm(*groups)
+    items = sorted(groups.items())
+    for i, (o, rs) in enumerate(items):
+        for o2, rs2 in items[i + 1:]:
+            g = gcd(o, o2)
+            low = rs if g == o else set(map(g.__rmod__, rs))
+            if not low.isdisjoint(map(g.__rmod__, rs2)):
+                meets.extend(_first_common(o, r, o2, r2) for r in rs for r2 in rs2
+                             if (r2 - r) % g == 0)
+    if not meets and sum(period // o * len(rs) for o, rs in items) == period:
         return ZCheck(True, None)
-    overlap = min((_first_common(a, b, period)
-                   for a, b in combinations(classes, 2)), default=period)
+    overlap = min(meets, default=period)
     end = min(overlap, 2 ** len(classes))
     for start in range(0, end, WITNESS_WINDOW):
         counts = [0] * min(WITNESS_WINDOW, end - start)
@@ -126,15 +146,12 @@ def validate_z(z: ZPartition) -> ZCheck:
     return ZCheck(False, overlap)
 
 
-def _first_common(a: ZClass, b: ZClass, default: int) -> int:
-    """The smallest n >= 0 in both classes, by the Chinese remainder
-    theorem, or default when they are disjoint."""
-    g = gcd(a.modulus, b.modulus)
-    if (b.residue - a.residue) % g:
-        return default
-    m = b.modulus // g
-    k = (b.residue - a.residue) // g * pow(a.modulus // g, -1, m) % m
-    return a.residue + a.modulus * k
+def _first_common(o: int, r: int, o2: int, r2: int) -> int:
+    """The smallest n >= 0 in both oZ + r and o2Z + r2, which meet, by the
+    Chinese remainder theorem."""
+    g = gcd(o, o2)
+    m = o2 // g
+    return r + o * ((r2 - r) // g * pow(o // g, -1, m) % m)
 
 
 def smallest_prime_factor(n: int) -> int:
@@ -168,41 +185,33 @@ def erdos_checks(z: ZPartition) -> StructReport:
     """Evaluate the four structural facts on a verified partition.
 
     The one-class partition {Z} satisfies everything trivially.  Inputs that
-    do not partition Z, or mix modulus 1 with other classes, are rejected.
+    do not partition Z are rejected, which includes every input that mixes
+    modulus 1 with other classes: Z meets each of them.  The facts are read
+    off the count of each distinct modulus.
     """
     check = validate_z(z)
     if not check.valid:
         raise InvalidPartition(
             f"not a partition of Z: integer {check.witness} not covered once",
             check.witness)
-    moduli = sorted(z.moduli)
-    if len(moduli) == 1:
+    counts = Counter(z.moduli)
+    moduli = sorted(counts)
+    if len(z.classes) == 1:
         return StructReport(moduli[0], None, 1, True, True, True, True)
-    if 1 in moduli:
-        raise InvalidPartition("modulus 1 only allowed in the one-class partition")
 
     o_max = moduli[-1]
     p = smallest_prime_factor(o_max)
-    o_max_count = moduli.count(o_max)
-
-    not_pairwise_coprime = any(
-        gcd(a, b) > 1
-        for i, a in enumerate(moduli)
-        for b in moduli[i + 1:]
-    )
-    o_max_repeats = o_max_count >= p
-    every_divides = all(
-        any(j != i and other % o == 0 for j, other in enumerate(moduli))
-        for i, o in enumerate(moduli)
-    )
-    non_divisors_repeat = all(
-        moduli.count(o) >= 2
-        for o in set(moduli)
-        if not any(other % o == 0 and other != o for other in moduli)
-    )
+    o_max_count = counts[o_max]
+    not_pairwise_coprime = len(moduli) < len(z.classes) or any(
+        gcd(a, b) > 1 for i, a in enumerate(moduli) for b in moduli[i + 1:])
+    # a modulus divides another class's modulus when it repeats or a larger
+    # modulus is a multiple of it, so the last two facts say the same thing
+    divides_another = all(
+        counts[o] >= 2 or any(b % o == 0 for b in moduli[i + 1:])
+        for i, o in enumerate(moduli))
     return StructReport(
         o_max, p, o_max_count,
-        not_pairwise_coprime, o_max_repeats, every_divides, non_divisors_repeat)
+        not_pairwise_coprime, o_max_count >= p, divides_another, divides_another)
 
 
 def split_class(z: ZPartition, which: int, q: int) -> ZPartition:

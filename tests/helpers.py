@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import getitem
 
 from hsforge.hsgraph import build_hs_graph
@@ -54,10 +54,12 @@ from hsforge.words import (
 )
 from hsforge.zcover import (
     InvalidPartition,
+    StructReport,
     ZCheck,
     ZPartition,
     colored_loop_partition,
     erdos_checks,
+    smallest_prime_factor,
 )
 
 
@@ -189,6 +191,39 @@ def validate_z_by_scan(z: ZPartition) -> ZCheck:
         if count != 1:
             return ZCheck(False, n)
     return ZCheck(True, None)
+
+
+def erdos_checks_by_pairs(z: ZPartition) -> StructReport:
+    """The four structural facts from their definitions, comparing every
+    pair of classes, on a partition checked by a scan of one period."""
+    check = validate_z_by_scan(z)
+    if not check.valid:
+        raise InvalidPartition(
+            f"not a partition of Z: integer {check.witness} not covered once",
+            check.witness)
+    moduli = sorted(z.moduli)
+    if len(moduli) == 1:
+        return StructReport(moduli[0], None, 1, True, True, True, True)
+    o_max = moduli[-1]
+    p = smallest_prime_factor(o_max)
+    o_max_count = moduli.count(o_max)
+    not_pairwise_coprime = any(
+        gcd(a, b) > 1
+        for i, a in enumerate(moduli)
+        for b in moduli[i + 1:]
+    )
+    every_divides = all(
+        any(j != i and other % o == 0 for j, other in enumerate(moduli))
+        for i, o in enumerate(moduli)
+    )
+    non_divisors_repeat = all(
+        moduli.count(o) >= 2
+        for o in set(moduli)
+        if not any(other % o == 0 and other != o for other in moduli)
+    )
+    return StructReport(
+        o_max, p, o_max_count,
+        not_pairwise_coprime, o_max_count >= p, every_divides, non_divisors_repeat)
 
 
 def z_cover_scan(z: ZPartition, limit: int) -> int | None:

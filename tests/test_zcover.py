@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import validate_z_by_scan, z_cover_scan
+from helpers import erdos_checks_by_pairs, validate_z_by_scan, z_cover_scan
 from hsforge.sampling import random_split_chain
 from hsforge.zcover import (
     CountViolation,
@@ -77,6 +77,43 @@ def test_validate_z_matches_period_scan():
     assert validate_z(systems[2]).witness == 2**17 - 1
 
 
+def _outcome(check, z):
+    """A structural check's fields, or the witness and message it raised."""
+    try:
+        return check(z)
+    except InvalidPartition as err:
+        return err.witness, str(err)
+
+
+def test_grouped_checks_match_pairwise_oracles():
+    # split chains as drawn, with one residue moved, one class duplicated,
+    # one class dropped and one foreign class added, each shuffled: repeated
+    # moduli and several meeting pairs are common
+    rng = random.Random(18)
+    systems = []
+    for _ in range(300):
+        classes = list(random_split_chain(rng, max_period=5000).classes)
+        which = rng.randrange(len(classes))
+        o, r = classes[which].modulus, classes[which].residue
+        o2 = rng.randint(1, 12)
+        variants = [
+            classes,
+            classes[:which] + [ZClass(o, (r + rng.randrange(1, o)) % o)]
+            + classes[which + 1:],
+            classes + [classes[which]],
+            classes[:which] + classes[which + 1:],
+            classes + [ZClass(o2, rng.randrange(o2))],
+        ]
+        for variant in variants:
+            if variant:
+                rng.shuffle(variant)
+                systems.append(ZPartition(tuple(variant)))
+    for z in systems:
+        assert validate_z(z) == validate_z_by_scan(z)
+        assert _outcome(erdos_checks, z) == _outcome(erdos_checks_by_pairs, z)
+    assert sum(validate_z(z).valid for z in systems) == 300
+
+
 def test_validate_z_past_any_period_scan():
     # periods far too long to scan: the witness is the first meeting point
     # or a gap below 2**t
@@ -118,6 +155,11 @@ def test_erdos_checks_trivial_and_rejects():
         with pytest.raises(InvalidPartition) as err:
             erdos_checks(parse_zpartition(text))
         assert err.value.witness == witness == validate_z(parse_zpartition(text)).witness
+    # modulus 1 beside other classes is rejected by validation: Z meets them
+    for text, witness in (("1:0,2:1", 1), ("1:0,3:0", 0)):
+        with pytest.raises(InvalidPartition) as err:
+            erdos_checks(parse_zpartition(text))
+        assert err.value.witness == witness
 
 
 def test_split_class():
@@ -182,7 +224,7 @@ def test_parse_format_round_trip():
 
 
 @given(st.lists(
-    st.tuples(st.integers(1, 12), st.integers(0, 11)), min_size=1, max_size=5))
+    st.tuples(st.integers(1, 12), st.integers(0, 11)), min_size=1, max_size=12))
 def test_validate_agrees_with_direct_scan(pairs):
     z = zpartition(pairs)
     check = validate_z(z)
