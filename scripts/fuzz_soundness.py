@@ -16,8 +16,10 @@ census scan, which learns the order of S_d and A_d without enumerating
 them, is checked on every uncapped block group and on the transition group
 of one random table per partition (mostly S_d or A_d): its order, counts
 and witness words against a fresh copy enumerated in full.  Every pair
-index the intersection checker reports, closed-form ones included, is
-checked against the sizes of its own product automata.  Fresh copies of
+index the intersection checker reports is checked against the sizes of its
+own product automata, and so is every pair index of that random table's
+one-table partition, a block per vertex, which is read off its group
+whenever it has three vertices or more.  Fresh copies of
 each partition are analyzed again under group_cap 40, with state_cap m - 1
 and with the default state cap: every number they report (m, group
 orders, census counts, pair indices) and every checker status must be the
@@ -39,6 +41,7 @@ import json
 import random
 import sys
 from collections import Counter
+from itertools import combinations
 from math import prod
 from pathlib import Path
 
@@ -49,6 +52,8 @@ from hsforge.cli import dumps  # noqa: E402
 from hsforge.hsgraph import build_hs_graph, fiber_loop_count  # noqa: E402
 from hsforge.partition import (  # noqa: E402
     CosetPartition,
+    CosetSpec,
+    intersection_conditions,
     multiplicity,
     product,
     refinement_index,
@@ -65,6 +70,7 @@ from hsforge.sampling import (  # noqa: E402
     random_table,
     random_word,
 )
+from hsforge.schreier import transversal  # noqa: E402
 from hsforge.theorems import analyze, loop_consistency  # noqa: E402
 from hsforge.zcover import (  # noqa: E402
     ZCheck,
@@ -119,24 +125,37 @@ def check_group(group) -> str | None:
     return None
 
 
-def check_pair_indices(p, analysis) -> str | None:
-    """What goes wrong with a reported pair index, closed-form ones
-    included, if anything: each against the orbit size of the marked tuple,
+def check_pair_indices(p, pairs) -> str | None:
+    """What goes wrong with a pair index, if anything: each (pair,
+    index_all, index_without) against the orbit size of the marked tuple,
     with and without the pair, in its own product automaton."""
-    report = next(r for r in analysis.reports if r.name == "intersection")
     tables = [spec.table for spec in p.specs]
     marked = [spec.marked for spec in p.specs]
-    for pair in report.details.get("pairs", ()):
-        if pair.get("capped"):
-            continue
-        rest = [i for i in range(p.size) if i not in pair["pair"]]
-        indices = (product(tables, marked).state_count,
-                   product([tables[i] for i in rest],
-                           [marked[i] for i in rest]).state_count)
-        if indices != (pair["index_all"], pair["index_without"]):
-            return (f"pair {pair['pair']} has indices {indices}, reported "
-                    f"{pair['index_all']} and {pair['index_without']}")
+    whole = product(tables, marked).state_count if pairs else None
+    for pair, index_all, index_without in pairs:
+        rest = [i for i in range(p.size) if i not in pair]
+        indices = (whole, product([tables[i] for i in rest],
+                                  [marked[i] for i in rest]).state_count)
+        if indices != (index_all, index_without):
+            return (f"pair {pair} has indices {indices}, reported "
+                    f"{index_all} and {index_without}")
     return None
+
+
+def reported_pairs(analysis) -> list[tuple]:
+    """The intersection checker's uncapped pairs and their indices."""
+    report = next(r for r in analysis.reports if r.name == "intersection")
+    return [(pair["pair"], pair["index_all"], pair["index_without"])
+            for pair in report.details.get("pairs", ()) if not pair.get("capped")]
+
+
+def table_pairs(table) -> tuple[CosetPartition, list[tuple]]:
+    """The pairs of the table's one-table partition, a block per vertex,
+    and the indices ``intersection_conditions`` reads off its group."""
+    q = CosetPartition(table.rank, [CosetSpec(table, rep) for rep in transversal(table)])
+    reports = (intersection_conditions(q, j, k)
+               for j, k in combinations(range(q.size), 2))
+    return q, [(r.pair, r.index_all, r.index_without) for r in reports]
 
 
 def reported(analysis) -> dict:
@@ -245,12 +264,18 @@ def main() -> int:
         uncapped = {p.specs[block["block"]].table for block in analysis.blocks
                     if not block.get("capped")}
         groups = [group for table, group in p.groups.items() if table in uncapped]
-        groups.append(transition_group(random_table(tables, 2, 7)))
+        table = random_table(tables, 2, 7)
+        groups.append(transition_group(table))
         problem = (next(filter(None, map(check_group, groups)), None)
-                   or check_pair_indices(p, analysis))
+                   or check_pair_indices(p, reported_pairs(analysis)))
         if problem:
             print(f"[{n}] read off without a search: {problem}")
             failures += 1
+        if table.degree >= 3:
+            problem = check_pair_indices(*table_pairs(table))
+            if problem:
+                print(f"[{n}] one-table partition of a random table: {problem}")
+                failures += 1
         payload = analysis.to_json()
         if dumps(payload) != json.dumps(payload, indent=2, sort_keys=True):
             print(f"[{n}] the JSON writer differs from json.dumps")

@@ -11,7 +11,8 @@ A partition file contains, in order:
 ``sub`` folds generator words; ``table`` gives an explicit complete table of
 the stated size via positive-letter transitions (inverse edges are implied;
 "->" and an arrow character are both accepted).  Each ``coset`` line adds a
-block: a named subgroup with a representative word.  Blank lines and lines
+block: a named subgroup with a representative word.  A name is defined by
+one ``sub`` or ``table`` line only.  Blank lines and lines
 starting with '#' are ignored; '#' also starts a trailing comment.
 """
 
@@ -57,10 +58,13 @@ def parse_partition_file(text: str) -> CosetPartition:
             continue
         if rank is None:
             raise FileFormatError(line_number, "rank must come first")
+        if head in ("sub", "table"):
+            name, body = _parse_named(line_number, rest)
+            if name in tables:
+                raise FileFormatError(line_number, f"subgroup {name!r} defined twice")
         if head == "sub":
-            name, gens = _parse_named(line_number, rest)
             words = []
-            for text_gen in gens.split(","):
+            for text_gen in body.split(","):
                 try:
                     words.append(parse_word(rank, text_gen.strip()))
                 except WordError as err:
@@ -70,7 +74,6 @@ def parse_partition_file(text: str) -> CosetPartition:
             except InfiniteIndex as err:
                 raise FileFormatError(line_number, f"subgroup {name}: {err}") from None
         elif head == "table":
-            name, body = _parse_named(line_number, rest)
             tables[name] = _parse_table(line_number, rank, body)
         elif head == "coset":
             parts = rest.split()

@@ -14,19 +14,21 @@ orbit size and move counts of ``intersection_conditions``, and F/N, each
 under the cap rule of ``schreier.Capped``: the state cap bounds the states
 each one's search held.  With one table F/N is the closure of the table's
 transition group, so m is its order, which the census scan learns for S_d
-and A_d without enumerating them, and the state cap bounds that scan; for
-such a table, with distinct marked vertices, the all-blocks orbit and every
-pair index follow from the orbit lengths of tuples of distinct points.
-Otherwise the all-blocks orbit is the product automaton at the marked tuple.
+and A_d without enumerating them, and the state cap bounds that scan.  A
+valid partition of one table marks every vertex once, so its all-blocks
+orbit is that closure too, and each pair index asks only whether the group
+holds the transposition of the pair's marked vertices.  Otherwise the
+all-blocks orbit is the product automaton at the marked tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import factorial, lcm
+from itertools import combinations
+from math import lcm
 from operator import add, ne, sub
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .perm import DEFAULT_GROUP_CAP, PermGroup, Permutation, transition_group
 from .schreier import (
@@ -353,27 +355,27 @@ class _MarkedOrbit:
 def _marked_moves(p: CosetPartition, cap: int) -> _MarkedOrbit:
     """The all-blocks orbit of the marked tuple under the state cap.
 
-    For one table whose group is S_d or A_d, and distinct marked vertices,
-    the orbit follows from the orbit lengths of tuples of distinct points:
-    the states that agree with the tuple off a set of coordinates are as
-    many as the ratio of the two orbit lengths.  Its search is the group's
-    census scan, or the product automaton when that is smaller, as a scan
-    that exceeds the cap falls back to it.  Otherwise the orbit is the
-    product automaton at the marked tuple, where each state is reached once.
+    A valid partition of one table marks each of its d vertices once, so
+    the marked tuple's stabilizer is trivial: the orbit has as many states
+    as the group has elements, none of them moves exactly one coordinate,
+    and the one state that moves exactly j and k, if any, is the image
+    under the transposition of their marked vertices.  Its search is the
+    group's closure, whose census scan need not reach that transposition.
+    Otherwise the orbit is the product automaton at the marked tuple, where
+    each state is reached once.
     """
-    length = _symmetric_orbit_length(p, cap)
-    if length is not None:
-        t = p.size
-        index_all = length(t)
-        one = index_all // length(t - 1) - 1
-        two = index_all // length(t - 2) - 2 * one - 1
-        moved = {(): 1}
-        moved.update(((j,), one) for j in range(t) if one)
-        moved.update(((j, k), two) for j in range(t) for k in range(j + 1, t) if two)
-        (group,) = p.groups.values()
-        scanned = group._closed(cap).state_count
-        return _MarkedOrbit(index_all, moved, min(scanned, index_all))
     marked = tuple(spec.marked for spec in p.specs)
+    degree = p.specs[0].index
+    if len(p.groups) == 1 and sorted(marked) == list(range(degree)):
+        (group,) = p.groups.values()
+        closure = group._closed(cap)
+        moved = {(): 1}
+        for j, k in combinations(range(p.size), 2):
+            swap = list(range(degree))
+            swap[marked[j]], swap[marked[k]] = marked[k], marked[j]
+            if closure.holds(tuple(swap)):
+                moved[j, k] = 1
+        return _MarkedOrbit(closure.order, moved, closure.state_count)
     reached = product([spec.table for spec in p.specs], marked, cap)
     moved = {}
     for state in reached.states:
@@ -381,26 +383,6 @@ def _marked_moves(p: CosetPartition, cap: int) -> _MarkedOrbit:
             changed = tuple(i for i, v in enumerate(state) if v != marked[i])
             moved[changed] = moved.get(changed, 0) + 1
     return _MarkedOrbit(reached.state_count, moved, reached.state_count)
-
-
-def _symmetric_orbit_length(p: CosetPartition, cap: int) -> Callable[[int], int] | None:
-    """For one table whose group's census scan, under the cap, finds S_d or
-    A_d, and blocks with distinct marked vertices, the orbit length of any
-    s of those vertices: d!/(d-s)!, except d!/2 in A_d when d - s < 2,
-    since A_d is (d-2)-transitive and an element of it is fixed by the
-    images of any d - 1 points.  None otherwise, a scan that exceeds the
-    cap included."""
-    if len(p.groups) > 1 or len({spec.marked for spec in p.specs}) < p.size:
-        return None
-    (group,) = p.groups.values()
-    try:
-        order = group.order(cap)
-    except CapExceeded:
-        return None
-    d, full = group.degree, factorial(group.degree)
-    if order not in (full, full // 2):
-        return None
-    return lambda s: full // factorial(d - s) if order == full or d - s >= 2 else order
 
 
 def rho(p: CosetPartition, q: CosetPartition) -> Fraction:

@@ -124,8 +124,9 @@ class _Closure(Mapping[Permutation, Word]):
     counted or recognized, and ``state_count`` the states its search held,
     which a cap bounds; the orbit holds fewer than ``order`` elements only
     while a scan that stopped early on S_d or A_d is not resumed
-    (``PermGroup.enumerate`` resumes it).  ``scan`` is the census scan's
-    census, None for a group that ran the plain orbit.
+    (``PermGroup.enumerate`` resumes it), and ``holds`` answers for every
+    element, kept or not.  ``scan`` is the census scan's census, None for a
+    group that ran the plain orbit.
     """
 
     def __init__(self, reached: Orbit, scan: _Census | None):
@@ -143,6 +144,14 @@ class _Closure(Mapping[Permutation, Word]):
     def __contains__(self, element: object) -> bool:
         return (isinstance(element, Permutation)
                 and element.images in self.orbit.index)
+
+    def holds(self, images: tuple[int, ...]) -> bool:
+        """Whether the group holds the permutation with these images, kept
+        or not: looked up in the orbit once it is complete, else read off
+        its parity, as a scan stops early only on S_d or A_d."""
+        if self.orbit.complete:
+            return images in self.orbit.index
+        return self.order == factorial(len(images)) or not _odd(images)
 
     def __iter__(self) -> Iterator[Permutation]:
         return map(Permutation, self.orbit.states)
@@ -270,7 +279,7 @@ class _Census:
     def _recognize(self) -> None:
         group, d = self.group, self.group.degree
         if group.primitive:
-            odd = any((d - len(cycles(g.images))) % 2 for g in group.gens)
+            odd = any(_odd(g.images) for g in group.gens)
             self.order = factorial(d) if odd else factorial(d) // 2
             self.sizes = _class_sizes(d, self.order)
 
@@ -284,6 +293,10 @@ class _Census:
                      for shape in sorted(counts))
 
 
+def _odd(images: tuple[int, ...]) -> bool:
+    return (len(images) - len(cycles(images))) % 2 == 1
+
+
 def _jordan(shape: tuple[int, ...], degree: int) -> bool:
     """Whether a power of an element of this cycle type is a p-cycle for a
     prime p <= degree - 3."""
@@ -294,14 +307,12 @@ def _jordan(shape: tuple[int, ...], degree: int) -> bool:
 
 
 def _is_primitive(degree: int, gens: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether the gens generate a transitive group with no block system
-    but the trivial ones.  Atkinson's test: for every point b, the finest
-    invariant partition that joins 0 and b, closed under the gens by
-    union-find, is one block, so it takes degree - 1 joins."""
-    reached = {0}
-    for _ in range(degree):
-        reached |= {g[v] for g in gens for v in reached}
-    if len(reached) < degree:
+    """Whether the gens generate a transitive group, the orbit of 0 holding
+    every point, with no block system but the trivial ones.  Atkinson's
+    test: for every point b, the finest invariant partition that joins 0
+    and b, closed under the gens by union-find, is one block, so it takes
+    degree - 1 joins."""
+    if orbit(0, lambda v: [g[v] for g in gens], degree).state_count < degree:
         return False
     for b in range(1, degree):
         parent = list(range(degree))

@@ -2,10 +2,11 @@
 
 Most of this recomputes results from first principles (letter-by-letter
 tracing, exhaustive scans, repeated-pass reduction) so the tests do not
-reuse the code paths they are checking.  At the end are library helpers
-that only the tests use, and the earlier constructions of normal cores, N,
-F/N as the product of the distinct tables' cores, coset-action tables, transversals, product automata stepped column by
-column, the cycle-type census and the k-cycle scan over ``Permutation``
+reuse the code paths they are checking.  At the end are the named groups
+the tests draw on, library helpers that only the tests use, and the
+earlier constructions of normal cores, N, F/N as the product of the
+distinct tables' cores, coset-action tables, transversals, product automata
+stepped column by column, the cycle-type census and the k-cycle scan over ``Permutation``
 elements, kept as references that the orbit-based library code must agree
 with, the coloring of N's cosets by tracing words through every block, the
 intersection indices of a pair from their own product automata, and the
@@ -259,6 +260,15 @@ def sym_ladder_partition(d: int) -> CosetPartition:
     return CosetPartition(2, [CosetSpec(table, rep) for rep in transversal(table)])
 
 
+def group_partition(group: PermGroup) -> CosetPartition:
+    """The cosets of a point stabilizer of a transitive group: one block per
+    vertex of the table its generators and their inverses give."""
+    rows = tuple(tuple(column[v] for column in group.columns)
+                 for v in range(group.degree))
+    table = canonicalize(CosetTable(group.rank, rows), 0)
+    return CosetPartition(group.rank, [CosetSpec(table, rep) for rep in transversal(table)])
+
+
 def residue_partition(classes: list[tuple[int, int]]) -> CosetPartition:
     """The blocks {w : the exponent sum of a in w is r mod n} for the given
     (n, r) pairs, in rank 2 with b acting trivially; a partition of F_2
@@ -281,6 +291,50 @@ def fuzz_partitions(count: int):
 def partition_signature(p) -> tuple:
     """Blocks as (table delta, marked vertex) pairs, order-independent."""
     return tuple(sorted((s.table.delta, s.marked) for s in p.specs))
+
+
+# -- groups the tests draw on ----------------------------------------------
+
+
+def symmetric(d: int) -> PermGroup:
+    """S_d as the transition group of the d-point ladder (S_1 on its own)."""
+    if d == 1:
+        return PermGroup(1, (Permutation((0,)),))
+    (group,) = sym_ladder_partition(d).groups.values()
+    return group
+
+
+def alternating(d: int) -> PermGroup:
+    """A_d from (0 1 2) and the cycle through 0..d-1 for odd d, 1..d-1 for
+    even d (the identity for d <= 2)."""
+    if d <= 2:
+        return PermGroup(d, (Permutation.identity(d),))
+    moved = list(range(1 - d % 2, d))
+    long = list(range(d))
+    for v, image in zip(moved, moved[1:] + moved[:1]):
+        long[v] = image
+    three = [1, 2, 0] + list(range(3, d))
+    return PermGroup(d, (Permutation(tuple(three)), Permutation(tuple(long))))
+
+
+def pgl25() -> PermGroup:
+    """PGL(2,5) on the projective line over GF(5), infinity as point 5."""
+    return PermGroup(6, (Permutation((1, 2, 3, 4, 0, 5)),
+                         Permutation((0, 2, 4, 1, 3, 5)),
+                         Permutation((5, 4, 2, 3, 1, 0))))
+
+
+def m11() -> PermGroup:
+    """The Mathieu group M_11 on 11 points."""
+    return PermGroup(11, (Permutation(tuple(range(1, 11)) + (0,)),
+                          Permutation((0, 1, 6, 9, 5, 3, 10, 2, 8, 4, 7))))
+
+
+def s2_wr_s3() -> PermGroup:
+    """S_2 wr S_3 on 6 points, with blocks {0,1}, {2,3}, {4,5}."""
+    return PermGroup(6, (Permutation((1, 0, 2, 3, 4, 5)),
+                         Permutation((2, 3, 4, 5, 0, 1)),
+                         Permutation((2, 3, 0, 1, 4, 5))))
 
 
 # -- library code only the tests use ----------------------------------------

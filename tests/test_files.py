@@ -104,6 +104,8 @@ def test_parse_errors_carry_line_numbers():
     expect_error("rank 2\nsub H = b9\n", "not a letter", 2)
     expect_error("rank 2\nsub H = b\ncoset H rep 1\n", "infinite index", 2)
     expect_error("rank 2\ncoset H rep 1\n", "unknown subgroup", 2)
+    expect_error("rank 2\nsub H = a, b\ncoset H rep 1\ntable H = 1; 0:a->0, 0:b->0\n",
+                 "defined twice", 4)
     expect_error("rank 2\nsub H = a, b\ncoset H 1\n", "expected: coset", 3)
     expect_error("rank 2\nsub H = a, b\ncoset H rep c\n", "exceeds rank", 3)
     expect_error("rank 2\n", "missing rank" if False else "no coset lines")

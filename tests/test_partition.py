@@ -13,6 +13,7 @@ import hsforge.partition
 from conftest import P, nonempty_words, words
 from helpers import (
     EmptyWord,
+    alternating,
     automaton_table,
     big_n_by_cores,
     core_product_by_cayley,
@@ -20,16 +21,19 @@ from helpers import (
     coset_partition,
     covering_counts,
     first_bad_state_by_bfs,
+    group_partition,
     intersection_by_products,
     normal_core_by_cayley,
     orbit_size_under,
     closure_by_bfs,
     contains,
     partition_signature,
+    pgl25,
     product_by_columns,
     reduced_words_up_to,
     residue_partition,
     rho_recomputed,
+    s2_wr_s3,
     separating_subgroup,
     sym_ladder_partition,
 )
@@ -394,14 +398,18 @@ def test_pair_indices_match_per_pair_products():
     # the report built from its own product automata.  A fresh copy and a
     # copy whose F/N is kept answer alike at cap = the all-blocks index;
     # below it the pair's products raise, and so do those copies, except on
-    # the S_d ladders, whose closed-form indices come from the group's
-    # census scan, which holds fewer states than the index
+    # a one-table partition whose group's census scan stopped early: its
+    # indices are read off that scan, which holds fewer states than the
+    # index.  That is so for S_5, S_6, A_6 and A_7, not for A_5, PGL(2,5) or
+    # S_2 wr S_3, which the scan does not recognize
     pool = [load_partition(str(path)) for path in BUNDLED]
     lifted = (lift_partition(*draw) for draw in lifted_draws(305, 200))
     pool += [p for p in lifted if p.size >= 3][:60]
-    ladders = [sym_ladder_partition(d) for d in (5, 6)]
-    pool += ladders
-    assert len(pool) == 67 and min(p.size for p in pool) >= 3
+    pool += [sym_ladder_partition(d) for d in (5, 6)]
+    pool += [group_partition(group) for group in (
+        alternating(5), alternating(6), alternating(7), pgl25(), s2_wr_s3())]
+    assert len(pool) == 72 and min(p.size for p in pool) >= 3
+    stopped_early = 0
     for p in pool:
         for j in range(p.size):
             for k in range(j + 1, p.size):
@@ -418,13 +426,17 @@ def test_pair_indices_match_per_pair_products():
                     == intersection_by_products(p, 0, 2, index))
         with pytest.raises(StateCapExceeded):
             intersection_by_products(p, 1, 2, index - 1)
+        scanned = p._marked.value.state_count
+        stopped_early += scanned < index
         for copy in (CosetPartition(p.rank, p.specs), below_cap):
-            if p in ladders:
+            if scanned < index:
+                assert len(p.groups) == 1
                 assert (intersection_conditions(copy, 1, 2, index - 1)
                         == intersection_by_products(p, 1, 2))
             else:
                 with pytest.raises(StateCapExceeded):
                     intersection_conditions(copy, 1, 2, index - 1)
+    assert stopped_early == 4
 
 
 def klein_quotient() -> PermGroup:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -12,15 +13,19 @@ from hypothesis import given
 import hsforge.perm
 from conftest import P, words
 from helpers import (
+    alternating,
     closure_by_bfs,
     cycle_through,
     cycle_type_census_by_elements,
     eval_word,
     fuzz_partitions,
     has_k_cycle_at_by_elements,
+    m11,
     max_cycle_length,
     perm_by_tracing,
-    sym_ladder_partition,
+    pgl25,
+    s2_wr_s3,
+    symmetric,
     table_permutation,
 )
 from hsforge.partition import StateCapExceeded, normal_core, product
@@ -245,27 +250,6 @@ def test_orbit_walks_match_the_element_scans(g_table, k_table, h1_table, m_table
                         == has_k_cycle_at_by_elements(group, k, point))
 
 
-def symmetric(d: int) -> PermGroup:
-    """S_d as the transition group of the d-point ladder (S_1 on its own)."""
-    if d == 1:
-        return PermGroup(1, (Permutation((0,)),))
-    (group,) = sym_ladder_partition(d).groups.values()
-    return group
-
-
-def alternating(d: int) -> PermGroup:
-    """A_d from (0 1 2) and the cycle through 0..d-1 for odd d, 1..d-1 for
-    even d (the identity for d <= 2)."""
-    if d <= 2:
-        return PermGroup(d, (Permutation.identity(d),))
-    moved = list(range(1 - d % 2, d))
-    long = list(range(d))
-    for v, image in zip(moved, moved[1:] + moved[:1]):
-        long[v] = image
-    three = [1, 2, 0] + list(range(3, d))
-    return PermGroup(d, (Permutation(tuple(three)), Permutation(tuple(long))))
-
-
 def test_census_of_symmetric_and_alternating_groups():
     # orders d! and d!/2 take the class sizes; counts and witnesses are the
     # scan over every element
@@ -353,26 +337,6 @@ def test_fuzz_stream_and_random_table_groups_are_recognized_soundly():
     assert recognized >= 5
 
 
-def pgl25() -> PermGroup:
-    """PGL(2,5) on the projective line over GF(5), infinity as point 5."""
-    return PermGroup(6, (Permutation((1, 2, 3, 4, 0, 5)),
-                         Permutation((0, 2, 4, 1, 3, 5)),
-                         Permutation((5, 4, 2, 3, 1, 0))))
-
-
-def m11() -> PermGroup:
-    """The Mathieu group M_11 on 11 points."""
-    return PermGroup(11, (Permutation(tuple(range(1, 11)) + (0,)),
-                          Permutation((0, 1, 6, 9, 5, 3, 10, 2, 8, 4, 7))))
-
-
-def s2_wr_s3() -> PermGroup:
-    """S_2 wr S_3 on 6 points, with blocks {0,1}, {2,3}, {4,5}."""
-    return PermGroup(6, (Permutation((1, 0, 2, 3, 4, 5)),
-                         Permutation((2, 3, 4, 5, 0, 1)),
-                         Permutation((2, 3, 0, 1, 4, 5))))
-
-
 def test_groups_jordan_cannot_recognize_run_the_plain_orbit(monkeypatch):
     # Jordan's test needs a primitive group and a prime p <= d - 3, so a
     # group of degree < 5 or an imprimitive one is searched with no census:
@@ -413,6 +377,61 @@ def test_groups_that_only_resemble_s_d_are_enumerated():
         assert group.order() == order
     assert any(shape == (1, 1, 1, 1, 2) for shape, _, _ in cycle_type_census(wreath))
     assert any(shape == (1, 5) for shape, _, _ in cycle_type_census(pgl))
+
+
+def _set_partitions(points: list[int]):
+    """Every partition of the points into blocks, as lists of sets."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for blocks in _set_partitions(rest):
+        yield [{first}, *blocks]
+        for i in range(len(blocks)):
+            yield [*blocks[:i], blocks[i] | {first}, *blocks[i + 1:]]
+
+
+def primitive_by_partitions(group: PermGroup) -> bool:
+    """Primitivity by brute force: no proper nonempty subset of the points
+    is invariant, and no partition of them but the two trivial ones is."""
+    d, gens = group.degree, [g.images for g in group.gens]
+    for size in range(1, d):
+        for subset in itertools.combinations(range(d), size):
+            if all({g[v] for v in subset} == set(subset) for g in gens):
+                return False
+    for blocks in _set_partitions(list(range(d))):
+        if 1 < len(blocks) < d and all(
+                {frozenset(g[v] for v in block) for block in blocks}
+                == set(map(frozenset, blocks)) for g in gens):
+            return False
+    return True
+
+
+def test_primitivity_matches_a_search_of_invariant_partitions():
+    # the fuzz stream's groups of degree <= 7, and random groups whose
+    # generators each move a random subset of the points, so that many of
+    # them are intransitive
+    groups = [group for p in fuzz_partitions(60) for group in p.groups.values()
+              if group.degree <= 7]
+    rng = random.Random(296)
+    for _ in range(150):
+        d = rng.randint(1, 7)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            moved = rng.sample(range(d), rng.randint(0, d))
+            images = list(range(d))
+            for v, image in zip(moved, rng.sample(moved, len(moved))):
+                images[v] = image
+            gens.append(Permutation(tuple(images)))
+        groups.append(PermGroup(d, tuple(gens)))
+    kinds = Counter()
+    for group in groups:
+        expected = primitive_by_partitions(group)
+        assert group.primitive == expected, [g.images for g in group.gens]
+        transitive = len({element(0) for element in group.enumerate()}) == group.degree
+        kinds[expected, transitive] += 1
+    assert min(kinds[kind] for kind in ((True, True), (False, True), (False, False))) > 0
+    assert kinds[False, False] >= 50
 
 
 def test_a_recognized_order_answers_every_cap_its_scan_fits(monkeypatch):
@@ -458,19 +477,31 @@ def _group_outcome(call, group: PermGroup, cap: int):
 
 def test_warm_groups_take_every_cap_like_fresh_copies():
     # a group already enumerated under cap 10**6 answers order, enumerate,
-    # the census and k-cycle searches as a fresh copy does at caps 1,
-    # scan - 1, scan, order - 1 and order, scan being the states its census
-    # scan held (the order itself for the groups not recognized)
+    # the census, k-cycle searches and membership as a fresh copy does at
+    # caps 1, scan - 1, scan, order - 1 and order, scan being the states its
+    # census scan held (the order itself for the groups not recognized).
+    # Membership is asked of every transposition, some elements and some
+    # random permutations: the warm group looks each up in its full
+    # enumeration, a fresh S_7 or A_7 below its order reads its parity
+    rng = random.Random(459)
     for group in (symmetric(7), alternating(7), pgl25(), m11()):
         d = group.degree
+        group.enumerate(10**6)
+        queries = []
+        for i, j in itertools.combinations(range(d), 2):
+            images = list(range(d))
+            images[i], images[j] = j, i
+            queries.append(tuple(images))
+        queries += group._elements.orbit.states[::97]
+        queries += [tuple(rng.sample(range(d), d)) for _ in range(40)]
         calls = {
             "order": lambda g, cap: g.order(cap),
             "enumerate": lambda g, cap: g.enumerate(cap).orbit.states,
             "census": lambda g, cap: cycle_type_census(g, cap),
+            "holds": lambda g, cap: [g._closed(cap).holds(q) for q in queries],
         }
         calls.update((f"{k}-cycle", lambda g, cap, k=k: has_k_cycle_at(g, k, 0, cap))
                      for k in (2, 3, d - 1, d))
-        group.enumerate(10**6)
         scan, order = group._elements.state_count, group.order()
         for cap in (1, scan - 1, scan, order - 1, order):
             for name, call in calls.items():

@@ -536,10 +536,11 @@ def test_cached_objects_take_smaller_caps_like_fresh_copies():
 
 def test_a_cap_is_hit_once_not_once_per_caller(monkeypatch):
     # on the d = 6 ladder both caps are 100: one census scan of the single
-    # table's group serves every block, the two cycle checkers and m, and
-    # the scan of S_6 holds 135 states, so it fails once and every later
-    # caller raises at once; the pairs then take the all-blocks product,
-    # which fails once under its own cap, 720 states being more than 100
+    # table's group serves every block, the two cycle checkers, m and the
+    # pairs, and the scan of S_6 holds 135 states, so it fails once and
+    # every later caller raises at once; the pairs read their indices off
+    # that closure too, so they run no product of their own.  The other
+    # orbit is the primitivity test's orbit of point 0, which holds 6 states
     searches = Counter()
     for module, name in ((hsforge.perm, "orbit"), (hsforge.partition, "product")):
         def counted(*args, original=getattr(module, name), name=name):
@@ -551,8 +552,8 @@ def test_a_cap_is_hit_once_not_once_per_caller(monkeypatch):
     assert all(block["capped"] for block in analysis.blocks)
     pairs = analysis.to_json()["per_theorem"]["intersection"]["details"]["pairs"]
     assert len(pairs) == 15 and all(pair["capped"] for pair in pairs)
-    # the products are validation's and the all-blocks orbit's
-    assert searches == {"orbit": 1, "product": 2}
+    # the one product is validation's
+    assert searches == {"orbit": 2, "product": 1}
 
 
 def test_one_closure_answers_the_census_and_every_pair(monkeypatch):
@@ -571,8 +572,10 @@ def test_one_closure_answers_the_census_and_every_pair(monkeypatch):
     assert analysis.exit_code == 0 and analysis.m == 720
     pairs = analysis.to_json()["per_theorem"]["intersection"]["details"]["pairs"]
     assert len(pairs) == 15 and all(pair["index_all"] == 720 for pair in pairs)
-    # the one partition.orbit is the BFS inside validation's product
-    assert searches == {"hsforge.perm.orbit": 1, "hsforge.partition.product": 1,
+    # the one partition.orbit is the BFS inside validation's product; the
+    # perm.orbit calls are the census scan and the primitivity test's orbit
+    # of point 0
+    assert searches == {"hsforge.perm.orbit": 2, "hsforge.partition.product": 1,
                         "hsforge.partition.orbit": 1}
 
 
@@ -602,8 +605,8 @@ def test_the_d10_and_d11_ladders_are_decided_under_default_caps(monkeypatch):
     # S_10 and S_11 have 3,628,800 and 39,916,800 elements, above both
     # default caps of 10^6, but the census scan recognizes each and stops
     # after fewer than 10^5 states: m, every block's census, both cycle
-    # checkers and every pair's closed-form indices are read off that one
-    # scan, with no product.  Validation's product is left out of the count.
+    # checkers and every pair's indices are read off that one scan, with no
+    # product.  Validation's product is left out of the count.
     for d in (10, 11):
         expanded = Counter()
         products = []
