@@ -19,7 +19,9 @@ and witness words against a fresh copy enumerated in full.  Every pair
 index the intersection checker reports is checked against the sizes of its
 own product automata, and so is every pair index of that random table's
 one-table partition, a block per vertex, which is read off its group
-whenever it has three vertices or more.  Fresh copies of
+whenever it has three vertices or more.  At every vertex of that table,
+``order_at`` and ``visited_set`` of one random word must match the cycle
+of ``word_step``'s permutation through the vertex.  Fresh copies of
 each partition are analyzed again under group_cap 40, with state_cap m - 1
 and with the default state cap: every number they report (m, group
 orders, census counts, pair indices) and every checker status must be the
@@ -29,8 +31,9 @@ sort_keys=True)`` byte for byte.  Each draw also takes one split chain of
 residue classes and a copy with a residue moved, a class duplicated or a
 class dropped: ``validate_z`` must agree with a scan of one period on both,
 and the four structural facts must hold on the chain.  Any mismatch fails
-the same way.  The words, the extra tables and the residue classes come
-from their own generators, so the partitions drawn do not depend on them.
+the same way.  The words, the extra tables, the words walked on them and
+the residue classes come from their own generators, so the partitions
+drawn do not depend on them.
 Prints a status census at the end.
 """
 
@@ -70,7 +73,13 @@ from hsforge.sampling import (  # noqa: E402
     random_table,
     random_word,
 )
-from hsforge.schreier import transversal  # noqa: E402
+from hsforge.schreier import (  # noqa: E402
+    cycles,
+    order_at,
+    transversal,
+    visited_set,
+    word_step,
+)
 from hsforge.theorems import analyze, loop_consistency  # noqa: E402
 from hsforge.zcover import (  # noqa: E402
     ZCheck,
@@ -139,6 +148,19 @@ def check_pair_indices(p, pairs) -> str | None:
         if indices != (index_all, index_without):
             return (f"pair {pair} has indices {indices}, reported "
                     f"{index_all} and {index_without}")
+    return None
+
+
+def check_orbits(table, w) -> str | None:
+    """What goes wrong with ``order_at`` or ``visited_set`` of w at a vertex
+    of the table, if anything: each against the cycle of ``word_step``'s
+    permutation through the vertex."""
+    for cycle in cycles(word_step(table, w)):
+        for v in cycle:
+            order, seen = order_at(table, w, v), visited_set(table, w, v)
+            if (order, seen) != (len(cycle), frozenset(cycle)):
+                return (f"{w} at vertex {v} has order {order} and visits "
+                        f"{sorted(seen)}, but its cycle is {cycle}")
     return None
 
 
@@ -237,6 +259,7 @@ def main() -> int:
     rng = random.Random(args.seed)
     words = random.Random(f"words {args.seed}")
     tables = random.Random(f"tables {args.seed}")
+    walked = random.Random(f"walked words {args.seed}")
     residues = random.Random(f"residue classes {args.seed}")
     statuses: Counter[str] = Counter()
     failures = 0
@@ -270,6 +293,10 @@ def main() -> int:
                    or check_pair_indices(p, reported_pairs(analysis)))
         if problem:
             print(f"[{n}] read off without a search: {problem}")
+            failures += 1
+        problem = check_orbits(table, random_word(walked, table.rank, 12))
+        if problem:
+            print(f"[{n}] orbits of a word on a random table: {problem}")
             failures += 1
         if table.degree >= 3:
             problem = check_pair_indices(*table_pairs(table))

@@ -21,6 +21,7 @@ block-table coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from .partition import (
@@ -43,13 +44,6 @@ class HSLoop:
     def length(self) -> int:
         return len(self.vertices)
 
-    @property
-    def participants(self) -> frozenset[int]:
-        return frozenset(self.colors)
-
-    def contribution(self, color: int) -> int:
-        return self.colors.count(color)
-
 
 @dataclass(frozen=True)
 class HSColoredGraph:
@@ -70,8 +64,12 @@ class HSColoredGraph:
 
     def loops(self) -> list[HSLoop]:
         """Cycles ordered by minimal vertex; each starts at its minimal vertex."""
-        return [HSLoop(cycle, tuple(self.color[v] for v in cycle))
-                for cycle in cycles(self.step)]
+        return list(self._loops)
+
+    @cached_property
+    def _loops(self) -> tuple[HSLoop, ...]:
+        return tuple(HSLoop(cycle, tuple(self.color[v] for v in cycle))
+                     for cycle in cycles(self.step))
 
 
 def build_hs_graph(
@@ -111,7 +109,9 @@ def build_hs_graph(
 
 def fiber_loop_count(graph: HSColoredGraph, i: int) -> int:
     """Number of loops meeting fiber i; equals |fiber| / contribution."""
-    count = sum(1 for loop in graph.loops() if i in loop.participants)
+    if not 0 <= i < graph.partition.size:
+        raise ValueError("block i out of range")
+    count = sum(1 for loop in graph._loops if i in loop.colors)
     fiber_size = len(graph.fiber(i))
     per_loop = graph.o_n // graph.orders[i]
     if count * per_loop != fiber_size:

@@ -168,8 +168,8 @@ def side_by_side(tables: Sequence[CosetTable]) -> tuple[list[int], list[tuple]]:
     first-seen order: every table's offset and the union's columns."""
     offsets: dict[CosetTable, int] = {}
     shift = [offsets.setdefault(t, sum(u.degree for u in offsets)) for t in tables]
-    columns = [tuple(row[c] + offset for t, offset in offsets.items()
-                     for row in t.delta) for c in range(2 * tables[0].rank)]
+    columns = [tuple(v + offset for t, offset in offsets.items() for v in t.columns[c])
+               for c in range(2 * tables[0].rank)]
     return shift, columns
 
 
@@ -222,6 +222,8 @@ def multiplicity(p: CosetPartition) -> set[int]:
 
 def order_rel(p: CosetPartition, i: int, w: Word) -> int:
     """Minimal k >= 1 with H_i alpha_i w^k = H_i alpha_i (block i, 0-based)."""
+    if not 0 <= i < p.size:
+        raise ValueError("block i out of range")
     spec = p.specs[i]
     return order_at(spec.table, w, spec.marked)
 

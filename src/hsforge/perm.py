@@ -337,10 +337,7 @@ def _is_primitive(degree: int, gens: tuple[tuple[int, ...], ...]) -> bool:
 
 def transition_group(table: CosetTable) -> PermGroup:
     """Permutations of table vertices induced by the generators."""
-    gens = []
-    for j in range(table.rank):
-        gens.append(Permutation(tuple(row[2 * j] for row in table.delta)))
-    return PermGroup(table.degree, tuple(gens))
+    return PermGroup(table.degree, tuple(map(Permutation, table.columns[::2])))
 
 
 def cycle_type_census(

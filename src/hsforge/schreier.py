@@ -15,14 +15,17 @@ a cap from the cache, successes and failures alike.
 Folding a subgroup's generator words gives its transition graph; when that is
 complete the subgroup has finite index d and the graph is a complete table on
 d vertices, numbered by BFS from the basepoint in column order, so two tables
-are equal as values exactly when they describe the same subgroup.
+are equal as values exactly when they describe the same subgroup.  A table
+keeps its letter columns' image tuples and a word its letters' columns, so a
+walk steps ``v = column[v]`` once per letter, and ``order_at`` and
+``visited_set`` trace a cycle in one loop, with no call per step.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Sequence
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, field
+from itertools import count, islice
 from operator import itemgetter
 
 from .words import Letter, Word, letter_from_column
@@ -232,25 +235,25 @@ class CosetTable:
 
     rank: int
     delta: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rank < 1 or not self.delta:
             raise ValueError(f"need rank >= 1 and a vertex, got rank {self.rank}"
                              f" and {len(self.delta)} vertices")
-        columns = 2 * self.rank
-        d = len(self.delta)
+        width, d = 2 * self.rank, len(self.delta)
         for row in self.delta:
-            if len(row) != columns:
-                raise ValueError(f"row has {len(row)} entries, expected {columns}")
+            if len(row) != width:
+                raise ValueError(f"row has {len(row)} entries, expected {width}")
             for target in row:
                 if not 0 <= target < d:
                     raise ValueError(f"vertex {target} out of range")
+        columns = tuple(zip(*self.delta))
         for v in range(d):
-            for c in range(columns):
-                back = c + 1 if c % 2 == 0 else c - 1
-                if self.delta[self.delta[v][c]][back] != v:
-                    raise ValueError(
-                        f"inverse inconsistency at vertex {v}, column {c}")
+            for c in range(width):  # column c ^ 1 is column c's inverse
+                if columns[c ^ 1][columns[c][v]] != v:
+                    raise ValueError(f"inverse inconsistency at vertex {v}, column {c}")
+        object.__setattr__(self, "columns", columns)
 
     @property
     def degree(self) -> int:
@@ -369,28 +372,33 @@ def canonicalize(table: CosetTable, basepoint: int = 0) -> CosetTable:
     return CosetTable(table.rank, rows)
 
 
-def _walker(table: CosetTable, w: Word, start: int = 0) -> Callable[[int], int]:
-    """The w-step on the table's vertices; w's rank and start are checked and
-    its letters resolved to table columns once per call."""
+def _walker(table: CosetTable, w: Word, start: int = 0) -> list[tuple[int, ...]]:
+    """The table's columns of w's letters, once w's rank and start are checked."""
     if w.rank != table.rank:
         raise ValueError(f"word rank {w.rank} != table rank {table.rank}")
     if not 0 <= start < table.degree:
         raise ValueError(f"vertex {start} out of range")
-    return _rows_walker(table.delta, w)
+    return _letter_columns(table.columns, w)
 
 
-def _rows_walker(delta: Sequence[Sequence[int]], w: Word) -> Callable[[int], int]:
-    columns = [letter.column for letter in w.letters]
+def _letter_columns(columns: Sequence[Sequence[int]], w: Word) -> list:
+    return [columns[c] for c in w.columns]
 
-    def walk(v: int) -> int:
-        for c in columns:
-            v = delta[v][c]
-        return v
-    return walk
+
+def _step(columns: list, degree: int) -> tuple[int, ...]:
+    images = []
+    for v in range(degree):
+        for column in columns:
+            v = column[v]
+        images.append(v)
+    return tuple(images)
 
 
 def trace(table: CosetTable, start: int, w: Word) -> int:
-    return _walker(table, w, start)(start)
+    v = start
+    for column in _walker(table, w, start):
+        v = column[v]
+    return v
 
 
 def coset_of(table: CosetTable, w: Word) -> int:
@@ -410,18 +418,23 @@ def transversal(table: CosetTable) -> list[Word]:
 
 def word_step(table: CosetTable, w: Word) -> tuple[int, ...]:
     """The permutation of vertices induced by one application of w."""
-    return tuple(map(_walker(table, w), range(table.degree)))
+    return _step(_walker(table, w), table.degree)
 
 
 def rows_step(rows: Sequence[Sequence[int]], w: Word) -> tuple[int, ...]:
     """``word_step`` on complete rows of w's rank that need no check, such
     as the rows of an orbit under a complete table's columns."""
-    return tuple(map(_rows_walker(rows, w), range(len(rows))))
+    return _step(_letter_columns(tuple(zip(*rows)), w), len(rows))
 
 
 def order_at(table: CosetTable, w: Word, vertex: int) -> int:
     """Minimal k >= 1 with trace(vertex, w^k) == vertex."""
-    return len(visited_set(table, w, vertex))
+    columns, v = _walker(table, w, vertex), vertex
+    for k in count(1):
+        for column in columns:
+            v = column[v]
+        if v == vertex:
+            return k
 
 
 def visited_set(table: CosetTable, w: Word, vertex: int) -> frozenset[int]:
@@ -431,11 +444,10 @@ def visited_set(table: CosetTable, w: Word, vertex: int) -> frozenset[int]:
     vertices are equal or disjoint, partitioning the vertex set.  Only the
     cycle through the vertex is traced.
     """
-    walk = _walker(table, w, vertex)
-    cycle = [vertex]
-    v = walk(vertex)
-    while v != vertex:
+    columns, cycle, v = _walker(table, w, vertex), [vertex], vertex
+    while True:
+        for column in columns:
+            v = column[v]
+        if v == vertex:
+            return frozenset(cycle)
         cycle.append(v)
-        v = walk(v)
-    return frozenset(cycle)
-

@@ -10,7 +10,7 @@ empty word prints as "1".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable, NamedTuple
 
 # The text form only has 26 letter pairs; core types accept any rank.
@@ -83,6 +83,9 @@ class Word:
     @property
     def is_identity(self) -> bool:
         return not self.letters
+
+    # the letters' table columns, resolved on the first walk
+    columns = cached_property(lambda self: tuple(letter.column for letter in self.letters))
 
     def __str__(self) -> str:
         if not self.letters:

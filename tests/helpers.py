@@ -462,7 +462,7 @@ def eval_word(group: PermGroup, w: Word) -> Permutation:
 def loop_z_partition(graph, loop) -> ZPartition:
     """Residue classes read off a loop of N's colored table: color i covers
     positions first-occurrence + multiples of its relative order."""
-    moduli = {i: graph.orders[i] for i in loop.participants}
+    moduli = {i: graph.orders[i] for i in set(loop.colors)}
     return colored_loop_partition(loop.length, loop.colors, moduli)
 
 
@@ -642,7 +642,7 @@ def loop_consistency_by_n(p, w: Word, group_cap: int = 10**6,
     problems = []
     for number, loop in enumerate(loops):
         contribution = sum(
-            graph.o_n // graph.orders[i] for i in loop.participants)
+            graph.o_n // graph.orders[i] for i in set(loop.colors))
         if contribution != graph.o_n:
             problems.append(
                 f"loop {number}: contributions sum to {contribution}, "

@@ -28,6 +28,8 @@ from hsforge.schreier import table_from_generators
 from hsforge.words import identity
 from hsforge.zcover import erdos_checks, format_zpartition, validate_z
 
+THREES = Path(__file__).resolve().parents[1] / "data" / "ex_three_threes.partition"
+
 
 def test_graph_of_mixed_partition(p44):
     graph = build_hs_graph(p44, P("ab"))
@@ -65,6 +67,17 @@ def test_graph_of_normal_partition(p77):
     assert fiber_loop_count(graph, 0) == 2
     assert fiber_loop_count(graph, 1) == 1
     assert fiber_loop_count(graph, 2) == 1
+
+
+def test_fiber_loop_count_rejects_a_block_out_of_range(p44):
+    # -1 used to count 0 loops on ex_three_threes, and size raised a bare
+    # IndexError
+    threes = load_partition(str(THREES))
+    for p in (p44, threes):
+        graph = build_hs_graph(p, P("ab"))
+        for i in (-1, -p.size, p.size, p.size + 5):
+            with pytest.raises(ValueError, match="block i out of range"):
+                fiber_loop_count(graph, i)
 
 
 def test_fiber_and_loop_counts(p44):
@@ -118,7 +131,7 @@ def test_full_participation_iff_order_equals_index(p44, p77):
         graph = build_hs_graph(p, P(text))
         loops = graph.loops()
         for i in range(p.size):
-            on_all = all(i in loop.participants for loop in loops)
+            on_all = all(i in loop.colors for loop in loops)
             assert on_all == (graph.orders[i] == p.specs[i].index)
 
 
@@ -137,10 +150,10 @@ def test_contributions_sum_to_loop_length(p44, p77, p333):
     for p, text in ((p44, "ab"), (p77, "ab"), (p333, "ab"), (p333, "ba")):
         graph = build_hs_graph(p, P(text))
         for loop in graph.loops():
-            total = sum(graph.o_n // graph.orders[i] for i in loop.participants)
+            total = sum(graph.o_n // graph.orders[i] for i in set(loop.colors))
             assert total == loop.length
-            for i in loop.participants:
-                assert loop.contribution(i) == graph.o_n // graph.orders[i]
+            for i in set(loop.colors):
+                assert loop.colors.count(i) == graph.o_n // graph.orders[i]
 
 
 def test_rejects_partitions_that_do_not_cover(h1_table, k_table):

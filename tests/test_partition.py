@@ -250,6 +250,15 @@ def test_relative_orders_reject_a_word_of_another_rank(p44):
             order_rel(p44, i, parse_word(3, "ab"))
 
 
+def test_relative_orders_reject_a_block_out_of_range(p44):
+    # -1 used to answer for the last block, and size raised a bare IndexError
+    threes = load_partition(str(BUNDLED_THREES))
+    for p in (p44, threes):
+        for i in (-1, -p.size, p.size, p.size + 5):
+            with pytest.raises(ValueError, match="block i out of range"):
+                order_rel(p, i, P("ab"))
+
+
 def test_relative_orders(p44, p77):
     assert [order_rel(p44, i, P("ab")) for i in range(3)] == [2, 4, 4]
     assert o_max_and_sharp(p44, P("ab")) == (4, 2)

@@ -25,7 +25,7 @@ from helpers import (
     transversal_by_words,
 )
 from hsforge.partition import normal_core
-from hsforge.sampling import random_table
+from hsforge.sampling import random_table, random_word
 from hsforge.schreier import (
     CapExceeded,
     Capped,
@@ -38,6 +38,7 @@ from hsforge.schreier import (
     fold_from_generators,
     orbit,
     order_at,
+    rows_step,
     table_from_generators,
     trace,
     transversal,
@@ -45,7 +46,8 @@ from hsforge.schreier import (
     visited_set,
     word_step,
 )
-from hsforge.words import Letter, identity, multiply, parse_word, power
+from hsforge.words import (
+    Letter, Word, identity, letter_from_column, multiply, parse_word, power)
 
 G_DELTA = ((1, 1, 0, 0), (0, 0, 2, 2), (2, 2, 1, 1))
 K_DELTA = ((1, 1, 0, 0), (0, 0, 2, 2), (3, 3, 1, 1), (2, 2, 3, 3))
@@ -160,10 +162,14 @@ def test_walkers_resolve_each_letter_once_per_call(monkeypatch):
     monkeypatch.setattr(Letter, "column", property(
         lambda letter: reads.append(1) or column.fget(letter)))
 
+    resolved = 0
+
     def counted(call):
+        nonlocal resolved
         reads.clear()
         result = call()
         assert len(reads) <= len(w)
+        resolved += len(reads)
         return result
 
     step = counted(lambda: word_step(table, w))
@@ -178,6 +184,60 @@ def test_walkers_resolve_each_letter_once_per_call(monkeypatch):
             v = trace_letters(table, v, w)
         assert seen == cycle
         assert step[vertex] == trace_letters(table, vertex, w)
+    # the word keeps its columns, so each letter is resolved once in all
+    assert 0 < resolved <= len(w)
+
+
+def walk_cases():
+    """Random tables of ranks 1 to 3, the first three of degree 1, each with
+    the identity, every one-letter word and four random words."""
+    rng = random.Random(20)
+    for n in range(60):
+        rank = 1 + n % 3
+        table = random_table(rng, rank, 1 if n < 3 else 12)
+        one_letter = [Word(rank, (letter_from_column(c),)) for c in range(2 * rank)]
+        yield table, [identity(rank), *one_letter,
+                      *(random_word(rng, rank, 12) for _ in range(4))]
+
+
+def test_walks_agree_with_letter_by_letter_tracing():
+    degrees = set()
+    for table, ws in walk_cases():
+        degrees.add(table.degree)
+        for w in ws:
+            step = word_step(table, w)
+            assert step == tuple(perm_by_tracing(table, w))
+            assert rows_step(table.delta, w) == step
+            assert coset_of(table, w) == trace_letters(table, 0, w)
+            for vertex in range(table.degree):
+                assert trace(table, vertex, w) == step[vertex]
+                cycle, v = {vertex}, step[vertex]
+                while v != vertex:
+                    cycle.add(v)
+                    v = trace_letters(table, v, w)
+                assert visited_set(table, w, vertex) == cycle
+                assert order_at(table, w, vertex) == order_by_iteration(
+                    table, w, vertex) == len(cycle)
+    assert 1 in degrees and len(degrees) > 5
+
+
+def test_read_columns_leave_equality_hash_and_repr_alone():
+    def table():
+        return CosetTable(2, K_DELTA)
+
+    def abab():
+        return parse_word(2, "abAB")
+
+    assert table().columns == tuple(zip(*K_DELTA))
+    w = abab()
+    assert "columns" not in vars(w)  # a word resolves them on the first walk
+    assert w.columns == (0, 2, 1, 3) and "columns" in vars(w)
+    for make in (table, abab):
+        read, fresh = make(), make()
+        assert read.columns
+        assert read == fresh and hash(read) == hash(fresh)
+        assert repr(read) == repr(fresh) and "columns" not in repr(read)
+        assert {read: 1}[fresh] == 1
 
 
 def test_trace_follows_letters(g_table):

@@ -128,7 +128,7 @@ def test_full_cycle_prediction_matches_loop_structure(p44):
     top = report.details["max_index"]
     seen = 0
     for loop in graph.loops():
-        if not any(p44.specs[i].index == top for i in loop.participants):
+        if not any(p44.specs[i].index == top for i in set(loop.colors)):
             continue
         z = loop_z_partition(graph, loop)
         struct = erdos_checks(z)
