@@ -84,8 +84,9 @@ class Word:
     def is_identity(self) -> bool:
         return not self.letters
 
-    # the letters' table columns, resolved on the first walk
-    columns = cached_property(lambda self: tuple(letter.column for letter in self.letters))
+    @cached_property  # the letters' table columns, resolved on the first walk
+    def columns(self) -> tuple[int, ...]:
+        return tuple(letter.column for letter in self.letters)
 
     def __str__(self) -> str:
         if not self.letters:
