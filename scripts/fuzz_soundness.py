@@ -8,10 +8,14 @@ verification (the exit-code-2 path), or if a block's cycle-type counts do
 not sum to its group order.  ``analyze`` never builds N, so each
 partition also gets the colored loop graph of one random word, with every
 fiber's loops counted, and the word's order modulo N is checked against the
-one ``loop_consistency`` reads off the product automaton.  m = [F : N] is
-checked against the block groups, enumerated apart from F/N: each is a
-quotient of F/N, which embeds in their product, so every distinct table's
-group order divides m and m divides the product of those orders.  The
+one ``loop_consistency`` reads off the product automaton.  m = [F : N] and
+N's table are checked against an F/N built without the partition's own,
+``p.quotient``: the product of the distinct tables' Cayley tables, each
+the enumeration of a fresh transition group, started from the zero tuple.
+m is also checked against the block groups, enumerated apart from F/N:
+each is a quotient of F/N, which embeds in their product, so every
+distinct table's group order divides m and m divides the product of
+those orders.  The
 census scan, which learns the order of S_d and A_d without enumerating
 them, is checked on every uncapped block group and on the transition group
 of one random table per partition (mostly S_d or A_d): its order, counts
@@ -56,6 +60,7 @@ from hsforge.hsgraph import build_hs_graph, fiber_loop_count  # noqa: E402
 from hsforge.partition import (  # noqa: E402
     CosetPartition,
     CosetSpec,
+    big_n,
     intersection_conditions,
     multiplicity,
     product,
@@ -92,8 +97,10 @@ from hsforge.zcover import (  # noqa: E402
 
 def check_n_path(p, w) -> str | None:
     """What goes wrong on N's table for the word w, if anything: the loop
-    graph's own checks, each fiber's loop count, m against the block group
-    orders, and the two loop paths' orders of w modulo N against each other."""
+    graph's own checks, each fiber's loop count, m and N's table against
+    the product of the distinct tables' Cayley tables, m against the block
+    group orders, and the two loop paths' orders of w modulo N against each
+    other."""
     try:
         graph = build_hs_graph(p, w)
         for i in range(p.size):
@@ -101,6 +108,11 @@ def check_n_path(p, w) -> str | None:
     except (AssertionError, ValueError) as err:  # failed checks on a valid partition
         return str(err)
     m = refinement_index(p)
+    cores = [transition_group(table).cayley_table() for table in p.groups]
+    reference = product(cores, [0] * len(cores))
+    if (m, big_n(p).delta) != (reference.state_count, tuple(reference.rows)):
+        return (f"m = {m} and N's table differ from the product of the "
+                f"Cayley tables, of {reference.state_count} states")
     orders = [group.order() for group in p.groups.values()]
     if any(m % order for order in orders) or prod(orders) % m:
         return f"m = {m} does not lie between the block group orders {orders}"

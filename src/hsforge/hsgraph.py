@@ -7,11 +7,11 @@ for the step Ng -> Ngw.  The edges decompose into loops whose common length
 is the order of w modulo N; inside a loop each participating color i occupies
 an arithmetic progression with gap equal to the block's relative order of w,
 so every loop induces a partition of the integers into residue classes.
-A coset of N is an element g of F/N acting on the distinct tables laid side
-by side (``partition.quotient_by_n``), and it lies in block i when g maps
-the block table's offset to that offset plus block i's marked vertex.  The
-w-step is ``word_step``'s image tuple on N's table, and its cycles are the
-loops.
+A coset of N is an element g of F/N, ``p.quotient``, acting on the
+distinct tables laid side by side (``partition.quotient_by_n``), and it lies
+in block i when g maps block i's basepoint, its table's offset in the
+partition's layout, to block i's mark.  The w-step is ``word_step``'s image
+tuple on N's table, and its cycles are the loops.
 This graph is what ``hsforge graph --target hs`` draws; ``analyze`` reads
 the same loops off the block tables' product automaton instead
 (``theorems.loop_consistency``), since a coset's color depends only on its
@@ -25,7 +25,7 @@ from functools import cached_property
 from math import lcm
 
 from .partition import (
-    CosetPartition, DEFAULT_STATE_CAP, big_n, order_rel, quotient_by_n, side_by_side)
+    CosetPartition, DEFAULT_STATE_CAP, big_n, order_rel, quotient_by_n)
 from .perm import DEFAULT_GROUP_CAP
 from .schreier import CosetTable, cycles, word_step
 from .words import Word
@@ -85,11 +85,9 @@ def build_hs_graph(
     """
     table = big_n(p, group_cap, state_cap)
     reached = quotient_by_n(p, group_cap, state_cap)
-    shift, _ = side_by_side([spec.table for spec in p.specs])
-    marks = [(o, o + spec.marked) for o, spec in zip(shift, p.specs)]
     color = []
     for v, g in enumerate(reached.states):
-        hits = [i for i, (o, target) in enumerate(marks) if g[o] == target]
+        hits = [i for i, (o, mark) in enumerate(zip(p.base, p.marks)) if g[o] == mark]
         if len(hits) != 1:
             raise ValueError(f"coset of {reached.word(v)} lies in "
                              f"{len(hits)} blocks; partition invalid")

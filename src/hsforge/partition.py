@@ -2,29 +2,32 @@
 
 A block is a coset H*alpha given by the subgroup's transition table and a
 representative word; its marked vertex is the coset containing alpha.  A
-family of blocks partitions the group exactly when, in the product automaton
-of all tables started at the basepoint tuple, every reachable state sits at
-the marked vertex of exactly one block.  The common refinement subgroup N
-is the kernel of the action on the distinct tables laid side by side, so
-F/N is that permutation group, and its closure gives m, N's table and each
+partition lays its distinct tables side by side once; a block's basepoint
+is its table's offset there, and its mark that offset plus its marked
+vertex.  A family of blocks partitions the group exactly when, in the
+product automaton, the orbit of the basepoints under the side-by-side
+columns, every state sits at the mark of exactly one block.  The common
+refinement subgroup N is the kernel of that action, so F/N is the group of
+those columns, ``p.quotient``, and its closure gives m, N's table and each
 coset's block.  The module also computes normal cores, the right action of
 words on partitions, a prefix metric, and partitions lifted from finite
 quotient groups.  A partition keeps its validation report, the all-blocks
-orbit size and move counts of ``intersection_conditions``, and F/N, each
-under the cap rule of ``schreier.Capped``: the state cap bounds the states
-each one's search held.  With one table F/N is the closure of the table's
-transition group, so m is its order, which the census scan learns for S_d
-and A_d without enumerating them, and the state cap bounds that scan.  A
-valid partition of one table marks every vertex once, so its all-blocks
-orbit is that closure too, and each pair index asks only whether the group
-holds the transposition of the pair's marked vertices.  Otherwise the
-all-blocks orbit is the product automaton at the marked tuple.
+orbit size and move counts of ``intersection_conditions``, and F/N's
+closure, each under the cap rule of ``schreier.Capped``: the state cap
+bounds the states each one's search held.  With one table F/N is the
+table's transition group, so m is its order, which the census scan learns
+for S_d and A_d without enumerating them; with several F/N is intransitive
+and runs the plain orbit.  A valid partition of one table marks every
+vertex once, so its all-blocks orbit is that closure too, and a pair index
+asks only whether the group holds the transposition of the pair's marks.
+Otherwise the all-blocks orbit is the product automaton at the marks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 from operator import add, ne, sub
@@ -101,7 +104,8 @@ class CosetSpec:
 class CosetPartition:
     """Blocks sorted ascending by (index, table); reps keep the given order
     among blocks with equal table.  ``groups`` maps each distinct table, in
-    first-seen order, to its transition group."""
+    first-seen order, to its transition group; ``columns`` lays the tables
+    side by side, with the blocks' basepoints ``base`` and marks ``marks``."""
 
     def __init__(self, rank: int, specs: Sequence[CosetSpec]):
         if not specs:
@@ -115,9 +119,11 @@ class CosetPartition:
             sorted(specs, key=lambda s: (s.table.degree, s.table.key())))
         self.groups = {t: transition_group(t)
                        for t in dict.fromkeys(spec.table for spec in self.specs)}
+        self.base, self.columns = side_by_side([spec.table for spec in self.specs])
+        self.marks = tuple(o + spec.marked for o, spec in zip(self.base, self.specs))
         self._checked = Capped(_check, StateCapExceeded)
         self._marked = Capped(_marked_moves, StateCapExceeded)
-        self._quotient = Capped(_close_quotient, StateCapExceeded)
+        self._quotient = Capped(PermGroup._closed, StateCapExceeded)
         self._n: CosetTable | None = None
 
     @property
@@ -133,6 +139,13 @@ class CosetPartition:
             (spec.table for spec in self.specs),
             key=lambda t: (-t.degree, t.key()))
 
+    @cached_property
+    def quotient(self) -> PermGroup:
+        """F/N: the one table's group itself, else the side-by-side columns'."""
+        if len(self.groups) == 1:
+            return next(iter(self.groups.values()))
+        return PermGroup(len(self.columns[0]), tuple(map(Permutation, self.columns[::2])))
+
 
 def product(
     tables: Sequence[CosetTable],
@@ -140,7 +153,8 @@ def product(
     cap: int = DEFAULT_STATE_CAP,
 ) -> Orbit:
     """Reachable part of the synchronous product of several tables: the
-    orbit of the base tuple, each table stepping its own coordinate."""
+    orbit of the base tuple, each table stepping its own coordinate: the
+    reference that a partition's orbits on its own layout are tested against."""
     if not tables:
         raise ValueError("need at least one table")
     rank = tables[0].rank
@@ -163,11 +177,11 @@ def product(
     return reached
 
 
-def side_by_side(tables: Sequence[CosetTable]) -> tuple[list[int], list[tuple]]:
+def side_by_side(tables: Sequence[CosetTable]) -> tuple[tuple[int, ...], list[tuple]]:
     """The distinct tables laid side by side, each from its own offset in
     first-seen order: every table's offset and the union's columns."""
     offsets: dict[CosetTable, int] = {}
-    shift = [offsets.setdefault(t, sum(u.degree for u in offsets)) for t in tables]
+    shift = tuple(offsets.setdefault(t, sum(u.degree for u in offsets)) for t in tables)
     columns = [tuple(v + offset for t, offset in offsets.items() for v in t.columns[c])
                for c in range(2 * tables[0].rank)]
     return shift, columns
@@ -179,7 +193,7 @@ class ValidationReport:
     state_count: int
     gap_witness: Word | None = None
     overlap_witness: tuple[Word, int, int] | None = None
-    # of a valid partition: the product automaton P and each state's block
+    # of a valid partition: P, its states side-by-side points, and their blocks
     automaton: Orbit | None = field(default=None, compare=False, repr=False)
     colors: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
@@ -195,11 +209,10 @@ def validate(p: CosetPartition, cap: int = DEFAULT_STATE_CAP) -> ValidationRepor
 
 
 def _check(p: CosetPartition, cap: int) -> ValidationReport:
-    auto = product([spec.table for spec in p.specs], [0] * p.size, cap)
-    marked = tuple(spec.marked for spec in p.specs)
+    auto = orbit(p.base, gather(p.columns, p.size), cap)
     colors = []
     for position, state in enumerate(auto.states):
-        hits = [i for i, (v, m) in enumerate(zip(state, marked)) if v == m]
+        hits = [i for i, (v, m) in enumerate(zip(state, p.marks)) if v == m]
         if not hits:
             return ValidationReport(
                 False, auto.state_count, gap_witness=auto.word(position))
@@ -246,23 +259,13 @@ def quotient_by_n(
     group_cap: int = DEFAULT_GROUP_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> Orbit:
-    """F/N: the closure of the identity under ``side_by_side(list(p.groups))``,
-    the transition group itself for one table.  Its states are the cosets of
-    N, its rows N's table.  Every block group is enumerated under group_cap,
-    then F/N's search is held to state_cap; the partition keeps F/N."""
-    closures = [group.enumerate(group_cap) for group in p.groups.values()]
-    quotient = p._quotient(state_cap, list(p.groups), closures)
-    return quotient.orbit if len(closures) == 1 else quotient
-
-
-def _close_quotient(tables, closures, cap: int):
-    """F/N's search: for one table its group's closure, whose census scan
-    is the search held to the cap; else the orbit of the tables' columns."""
-    if len(closures) == 1:
-        return closures[0]
-    _, columns = side_by_side(tables)
-    degree = len(columns[0])
-    return orbit(tuple(range(degree)), gather(columns, degree), cap)
+    """F/N's closure, ``p.quotient`` from the identity: its states are the
+    cosets of N, its rows N's table.  Every block group is enumerated under
+    group_cap, then F/N's search is held to state_cap; the partition keeps
+    F/N's closure."""
+    for group in p.groups.values():
+        group.enumerate(group_cap)
+    return p._quotient(state_cap, p.quotient).orbit
 
 
 def big_n(
@@ -283,13 +286,13 @@ def refinement_index(
     group_cap: int = DEFAULT_GROUP_CAP,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> int:
-    """m = [F : N], the size of ``quotient_by_n``.  With one table F/N is
-    its transition group, so m is that group's order, and a recognized S_d
-    or A_d is not enumerated: both caps bound the census scan alone."""
-    if len(p.groups) > 1:
-        return quotient_by_n(p, group_cap, state_cap).state_count
-    (group,) = p.groups.values()
-    return p._quotient(state_cap, list(p.groups), [group._closed(group_cap)]).order
+    """m = [F : N], the order of ``p.quotient``.  Every other block group is
+    enumerated under group_cap; with one table F/N is the block group, and
+    a recognized S_d or A_d is not enumerated: both caps bound its census
+    scan alone."""
+    for group in p.groups.values():
+        (group._closed if group is p.quotient else group.enumerate)(group_cap)
+    return p._quotient(state_cap, p.quotient).order
 
 
 def act(p: CosetPartition, w: Word) -> CosetPartition:
@@ -363,26 +366,24 @@ def _marked_moves(p: CosetPartition, cap: int) -> _MarkedOrbit:
     and the one state that moves exactly j and k, if any, is the image
     under the transposition of their marked vertices.  Its search is the
     group's closure, whose census scan need not reach that transposition.
-    Otherwise the orbit is the product automaton at the marked tuple, where
-    each state is reached once.
+    Otherwise the orbit is the product automaton at the marks, where each
+    state is reached once.
     """
-    marked = tuple(spec.marked for spec in p.specs)
     degree = p.specs[0].index
-    if len(p.groups) == 1 and sorted(marked) == list(range(degree)):
-        (group,) = p.groups.values()
-        closure = group._closed(cap)
+    if len(p.groups) == 1 and sorted(p.marks) == list(range(degree)):
+        closure = p.quotient._closed(cap)
         moved = {(): 1}
         for j, k in combinations(range(p.size), 2):
             swap = list(range(degree))
-            swap[marked[j]], swap[marked[k]] = marked[k], marked[j]
+            swap[p.marks[j]], swap[p.marks[k]] = p.marks[k], p.marks[j]
             if closure.holds(tuple(swap)):
                 moved[j, k] = 1
         return _MarkedOrbit(closure.order, moved, closure.state_count)
-    reached = product([spec.table for spec in p.specs], marked, cap)
+    reached = orbit(p.marks, gather(p.columns, p.size), cap)
     moved = {}
     for state in reached.states:
-        if sum(map(ne, state, marked)) <= 2:
-            changed = tuple(i for i, v in enumerate(state) if v != marked[i])
+        if sum(map(ne, state, p.marks)) <= 2:
+            changed = tuple(i for i, v in enumerate(state) if v != p.marks[i])
             moved[changed] = moved.get(changed, 0) + 1
     return _MarkedOrbit(reached.state_count, moved, reached.state_count)
 

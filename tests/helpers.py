@@ -260,6 +260,24 @@ def sym_ladder_partition(d: int) -> CosetPartition:
     return CosetPartition(2, [CosetSpec(table, rep) for rep in transversal(table)])
 
 
+def two_table_sym_partition(d: int) -> CosetPartition:
+    """S_d through the same a and b on two tables: H = Stab(0), the table of
+    ``sym_ladder_partition(d)``, and K = Stab((0, 1)), the ordered-pair
+    table of degree d(d - 1).  The blocks are H's d - 1 cosets other than H
+    and the d - 1 cosets of K inside H: K's transversal words whose coset
+    in H's table is 0.  The action on ordered pairs is faithful, so m = d!."""
+    (h_table,) = sym_ladder_partition(d).groups
+    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+    number = {pair: v for v, pair in enumerate(pairs)}
+    rows = tuple(tuple(number[column[i], column[j]] for column in h_table.columns)
+                 for i, j in pairs)
+    k_table = canonicalize(CosetTable(2, rows), number[0, 1])
+    specs = [CosetSpec(h_table, rep) for rep in transversal(h_table)[1:]]
+    specs += [CosetSpec(k_table, rep) for rep in transversal(k_table)
+              if coset_of(h_table, rep) == 0]
+    return CosetPartition(2, specs)
+
+
 def group_partition(group: PermGroup) -> CosetPartition:
     """The cosets of a point stabilizer of a transitive group: one block per
     vertex of the table its generators and their inverses give."""

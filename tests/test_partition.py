@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 import hsforge.partition
+import hsforge.perm
 from conftest import P, nonempty_words, words
 from helpers import (
     EmptyWord,
@@ -36,6 +38,7 @@ from helpers import (
     s2_wr_s3,
     separating_subgroup,
     sym_ladder_partition,
+    two_table_sym_partition,
 )
 from hsforge.files import load_partition
 from hsforge.partition import (
@@ -573,7 +576,8 @@ def test_a_failed_product_is_not_run_again(monkeypatch):
     # two distinct tables, m = 12 and P with 12 states: m and N share one
     # closure of F/N, and a closure or product that failed under a cap
     # raises at once for the same or a smaller cap, while a larger cap runs
-    # it again
+    # it again.  F/N's search runs in perm, validation's in partition; F/N
+    # is built on first use, after the patch, so its closure is counted
     p = residue_partition([(6, 0), (6, 2), (6, 4), (4, 1), (4, 3)])
     assert len(p.groups) == 2
     caps = []
@@ -582,7 +586,13 @@ def test_a_failed_product_is_not_run_again(monkeypatch):
         caps.append(cap)
         return original(start, images, cap)
 
+    def closed(group, cap, original=hsforge.perm._close):
+        if group is p.quotient:
+            caps.append(cap)
+        return original(group, cap)
+
     monkeypatch.setattr(hsforge.partition, "orbit", counted)
+    monkeypatch.setattr(hsforge.perm, "_close", closed)
     for call in (refinement_index, big_n, refinement_index):
         with pytest.raises(StateCapExceeded, match=r"\(11\)"):
             call(p, state_cap=11)
@@ -633,6 +643,28 @@ def _outcome(call, p, **caps):
         return call(CosetPartition(p.rank, p.specs), **caps)
     except CapExceeded as err:
         return type(err), str(err)
+
+
+def test_two_table_sym_partition_has_m_d_factorial():
+    # F/N of the two-table S_d partition is the side-by-side group, none of
+    # its block groups: its order d! exceeds the state cap d! - 1, and the
+    # block groups are enumerated under a group cap of d! - 1 first, which
+    # S_d's d! elements exceed, while the one-table ladder's m is its census
+    # scan's order, which holds fewer states
+    for d in range(5, 8):
+        m = factorial(d)
+        p = two_table_sym_partition(d)
+        assert validate(p).valid
+        assert p.size == 2 * d - 2 and len(p.groups) == 2
+        assert refinement_index(p) == m
+        if d <= 6:
+            assert big_n(p).degree == m
+        assert all(group is not p.quotient for group in p.groups.values())
+        assert _outcome(refinement_index, p, state_cap=m - 1) == (
+            StateCapExceeded, f"product automaton larger than cap ({m - 1})")
+        assert _outcome(refinement_index, p, group_cap=m - 1) == (
+            CapExceeded, f"transition group larger than cap ({m - 1})")
+        assert refinement_index(sym_ladder_partition(d), group_cap=m - 1) == m
 
 
 def test_fn_caps_match_the_product_of_cores():

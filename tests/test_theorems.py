@@ -542,9 +542,11 @@ def test_a_cap_is_hit_once_not_once_per_caller(monkeypatch):
     # that closure too, so they run no product of their own.  The other
     # orbit is the primitivity test's orbit of point 0, which holds 6 states
     searches = Counter()
-    for module, name in ((hsforge.perm, "orbit"), (hsforge.partition, "product")):
-        def counted(*args, original=getattr(module, name), name=name):
-            searches[name] += 1
+    for module, name in ((hsforge.perm, "orbit"), (hsforge.partition, "product"),
+                         (hsforge.partition, "orbit")):
+        def counted(*args, original=getattr(module, name),
+                    key=f"{module.__name__}.{name}"):
+            searches[key] += 1
             return original(*args)
         monkeypatch.setattr(module, name, counted)
     analysis = analyze(sym_ladder_partition(6), group_cap=100, state_cap=100)
@@ -552,14 +554,15 @@ def test_a_cap_is_hit_once_not_once_per_caller(monkeypatch):
     assert all(block["capped"] for block in analysis.blocks)
     pairs = analysis.to_json()["per_theorem"]["intersection"]["details"]["pairs"]
     assert len(pairs) == 15 and all(pair["capped"] for pair in pairs)
-    # the one product is validation's
-    assert searches == {"orbit": 2, "product": 1}
+    # the one partition.orbit is validation's, which steps the partition's
+    # own side-by-side layout, so no product runs
+    assert searches == {"hsforge.perm.orbit": 2, "hsforge.partition.orbit": 1}
 
 
 def test_one_closure_answers_the_census_and_every_pair(monkeypatch):
     # at default caps on the d = 6 ladder, the one closure of its single
-    # table gives the census, m and all 15 pair indices: the only product is
-    # validation's
+    # table gives the census, m and all 15 pair indices: the only product
+    # automaton is validation's
     searches = Counter()
     for module, name in ((hsforge.perm, "orbit"), (hsforge.partition, "product"),
                          (hsforge.partition, "orbit")):
@@ -572,11 +575,10 @@ def test_one_closure_answers_the_census_and_every_pair(monkeypatch):
     assert analysis.exit_code == 0 and analysis.m == 720
     pairs = analysis.to_json()["per_theorem"]["intersection"]["details"]["pairs"]
     assert len(pairs) == 15 and all(pair["index_all"] == 720 for pair in pairs)
-    # the one partition.orbit is the BFS inside validation's product; the
-    # perm.orbit calls are the census scan and the primitivity test's orbit
-    # of point 0
-    assert searches == {"hsforge.perm.orbit": 2, "hsforge.partition.product": 1,
-                        "hsforge.partition.orbit": 1}
+    # the one partition.orbit is validation's, on the partition's own
+    # side-by-side layout; the perm.orbit calls are the census scan and the
+    # primitivity test's orbit of point 0
+    assert searches == {"hsforge.perm.orbit": 2, "hsforge.partition.orbit": 1}
 
 
 def test_blocks_of_one_table_share_one_census_summary(monkeypatch):
@@ -644,7 +646,8 @@ def test_analyze_builds_no_n_table():
 
 def test_analyze_builds_one_permutation_per_generator_and_table(monkeypatch):
     # the searches keep image tuples: the only Permutations are the
-    # generators of each distinct table's transition group
+    # generators of each distinct table's transition group and, with two
+    # tables or more, of F/N on the tables laid side by side
     built = []
     post_init = Permutation.__post_init__
 
@@ -661,7 +664,7 @@ def test_analyze_builds_one_permutation_per_generator_and_table(monkeypatch):
         built.clear()
         p = load()
         assert analyze(p).valid
-        assert len(built) <= p.rank * len(p.groups)
+        assert len(built) <= p.rank * (len(p.groups) + (len(p.groups) > 1))
 
 
 def test_loop_checks_match_walks_on_n():
