@@ -24,8 +24,9 @@ index the intersection checker reports is checked against the sizes of its
 own product automata, and so is every pair index of that random table's
 one-table partition, a block per vertex, which is read off its group
 whenever it has three vertices or more.  At every vertex of that table,
-``order_at`` and ``visited_set`` of one random word must match the cycle
-of ``word_step``'s permutation through the vertex.  Fresh copies of
+``word_step``, ``order_at`` and ``visited_set`` of one random word, which
+share one composed step, must match ``trace``, which walks the word letter
+by letter: the image, and the cycle through the vertex.  Fresh copies of
 each partition are analyzed again under group_cap 40, with state_cap m - 1
 and with the default state cap: every number they report (m, group
 orders, census counts, pair indices) and every checker status must be the
@@ -79,8 +80,8 @@ from hsforge.sampling import (  # noqa: E402
     random_word,
 )
 from hsforge.schreier import (  # noqa: E402
-    cycles,
     order_at,
+    trace,
     transversal,
     visited_set,
     word_step,
@@ -164,15 +165,21 @@ def check_pair_indices(p, pairs) -> str | None:
 
 
 def check_orbits(table, w) -> str | None:
-    """What goes wrong with ``order_at`` or ``visited_set`` of w at a vertex
-    of the table, if anything: each against the cycle of ``word_step``'s
-    permutation through the vertex."""
-    for cycle in cycles(word_step(table, w)):
-        for v in cycle:
-            order, seen = order_at(table, w, v), visited_set(table, w, v)
-            if (order, seen) != (len(cycle), frozenset(cycle)):
-                return (f"{w} at vertex {v} has order {order} and visits "
-                        f"{sorted(seen)}, but its cycle is {cycle}")
+    """What goes wrong with ``word_step``, ``order_at`` or ``visited_set`` of
+    w at a vertex of the table, if anything: each against the letter walk
+    of ``trace``, the image and the cycle through the vertex."""
+    step = word_step(table, w)
+    for v in range(table.degree):
+        cycle, u = [v], trace(table, v, w)
+        if step[v] != u:
+            return f"{w} steps vertex {v} to {step[v]}, but traces it to {u}"
+        while u != v:
+            cycle.append(u)
+            u = trace(table, u, w)
+        order, seen = order_at(table, w, v), visited_set(table, w, v)
+        if (order, seen) != (len(cycle), frozenset(cycle)):
+            return (f"{w} at vertex {v} has order {order} and visits "
+                    f"{sorted(seen)}, but its cycle is {tuple(cycle)}")
     return None
 
 

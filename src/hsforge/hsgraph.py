@@ -25,7 +25,7 @@ from functools import cached_property
 from math import lcm
 
 from .partition import (
-    CosetPartition, DEFAULT_STATE_CAP, big_n, order_rel, quotient_by_n)
+    CosetPartition, DEFAULT_STATE_CAP, big_n, marked_cycle_lengths, quotient_by_n)
 from .perm import DEFAULT_GROUP_CAP
 from .schreier import CosetTable, cycles, word_step
 from .words import Word
@@ -97,11 +97,12 @@ def build_hs_graph(
     if len(lengths) != 1:
         raise AssertionError(f"normal table has uneven loop lengths {lengths}")
     o_n = lengths.pop()
-    per_block = lcm(*(len(c) for t in p.groups for c in cycles(word_step(t, w))))
+    steps = {t: word_step(t, w) for t in p.groups}
+    per_block = lcm(*(len(c) for s in steps.values() for c in cycles(s)))
     if per_block != o_n:
         raise AssertionError(
             f"order of w modulo N is {o_n} but blockwise lcm is {per_block}")
-    orders = tuple(order_rel(p, i, w) for i in range(p.size))
+    orders = tuple(marked_cycle_lengths(p, steps))
     return HSColoredGraph(p, w, table, tuple(color), step, orders, o_n)
 
 

@@ -43,6 +43,7 @@ from .schreier import (
     gather,
     orbit,
     order_at,
+    word_step,
 )
 from .words import Word, multiply
 
@@ -56,6 +57,8 @@ __all__ = [
     "validate",
     "multiplicity",
     "order_rel",
+    "relative_orders",
+    "marked_cycle_lengths",
     "o_max_and_sharp",
     "normal_core",
     "side_by_side",
@@ -241,8 +244,29 @@ def order_rel(p: CosetPartition, i: int, w: Word) -> int:
     return order_at(spec.table, w, spec.marked)
 
 
+def relative_orders(p: CosetPartition, w: Word) -> list[int]:
+    """``order_rel`` of every block, in block order: w's step is composed
+    once per distinct table, and each block reads its cycle at its mark."""
+    return marked_cycle_lengths(p, {t: word_step(t, w) for t in p.groups})
+
+
+def marked_cycle_lengths(
+    p: CosetPartition, steps: dict[CosetTable, Sequence[int]]
+) -> list[int]:
+    """Each block's cycle length at its marked vertex, in its table's step."""
+    orders = []
+    for spec in p.specs:
+        step, mark = steps[spec.table], spec.marked
+        k, v = 1, step[mark]
+        while v != mark:
+            v = step[v]
+            k += 1
+        orders.append(k)
+    return orders
+
+
 def o_max_and_sharp(p: CosetPartition, w: Word) -> tuple[int, int]:
-    orders = [order_rel(p, i, w) for i in range(p.size)]
+    orders = relative_orders(p, w)
     o_max = max(orders)
     return o_max, orders.count(o_max)
 

@@ -16,16 +16,20 @@ Folding a subgroup's generator words gives its transition graph; when that is
 complete the subgroup has finite index d and the graph is a complete table on
 d vertices, numbered by BFS from the basepoint in column order, so two tables
 are equal as values exactly when they describe the same subgroup.  A table
-keeps its letter columns' image tuples and a word its letters' columns, so a
-walk steps ``v = column[v]`` once per letter, and ``order_at`` and
-``visited_set`` trace a cycle in one loop, with no call per step.
+keeps its letter columns' image tuples and a word its letters' columns, so
+``trace`` and ``coset_of`` step ``v = column[v]`` once per letter.  A table
+of at most 256 vertices also keeps each column as 256 bytes, so
+``word_step``, ``order_at`` and ``visited_set`` compose w's step in C, one
+``bytes.translate`` per letter, and trace a cycle with one lookup per step;
+a larger table, such as N's, walks them letter by letter.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import count, islice
+from functools import reduce
+from itertools import islice
 from operator import itemgetter
 
 from .words import Letter, Word, letter_from_column
@@ -52,6 +56,11 @@ __all__ = [
     "word_step",
     "rows_step",
 ]
+
+
+# bytes.translate maps each byte through a table of 256 bytes
+BYTE_DEGREE = 256
+_IDENTITY = bytes(range(BYTE_DEGREE))
 
 
 class CapExceeded(Exception):
@@ -236,6 +245,9 @@ class CosetTable:
     rank: int
     delta: tuple[tuple[int, ...], ...]
     columns: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    # the columns as bytes.translate tables, on at most BYTE_DEGREE vertices
+    byte_columns: tuple[bytes, ...] | None = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rank < 1 or not self.delta:
@@ -254,6 +266,8 @@ class CosetTable:
                 if columns[c ^ 1][columns[c][v]] != v:
                     raise ValueError(f"inverse inconsistency at vertex {v}, column {c}")
         object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "byte_columns", None if d > BYTE_DEGREE else tuple(
+            bytes(column) + bytes(BYTE_DEGREE - d) for column in columns))
 
     @property
     def degree(self) -> int:
@@ -385,6 +399,21 @@ def _letter_columns(columns: Sequence[Sequence[int]], w: Word) -> list:
     return [columns[c] for c in w.columns]
 
 
+def _composed(table: CosetTable, w: Word, start: int = 0) -> bytes | None:
+    """w's step on the table's vertices, once w's rank and start are checked
+    (as ``_walker`` checks them, inline: this runs once per vertex asked):
+    composed in C, one ``bytes.translate`` per letter, on a table of at most
+    BYTE_DEGREE vertices; None on a larger one, which walks letter by letter."""
+    d, columns = len(table.delta), table.byte_columns
+    if w.rank != table.rank:
+        raise ValueError(f"word rank {w.rank} != table rank {table.rank}")
+    if not 0 <= start < d:
+        raise ValueError(f"vertex {start} out of range")
+    if columns is None:
+        return None
+    return reduce(bytes.translate, map(columns.__getitem__, w.columns), _IDENTITY[:d])
+
+
 def _step(columns: list, degree: int) -> tuple[int, ...]:
     images = []
     for v in range(degree):
@@ -418,7 +447,10 @@ def transversal(table: CosetTable) -> list[Word]:
 
 def word_step(table: CosetTable, w: Word) -> tuple[int, ...]:
     """The permutation of vertices induced by one application of w."""
-    return _step(_walker(table, w), table.degree)
+    step = _composed(table, w)
+    if step is None:
+        return _step(_letter_columns(table.columns, w), table.degree)
+    return tuple(step)
 
 
 def rows_step(rows: Sequence[Sequence[int]], w: Word) -> tuple[int, ...]:
@@ -427,14 +459,28 @@ def rows_step(rows: Sequence[Sequence[int]], w: Word) -> tuple[int, ...]:
     return _step(_letter_columns(tuple(zip(*rows)), w), len(rows))
 
 
-def order_at(table: CosetTable, w: Word, vertex: int) -> int:
-    """Minimal k >= 1 with trace(vertex, w^k) == vertex."""
-    columns, v = _walker(table, w, vertex), vertex
-    for k in count(1):
+def _letter_cycle(table: CosetTable, w: Word, vertex: int) -> list[int]:
+    """The cycle of w's step through the vertex, walked letter by letter: on
+    a table past BYTE_DEGREE vertices, one cycle costs less than the step."""
+    columns, cycle, v = _letter_columns(table.columns, w), [vertex], vertex
+    while True:
         for column in columns:
             v = column[v]
         if v == vertex:
-            return k
+            return cycle
+        cycle.append(v)
+
+
+def order_at(table: CosetTable, w: Word, vertex: int) -> int:
+    """Minimal k >= 1 with trace(vertex, w^k) == vertex."""
+    step = _composed(table, w, vertex)
+    if step is None:
+        return len(_letter_cycle(table, w, vertex))
+    k, v = 1, step[vertex]
+    while v != vertex:
+        v = step[v]
+        k += 1
+    return k
 
 
 def visited_set(table: CosetTable, w: Word, vertex: int) -> frozenset[int]:
@@ -444,10 +490,11 @@ def visited_set(table: CosetTable, w: Word, vertex: int) -> frozenset[int]:
     vertices are equal or disjoint, partitioning the vertex set.  Only the
     cycle through the vertex is traced.
     """
-    columns, cycle, v = _walker(table, w, vertex), [vertex], vertex
-    while True:
-        for column in columns:
-            v = column[v]
-        if v == vertex:
-            return frozenset(cycle)
+    step = _composed(table, w, vertex)
+    if step is None:
+        return frozenset(_letter_cycle(table, w, vertex))
+    cycle, v = [vertex], step[vertex]
+    while v != vertex:
         cycle.append(v)
+        v = step[v]
+    return frozenset(cycle)

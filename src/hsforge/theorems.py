@@ -21,8 +21,8 @@ from .partition import (
     intersection_conditions,
     multiplicity,
     o_max_and_sharp,
-    order_rel,
     refinement_index,
+    relative_orders,
     rho,
     validate,
 )
@@ -137,7 +137,7 @@ def check_full_cycle(
     if witness is not None:
         details["witness"] = str(witness)
         details["witness_block"] = witness_block
-        details["relative_orders"] = [order_rel(p, i, witness) for i in range(p.size)]
+        details["relative_orders"] = relative_orders(p, witness)
         verified = len(candidates) >= prime
     return _report("full_cycle", predicted, verified, hit_cap, details)
 
@@ -378,7 +378,7 @@ def loop_consistency(
     report = validate(p, state_cap)
     if not report.valid:
         raise ValueError("partition is not valid; run validation first")
-    orders = [order_rel(p, i, w) for i in range(p.size)]
+    orders = relative_orders(p, w)
     loops = cycles(rows_step(report.automaton.rows, w))
     o_n = lcm(*map(len, loops))
     verdicts: dict[Any, str] = {}

@@ -33,6 +33,7 @@ from helpers import (
     pgl25,
     product_by_columns,
     reduced_words_up_to,
+    fuzz_partitions,
     residue_partition,
     rho_recomputed,
     s2_wr_s3,
@@ -57,6 +58,7 @@ from hsforge.partition import (
     product,
     quotient_by_n,
     refinement_index,
+    relative_orders,
     rho,
     validate,
     _coset_action_table,
@@ -72,7 +74,7 @@ from hsforge.sampling import (
 from hsforge.schreier import (
     CapExceeded, CosetTable, coset_of, table_from_generators, transversal)
 from hsforge.theorems import analyze
-from hsforge.words import identity, multiply, parse_word
+from hsforge.words import Word, identity, letter_from_column, multiply, parse_word
 
 BUNDLED = sorted((Path(__file__).resolve().parents[1] / "data").glob("*.partition"))
 BUNDLED_THREES = Path(__file__).resolve().parents[1] / "data" / "ex_three_threes.partition"
@@ -251,6 +253,8 @@ def test_relative_orders_reject_a_word_of_another_rank(p44):
     for i in range(p44.size):
         with pytest.raises(ValueError, match="word rank 3 != table rank 2"):
             order_rel(p44, i, parse_word(3, "ab"))
+    with pytest.raises(ValueError, match="word rank 3 != table rank 2"):
+        relative_orders(p44, parse_word(3, "ab"))
 
 
 def test_relative_orders_reject_a_block_out_of_range(p44):
@@ -268,6 +272,17 @@ def test_relative_orders(p44, p77):
     assert [order_rel(p77, i, P("ab")) for i in range(3)] == [2, 2, 2]
     assert o_max_and_sharp(p77, P("ab")) == (2, 3)
     assert o_max_and_sharp(p44, identity(2)) == (1, 3)
+
+
+def test_relative_orders_compose_each_table_once():
+    rng = random.Random(22)
+    pool = [load_partition(str(path)) for path in BUNDLED]
+    pool += [*fuzz_partitions(20), *map(two_table_sym_partition, range(5, 8))]
+    for p in pool:
+        one_letter = [Word(p.rank, (letter_from_column(c),)) for c in range(2 * p.rank)]
+        for w in [identity(p.rank), *one_letter,
+                  *(random_word(rng, p.rank, 12) for _ in range(4))]:
+            assert relative_orders(p, w) == [order_rel(p, i, w) for i in range(p.size)]
 
 
 def test_normal_core(k_table, g_table, m_table, h1_table):

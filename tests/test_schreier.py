@@ -188,13 +188,34 @@ def test_walkers_resolve_each_letter_once_per_call(monkeypatch):
     assert 0 < resolved <= len(w)
 
 
+def exact_table(rng: random.Random, rank: int, d: int) -> CosetTable:
+    """A random table of exactly d vertices: the first generator a d-cycle,
+    the others random permutations."""
+    order = list(range(d))
+    rng.shuffle(order)
+    cycle = [0] * d
+    for i, v in enumerate(order):
+        cycle[v] = order[(i + 1) % d]
+    steps = []
+    for g in range(rank):
+        images = cycle if g == 0 else rng.sample(range(d), d)
+        steps += [images, sorted(range(d), key=images.__getitem__)]
+    return CosetTable(rank, canonical_rows(
+        [tuple(step[v] for step in steps) for v in range(d)], 0))
+
+
 def walk_cases():
-    """Random tables of ranks 1 to 3, the first three of degree 1, each with
-    the identity, every one-letter word and four random words."""
+    """Random tables of ranks 1 to 3, the first three of degree 1, then
+    tables of degree 255, 256 and 257, on both sides of the limit of the
+    composed walks; each with the identity, every one-letter word and four
+    random words."""
     rng = random.Random(20)
-    for n in range(60):
+    for n in range(63):
         rank = 1 + n % 3
-        table = random_table(rng, rank, 1 if n < 3 else 12)
+        if n < 60:
+            table = random_table(rng, rank, 1 if n < 3 else 12)
+        else:
+            table = exact_table(rng, rank, (255, 256, 257)[n - 60])
         one_letter = [Word(rank, (letter_from_column(c),)) for c in range(2 * rank)]
         yield table, [identity(rank), *one_letter,
                       *(random_word(rng, rank, 12) for _ in range(4))]
@@ -218,7 +239,23 @@ def test_walks_agree_with_letter_by_letter_tracing():
                 assert visited_set(table, w, vertex) == cycle
                 assert order_at(table, w, vertex) == order_by_iteration(
                     table, w, vertex) == len(cycle)
-    assert 1 in degrees and len(degrees) > 5
+    assert 1 in degrees and {255, 256, 257} <= degrees and len(degrees) > 5
+
+
+@pytest.mark.parametrize("degree", [6, 257])
+def test_walks_check_the_vertex_and_rank_before_any_lookup(degree):
+    # a step in bytes answers index -1 for the last vertex
+    table = exact_table(random.Random(degree), 2, degree)
+    assert (table.byte_columns is None) == (degree > 256)
+    w = parse_word(2, "abA")
+    for walk in (order_at, visited_set):
+        for vertex in (-1, degree):
+            with pytest.raises(ValueError, match=f"vertex {vertex} out of range"):
+                walk(table, w, vertex)
+        with pytest.raises(ValueError, match="word rank 3 != table rank 2"):
+            walk(table, parse_word(3, "ab"), 0)
+    with pytest.raises(ValueError, match="word rank 3 != table rank 2"):
+        word_step(table, parse_word(3, "ab"))
 
 
 def test_read_columns_leave_equality_hash_and_repr_alone():
@@ -229,6 +266,8 @@ def test_read_columns_leave_equality_hash_and_repr_alone():
         return parse_word(2, "abAB")
 
     assert table().columns == tuple(zip(*K_DELTA))
+    assert table().byte_columns == tuple(
+        bytes(column) + bytes(252) for column in zip(*K_DELTA))
     w = abab()
     assert "columns" not in vars(w)  # a word resolves them on the first walk
     assert w.columns == (0, 2, 1, 3) and "columns" in vars(w)
