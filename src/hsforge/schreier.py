@@ -21,7 +21,7 @@ keeps its letter columns' image tuples and a word its letters' columns, so
 of at most 256 vertices also keeps each column as 256 bytes, so
 ``word_step``, ``order_at`` and ``visited_set`` compose w's step in C, one
 ``bytes.translate`` per letter, and trace a cycle with one lookup per step;
-a larger table, such as N's, walks them letter by letter.
+a table of more vertices, such as N's when m > 256, walks letter by letter.
 """
 
 from __future__ import annotations
