@@ -26,7 +26,9 @@ one-table partition, a block per vertex, which is read off its group
 whenever it has three vertices or more.  At every vertex of that table,
 ``word_step``, ``order_at`` and ``visited_set`` of one random word, which
 share one composed step, must match ``trace``, which walks the word letter
-by letter: the image, and the cycle through the vertex.  Fresh copies of
+by letter: the image, and the cycle through the vertex.  The table keeps
+the step of the last word composed on it, so the word's inverse, which has
+the same cycles, is walked between the word's walks at every vertex.  Fresh copies of
 each partition are analyzed again under group_cap 40, with state_cap m - 1
 and with the default state cap: every number they report (m, group
 orders, census counts, pair indices) and every checker status must be the
@@ -167,8 +169,10 @@ def check_pair_indices(p, pairs) -> str | None:
 def check_orbits(table, w) -> str | None:
     """What goes wrong with ``word_step``, ``order_at`` or ``visited_set`` of
     w at a vertex of the table, if anything: each against the letter walk
-    of ``trace``, the image and the cycle through the vertex."""
-    step = word_step(table, w)
+    of ``trace``, the image and the cycle through the vertex.  The table
+    keeps the step of the last word composed on it, so ``~w``, whose cycles
+    are w's, is asked between w's two queries at every vertex."""
+    step, inverse = word_step(table, w), ~w
     for v in range(table.degree):
         cycle, u = [v], trace(table, v, w)
         if step[v] != u:
@@ -176,10 +180,13 @@ def check_orbits(table, w) -> str | None:
         while u != v:
             cycle.append(u)
             u = trace(table, u, w)
-        order, seen = order_at(table, w, v), visited_set(table, w, v)
-        if (order, seen) != (len(cycle), frozenset(cycle)):
-            return (f"{w} at vertex {v} has order {order} and visits "
-                    f"{sorted(seen)}, but its cycle is {tuple(cycle)}")
+        order = order_at(table, w, v)
+        inverse_walks = order_at(table, inverse, v), visited_set(table, inverse, v)
+        seen = visited_set(table, w, v)
+        for word, walks in ((w, (order, seen)), (inverse, inverse_walks)):
+            if walks != (len(cycle), frozenset(cycle)):
+                return (f"{word} at vertex {v} has order {walks[0]} and visits "
+                        f"{sorted(walks[1])}, but its cycle is {tuple(cycle)}")
     return None
 
 

@@ -22,6 +22,9 @@ of at most 256 vertices also keeps each column as 256 bytes, so
 ``word_step``, ``order_at`` and ``visited_set`` compose w's step in C, one
 ``bytes.translate`` per letter, and trace a cycle with one lookup per step;
 a table of more vertices, such as N's when m > 256, walks letter by letter.
+Such a table also keeps the step of the last word composed on it, keyed by
+the word's columns, so a caller that asks w at every vertex composes it
+once; tables and words are immutable, so the kept step is never stale.
 """
 
 from __future__ import annotations
@@ -248,6 +251,9 @@ class CosetTable:
     # the columns as bytes.translate tables, on at most BYTE_DEGREE vertices
     byte_columns: tuple[bytes, ...] | None = field(
         init=False, compare=False, repr=False)
+    # the letter columns of the last word composed here, and its bytes step
+    _last_step: tuple[tuple[int, ...] | None, bytes | None] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rank < 1 or not self.delta:
@@ -268,6 +274,7 @@ class CosetTable:
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "byte_columns", None if d > BYTE_DEGREE else tuple(
             bytes(column) + bytes(BYTE_DEGREE - d) for column in columns))
+        object.__setattr__(self, "_last_step", (None, None))
 
     @property
     def degree(self) -> int:
@@ -401,9 +408,11 @@ def _letter_columns(columns: Sequence[Sequence[int]], w: Word) -> list:
 
 def _composed(table: CosetTable, w: Word, start: int = 0) -> bytes | None:
     """w's step on the table's vertices, once w's rank and start are checked
-    (as ``_walker`` checks them, inline: this runs once per vertex asked):
-    composed in C, one ``bytes.translate`` per letter, on a table of at most
-    BYTE_DEGREE vertices; None on a larger one, which walks letter by letter."""
+    (as ``_walker`` checks them, inline: a caller may ask at every vertex):
+    on a table of at most BYTE_DEGREE vertices, the step kept from the last
+    word composed on the table when it has w's columns, else composed in C,
+    one ``bytes.translate`` per letter, and kept in its place; None on a
+    larger table, which walks letter by letter."""
     d, columns = len(table.delta), table.byte_columns
     if w.rank != table.rank:
         raise ValueError(f"word rank {w.rank} != table rank {table.rank}")
@@ -411,7 +420,12 @@ def _composed(table: CosetTable, w: Word, start: int = 0) -> bytes | None:
         raise ValueError(f"vertex {start} out of range")
     if columns is None:
         return None
-    return reduce(bytes.translate, map(columns.__getitem__, w.columns), _IDENTITY[:d])
+    key, step = table._last_step
+    if key != w.columns:
+        key = w.columns
+        step = reduce(bytes.translate, map(columns.__getitem__, key), _IDENTITY[:d])
+        object.__setattr__(table, "_last_step", (key, step))
+    return step
 
 
 def _step(columns: list, degree: int) -> tuple[int, ...]:

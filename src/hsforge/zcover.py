@@ -4,12 +4,13 @@ A system of classes o_1*Z + r_1, ..., o_t*Z + r_t partitions Z exactly when
 every integer in one full period L = lcm(o_i) is covered exactly once.  Two
 classes meet exactly when their residues agree modulo the gcd of their
 moduli, so validity is decided per pair of distinct moduli, not per pair of
-classes, and without a scan of the period.  For genuine partitions (more
-than one class, so all moduli exceed 1) four structural facts hold: the
-moduli are not pairwise coprime, the largest modulus repeats at least p
-times where p is its smallest prime factor, every modulus divides another
-one, and every modulus that properly divides no other appears at least
-twice.
+classes, and without a scan of the period; so is the witness of an invalid
+system, the least integer not covered once, by a binary search on the
+number of covers below n.  For genuine partitions (more than one class, so
+all moduli exceed 1) four structural facts hold: the moduli are not
+pairwise coprime, the largest modulus repeats at least p times where p is
+its smallest prime factor, every modulus divides another one, and every
+modulus that properly divides no other appears at least twice.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ __all__ = [
     "parse_zpartition",
     "format_zpartition",
 ]
-
-WITNESS_WINDOW = 1 << 16  # integers counted at a time in a witness search
-
 
 class InvalidPartition(ValueError):
     """The classes do not form a partition of Z, or moduli are malformed;
@@ -112,7 +110,10 @@ def validate_z(z: ZPartition) -> ZCheck:
     witness of an invalid system is the first meeting point of two classes,
     unless a gap lies below it.  t classes that cover [0, 2**t) cover Z
     (Crittenden and Vanden Eynden, 1970), so gaps are sought below that
-    bound only, counting covers in windows upward from 0.
+    bound only.  Below the first meeting point no integer is covered twice,
+    so [0, n) holds a gap exactly when fewer than n covers fall in it; that
+    test is monotone in n, and a binary search on it finds the first gap
+    with O(t) arithmetic per step.
     """
     classes = z.classes
     groups: dict[int, set[int]] = {}
@@ -135,15 +136,16 @@ def validate_z(z: ZPartition) -> ZCheck:
         return ZCheck(True, None)
     overlap = min(meets, default=period)
     end = min(overlap, 2 ** len(classes))
-    for start in range(0, end, WITNESS_WINDOW):
-        counts = [0] * min(WITNESS_WINDOW, end - start)
-        for c in classes:
-            for n in range((c.residue - start) % c.modulus, len(counts), c.modulus):
-                counts[n] += 1
-        for n, hits in enumerate(counts):
-            if hits != 1:
-                return ZCheck(False, start + n)
-    return ZCheck(False, overlap)
+    low, high = 0, end  # [0, low) is covered, [0, n) not for high < n <= end
+    while low < high:
+        n = (low + high + 1) // 2
+        covers = sum((n - 1 - c.residue) // c.modulus + 1
+                     for c in classes if c.residue < n)
+        if covers == n:
+            low = n
+        else:
+            high = n - 1
+    return ZCheck(False, overlap if low == end else low)
 
 
 def _first_common(o: int, r: int, o2: int, r2: int) -> int:

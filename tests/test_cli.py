@@ -285,6 +285,12 @@ def test_zcheck_past_any_period_scan_exits_one(capsys):
     assert code == 1
     assert json.loads(out) == {"valid": False, "witness": 1}
     assert err == ""
+    # 40 disjoint classes whose first gap is 2**40 - 1
+    chain = ",".join(f"{2 ** k}:{2 ** (k - 1) - 1}" for k in range(1, 41))
+    code, out, err = run_cli(capsys, ["zcheck", chain, "--json"])
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "witness": 1099511627775}
+    assert err == ""
 
 
 def test_metric_same_file_is_zero(capsys):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -221,41 +223,58 @@ def walk_cases():
                       *(random_word(rng, rank, 12) for _ in range(4))]
 
 
+def cycles_by_tracing(table: CosetTable, w: Word) -> dict[int, frozenset[int]]:
+    """The cycle of w's step through each vertex, traced letter by letter."""
+    return {v: frozenset(c) for c in cycles(perm_by_tracing(table, w)) for v in c}
+
+
 def test_walks_agree_with_letter_by_letter_tracing():
-    degrees = set()
+    # a table keeps the step of the last word composed on it, so at every
+    # vertex w is asked between ~w, the identity, w on the last table of its
+    # rank and an equal word built apart, and each answer must be its own
+    degrees, last = set(), {}
     for table, ws in walk_cases():
         degrees.add(table.degree)
+        other = last.get(table.rank, table)
+        last[table.rank] = table
         for w in ws:
             step = word_step(table, w)
             assert step == tuple(perm_by_tracing(table, w))
             assert rows_step(table.delta, w) == step
             assert coset_of(table, w) == trace_letters(table, 0, w)
+            walks = [(t, u, cycles_by_tracing(t, u)) for t, u in (
+                (table, w), (table, ~w), (table, identity(table.rank)), (other, w),
+                (table, Word(w.rank, w.letters)))]
             for vertex in range(table.degree):
                 assert trace(table, vertex, w) == step[vertex]
-                cycle, v = {vertex}, step[vertex]
-                while v != vertex:
-                    cycle.add(v)
-                    v = trace_letters(table, v, w)
-                assert visited_set(table, w, vertex) == cycle
-                assert order_at(table, w, vertex) == order_by_iteration(
-                    table, w, vertex) == len(cycle)
+                for t, u, cycles in walks:
+                    v = vertex % t.degree
+                    assert visited_set(t, u, v) == cycles[v]
+                    assert order_at(t, u, v) == len(cycles[v])
+                for u in (w, ~w):
+                    assert order_at(table, u, vertex) == order_by_iteration(
+                        table, u, vertex)
     assert 1 in degrees and {255, 256, 257} <= degrees and len(degrees) > 5
 
 
 @pytest.mark.parametrize("degree", [6, 257])
 def test_walks_check_the_vertex_and_rank_before_any_lookup(degree):
-    # a step in bytes answers index -1 for the last vertex
+    # a step in bytes answers index -1 for the last vertex, and so does the
+    # step the table keeps from w's last walk: cold, then warm
     table = exact_table(random.Random(degree), 2, degree)
     assert (table.byte_columns is None) == (degree > 256)
     w = parse_word(2, "abA")
-    for walk in (order_at, visited_set):
-        for vertex in (-1, degree):
-            with pytest.raises(ValueError, match=f"vertex {vertex} out of range"):
-                walk(table, w, vertex)
+    for warm in (False, True):
+        if warm:
+            assert order_at(table, w, 0) == order_by_iteration(table, w, 0)
+        for walk in (order_at, visited_set):
+            for vertex in (-1, degree):
+                with pytest.raises(ValueError, match=f"vertex {vertex} out of range"):
+                    walk(table, w, vertex)
+            with pytest.raises(ValueError, match="word rank 3 != table rank 2"):
+                walk(table, parse_word(3, "ab"), 0)
         with pytest.raises(ValueError, match="word rank 3 != table rank 2"):
-            walk(table, parse_word(3, "ab"), 0)
-    with pytest.raises(ValueError, match="word rank 3 != table rank 2"):
-        word_step(table, parse_word(3, "ab"))
+            word_step(table, parse_word(3, "ab"))
 
 
 def test_read_columns_leave_equality_hash_and_repr_alone():
@@ -277,6 +296,19 @@ def test_read_columns_leave_equality_hash_and_repr_alone():
         assert read == fresh and hash(read) == hash(fresh)
         assert repr(read) == repr(fresh) and "columns" not in repr(read)
         assert {read: 1}[fresh] == 1
+    # the step kept from the last walk is no part of the value, and copies
+    # walk like the table
+    warm, ba = table(), parse_word(2, "ba")
+    assert visited_set(warm, abab(), 0) == cycles_by_tracing(warm, abab())[0]
+    assert warm == table() and hash(warm) == hash(table())
+    assert repr(warm) == repr(table()) and "step" not in repr(warm)
+    for twin in (copy.copy(warm), pickle.loads(pickle.dumps(warm))):
+        assert twin == warm and hash(twin) == hash(warm)
+        for u in (abab(), ba, abab()):
+            cycles = cycles_by_tracing(twin, u)
+            for v in range(twin.degree):
+                assert visited_set(twin, u, v) == cycles[v]
+                assert order_at(twin, u, v) == order_by_iteration(twin, u, v)
 
 
 def test_trace_follows_letters(g_table):

@@ -122,8 +122,11 @@ def test_validate_z_past_any_period_scan():
     assert validate_z(parse_zpartition(f"1:0,{big}:{big - 1}")).witness == big - 1
     assert validate_z(parse_zpartition(f"2:0,2:1,{big}:{big - 3}")).witness == big - 3
     assert validate_z(parse_zpartition(f"{big}:0,{big}:1,2:1")).witness == 1
-    # t = 4 classes whose first gap is 2**4 - 1
-    assert validate_z(parse_zpartition("2:0,4:1,8:3,16:7")).witness == 15
+    # t classes 2:0,4:1,...,2**t:2**(t-1)-1 whose first gap is 2**t - 1
+    for t in (4, 40, 60):
+        chain = ",".join(f"{2 ** k}:{2 ** (k - 1) - 1}" for k in range(1, t + 1))
+        assert chain.startswith("2:0,4:1,8:3,16:7")
+        assert validate_z(parse_zpartition(chain)).witness == 2 ** t - 1
     assert validate_z(parse_zpartition(f"2:0,2:1,{big}:5,{big}:5")).witness == 5
 
 
