@@ -28,11 +28,11 @@ whenever it has three vertices or more.  At every vertex of that table,
 share one composed step, must match ``trace``, which walks the word letter
 by letter: the image, and the cycle through the vertex.  The table keeps
 the step of the last word composed on it, so the word's inverse, which has
-the same cycles, is walked between the word's walks at every vertex.  Fresh copies of
-each partition are analyzed again under group_cap 40, with state_cap m - 1
-and with the default state cap: every number they report (m, group
-orders, census counts, pair indices) and every checker status must be the
-uncapped one, or else capped or unknown.  The analysis' JSON report, as
+the same cycles, is walked between the word's walks at every vertex.
+Fresh copies of each partition are analyzed again under group_cap 40, with
+state_cap m - 1 and with the default state cap: every number they report
+(m, group orders, census counts, pair indices) and every checker status
+must be the uncapped one, or else capped or unknown.  The analysis' JSON report, as
 ``hsforge analyze --json`` writes it, must equal ``json.dumps(indent=2,
 sort_keys=True)`` byte for byte.  Each draw also takes one split chain of
 residue classes and a copy with a residue moved, a class duplicated or a

@@ -35,6 +35,7 @@ __all__ = [
     "format_zpartition",
 ]
 
+
 class InvalidPartition(ValueError):
     """The classes do not form a partition of Z, or moduli are malformed;
     ``witness`` is the smallest integer not covered once, if that is why."""

@@ -56,10 +56,9 @@ def test_validate_z_examples():
 
 
 def test_validate_z_matches_period_scan():
-    # the exact test and the windowed witness search against a scan of the
-    # whole period: split chains, the same with one residue moved, the
-    # classes of the two zcheck goldens, and 17 classes whose first gap,
-    # 2**17 - 1, lies in the second window
+    # the exact test and the witness search against a scan of the whole
+    # period: split chains, the same with one residue moved, the classes of
+    # the two zcheck goldens, and 17 classes whose first gap is 2**17 - 1
     rng = random.Random(12)
     systems = [parse_zpartition("2:0,4:1,4:3"), parse_zpartition("2:0,3:1"),
                zpartition([(2**i, 2**(i - 1) - 1) for i in range(1, 18)])]
