@@ -29,6 +29,9 @@ share one composed step, must match ``trace``, which walks the word letter
 by letter: the image, and the cycle through the vertex.  The table keeps
 the step of the last word composed on it, so the word's inverse, which has
 the same cycles, is walked between the word's walks at every vertex.
+The same checks run on N's table with the word of its loop graph: N's
+table is the only one the program steps that can have more than 256
+vertices.
 Fresh copies of each partition are analyzed again under group_cap 40, with
 state_cap m - 1 and with the default state cap: every number they report
 (m, group orders, census counts, pair indices) and every checker status
@@ -101,9 +104,9 @@ from hsforge.zcover import (  # noqa: E402
 def check_n_path(p, w) -> str | None:
     """What goes wrong on N's table for the word w, if anything: the loop
     graph's own checks, each fiber's loop count, m and N's table against
-    the product of the distinct tables' Cayley tables, m against the block
-    group orders, and the two loop paths' orders of w modulo N against each
-    other."""
+    the product of the distinct tables' Cayley tables, ``check_orbits`` of w
+    on N's table, m against the block group orders, and the two loop
+    paths' orders of w modulo N against each other."""
     try:
         graph = build_hs_graph(p, w)
         for i in range(p.size):
@@ -116,6 +119,9 @@ def check_n_path(p, w) -> str | None:
     if (m, big_n(p).delta) != (reference.state_count, tuple(reference.rows)):
         return (f"m = {m} and N's table differ from the product of the "
                 f"Cayley tables, of {reference.state_count} states")
+    problem = check_orbits(big_n(p), w)
+    if problem:
+        return f"on N's table: {problem}"
     orders = [group.order() for group in p.groups.values()]
     if any(m % order for order in orders) or prod(orders) % m:
         return f"m = {m} does not lie between the block group orders {orders}"

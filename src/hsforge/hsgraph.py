@@ -53,11 +53,15 @@ class HSColoredGraph:
     color: tuple[int, ...]           # block position per vertex
     step: tuple[int, ...]            # vertex -> vertex * w
     orders: tuple[int, ...]          # relative order of w per block
-    o_n: int                         # order of w modulo N
 
     @property
     def m(self) -> int:
         return self.table.degree
+
+    @property
+    def o_n(self) -> int:
+        """The order of w modulo N, every loop's length."""
+        return self._loops[0].length
 
     def fiber(self, i: int) -> tuple[int, ...]:
         return tuple(v for v, c in enumerate(self.color) if c == i)
@@ -80,8 +84,9 @@ def build_hs_graph(
 ) -> HSColoredGraph:
     """Color the refinement subgroup's table and record the w-step.
 
-    The order of w modulo N is cross-checked against the lcm of the cycle
-    lengths of w's step on each distinct block table.
+    The loops must have one length, the order of w modulo N, and it is
+    cross-checked against the lcm of the cycle lengths of w's step on each
+    distinct block table.
     """
     table = big_n(p, group_cap, state_cap)
     reached = quotient_by_n(p, group_cap, state_cap)
@@ -92,18 +97,17 @@ def build_hs_graph(
             raise ValueError(f"coset of {reached.word(v)} lies in "
                              f"{len(hits)} blocks; partition invalid")
         color.append(hits[0])
-    step = word_step(table, w)
-    lengths = {len(c) for c in cycles(step)}
+    steps = {t: word_step(t, w) for t in p.groups}
+    graph = HSColoredGraph(p, w, table, tuple(color), word_step(table, w),
+                           tuple(marked_cycle_lengths(p, steps)))
+    lengths = {loop.length for loop in graph._loops}
     if len(lengths) != 1:
         raise AssertionError(f"normal table has uneven loop lengths {lengths}")
-    o_n = lengths.pop()
-    steps = {t: word_step(t, w) for t in p.groups}
     per_block = lcm(*(len(c) for s in steps.values() for c in cycles(s)))
-    if per_block != o_n:
+    if per_block != graph.o_n:
         raise AssertionError(
-            f"order of w modulo N is {o_n} but blockwise lcm is {per_block}")
-    orders = tuple(marked_cycle_lengths(p, steps))
-    return HSColoredGraph(p, w, table, tuple(color), step, orders, o_n)
+            f"order of w modulo N is {graph.o_n} but blockwise lcm is {per_block}")
+    return graph
 
 
 def fiber_loop_count(graph: HSColoredGraph, i: int) -> int:

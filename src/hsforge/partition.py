@@ -40,6 +40,7 @@ from .schreier import (
     CosetTable,
     Orbit,
     coset_of,
+    cycle_at,
     gather,
     orbit,
     order_at,
@@ -254,15 +255,7 @@ def marked_cycle_lengths(
     p: CosetPartition, steps: dict[CosetTable, Sequence[int]]
 ) -> list[int]:
     """Each block's cycle length at its marked vertex, in its table's step."""
-    orders = []
-    for spec in p.specs:
-        step, mark = steps[spec.table], spec.marked
-        k, v = 1, step[mark]
-        while v != mark:
-            v = step[v]
-            k += 1
-        orders.append(k)
-    return orders
+    return [len(cycle_at(steps[spec.table], spec.marked)) for spec in p.specs]
 
 
 def o_max_and_sharp(p: CosetPartition, w: Word) -> tuple[int, int]:

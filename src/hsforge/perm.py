@@ -45,6 +45,7 @@ from .schreier import (
     Capped,
     CosetTable,
     Orbit,
+    cycle_at,
     cycles,
     gather,
     orbit,
@@ -104,15 +105,6 @@ class Permutation:
 
 def _inverse(images: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(range(len(images)), key=images.__getitem__))
-
-
-def _cycle_through(images: tuple[int, ...], point: int) -> int:
-    length = 1
-    v = images[point]
-    while v != point:
-        v = images[v]
-        length += 1
-    return length
 
 
 class _Closure(Mapping[Permutation, Word]):
@@ -402,6 +394,6 @@ def has_k_cycle_at(
     for position in range(closure.order):
         if position == closure.state_count:
             group.enumerate(cap)
-        if _cycle_through(states[position], point) == k:
+        if len(cycle_at(states[position], point)) == k:
             return closure.orbit.word(position)
     return None

@@ -17,21 +17,20 @@ complete the subgroup has finite index d and the graph is a complete table on
 d vertices, numbered by BFS from the basepoint in column order, so two tables
 are equal as values exactly when they describe the same subgroup.  A table
 keeps its letter columns' image tuples and a word its letters' columns, so
-``trace`` and ``coset_of`` step ``v = column[v]`` once per letter.  A table
-of at most 256 vertices also keeps each column as 256 bytes, so
-``word_step``, ``order_at`` and ``visited_set`` compose w's step in C, one
-``bytes.translate`` per letter, and trace a cycle with one lookup per step;
-a table of more vertices, such as N's when m > 256, walks letter by letter.
-Such a table also keeps the step of the last word composed on it, keyed by
-the word's columns, so a caller that asks w at every vertex composes it
-once; tables and words are immutable, so the kept step is never stale.
+``trace`` and ``coset_of`` step ``v = column[v]`` once per letter, and
+``_compose`` builds w's whole step with one ``itemgetter`` per letter, as
+``gather`` steps a state.  Every w-step comes from it: ``word_step``,
+``order_at`` and ``visited_set`` on a table, ``rows_step`` on rows.  A
+table keeps the step of the last word composed on it, keyed by the word's
+columns, so a caller that asks w at every vertex composes it once; tables
+and words are immutable, so the kept step is never stale.  ``cycle_at``
+walks the cycle of a step through one point, for every caller.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import islice
 from operator import itemgetter
 
@@ -58,12 +57,8 @@ __all__ = [
     "visited_set",
     "word_step",
     "rows_step",
+    "cycle_at",
 ]
-
-
-# bytes.translate maps each byte through a table of 256 bytes
-BYTE_DEGREE = 256
-_IDENTITY = bytes(range(BYTE_DEGREE))
 
 
 class CapExceeded(Exception):
@@ -248,11 +243,8 @@ class CosetTable:
     rank: int
     delta: tuple[tuple[int, ...], ...]
     columns: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    # the columns as bytes.translate tables, on at most BYTE_DEGREE vertices
-    byte_columns: tuple[bytes, ...] | None = field(
-        init=False, compare=False, repr=False)
-    # the letter columns of the last word composed here, and its bytes step
-    _last_step: tuple[tuple[int, ...] | None, bytes | None] = field(
+    # the letter columns of the last word composed here, and its step
+    _last_step: tuple[tuple[int, ...] | None, tuple[int, ...] | None] = field(
         init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -272,8 +264,6 @@ class CosetTable:
                 if columns[c ^ 1][columns[c][v]] != v:
                     raise ValueError(f"inverse inconsistency at vertex {v}, column {c}")
         object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "byte_columns", None if d > BYTE_DEGREE else tuple(
-            bytes(column) + bytes(BYTE_DEGREE - d) for column in columns))
         object.__setattr__(self, "_last_step", (None, None))
 
     @property
@@ -399,42 +389,37 @@ def _walker(table: CosetTable, w: Word, start: int = 0) -> list[tuple[int, ...]]
         raise ValueError(f"word rank {w.rank} != table rank {table.rank}")
     if not 0 <= start < table.degree:
         raise ValueError(f"vertex {start} out of range")
-    return _letter_columns(table.columns, w)
+    return [table.columns[c] for c in w.columns]
 
 
-def _letter_columns(columns: Sequence[Sequence[int]], w: Word) -> list:
-    return [columns[c] for c in w.columns]
+def _compose(columns: Sequence[Sequence[int]], w: Word, degree: int) -> tuple[int, ...]:
+    """w's step on degree vertices from the letter columns, one C-level
+    ``itemgetter`` per letter: new[v] = column[step[v]], as ``gather`` steps
+    a state.  A one-key ``itemgetter`` returns a bare item, so degree 1 is
+    (0,), the only permutation of one vertex."""
+    if degree == 1:
+        return (0,)
+    step = tuple(range(degree))
+    for c in w.columns:
+        step = itemgetter(*step)(columns[c])
+    return step
 
 
-def _composed(table: CosetTable, w: Word, start: int = 0) -> bytes | None:
+def _composed(table: CosetTable, w: Word, start: int = 0) -> tuple[int, ...]:
     """w's step on the table's vertices, once w's rank and start are checked
     (as ``_walker`` checks them, inline: a caller may ask at every vertex):
-    on a table of at most BYTE_DEGREE vertices, the step kept from the last
-    word composed on the table when it has w's columns, else composed in C,
-    one ``bytes.translate`` per letter, and kept in its place; None on a
-    larger table, which walks letter by letter."""
-    d, columns = len(table.delta), table.byte_columns
+    the step kept from the last word composed on the table when it has w's
+    columns, else ``_compose``'s, kept in its place."""
+    d = len(table.delta)
     if w.rank != table.rank:
         raise ValueError(f"word rank {w.rank} != table rank {table.rank}")
     if not 0 <= start < d:
         raise ValueError(f"vertex {start} out of range")
-    if columns is None:
-        return None
     key, step = table._last_step
     if key != w.columns:
-        key = w.columns
-        step = reduce(bytes.translate, map(columns.__getitem__, key), _IDENTITY[:d])
+        key, step = w.columns, _compose(table.columns, w, d)
         object.__setattr__(table, "_last_step", (key, step))
     return step
-
-
-def _step(columns: list, degree: int) -> tuple[int, ...]:
-    images = []
-    for v in range(degree):
-        for column in columns:
-            v = column[v]
-        images.append(v)
-    return tuple(images)
 
 
 def trace(table: CosetTable, start: int, w: Word) -> int:
@@ -460,41 +445,31 @@ def transversal(table: CosetTable) -> list[Word]:
 
 
 def word_step(table: CosetTable, w: Word) -> tuple[int, ...]:
-    """The permutation of vertices induced by one application of w."""
-    step = _composed(table, w)
-    if step is None:
-        return _step(_letter_columns(table.columns, w), table.degree)
-    return tuple(step)
+    """The permutation of vertices induced by one application of w: the
+    step kept on the table, or composed and kept there."""
+    return _composed(table, w)
 
 
 def rows_step(rows: Sequence[Sequence[int]], w: Word) -> tuple[int, ...]:
     """``word_step`` on complete rows of w's rank that need no check, such
-    as the rows of an orbit under a complete table's columns."""
-    return _step(_letter_columns(tuple(zip(*rows)), w), len(rows))
+    as the rows of an orbit under a complete table's columns; nothing is
+    kept."""
+    return _compose(tuple(zip(*rows)), w, len(rows))
 
 
-def _letter_cycle(table: CosetTable, w: Word, vertex: int) -> list[int]:
-    """The cycle of w's step through the vertex, walked letter by letter: on
-    a table past BYTE_DEGREE vertices, one cycle costs less than the step."""
-    columns, cycle, v = _letter_columns(table.columns, w), [vertex], vertex
-    while True:
-        for column in columns:
-            v = column[v]
-        if v == vertex:
-            return cycle
+def cycle_at(step: Sequence[int], vertex: int) -> list[int]:
+    """The cycle of a permutation, given by its images, through the vertex,
+    starting there."""
+    cycle, v = [vertex], step[vertex]
+    while v != vertex:
         cycle.append(v)
+        v = step[v]
+    return cycle
 
 
 def order_at(table: CosetTable, w: Word, vertex: int) -> int:
     """Minimal k >= 1 with trace(vertex, w^k) == vertex."""
-    step = _composed(table, w, vertex)
-    if step is None:
-        return len(_letter_cycle(table, w, vertex))
-    k, v = 1, step[vertex]
-    while v != vertex:
-        v = step[v]
-        k += 1
-    return k
+    return len(cycle_at(_composed(table, w, vertex), vertex))
 
 
 def visited_set(table: CosetTable, w: Word, vertex: int) -> frozenset[int]:
@@ -504,11 +479,4 @@ def visited_set(table: CosetTable, w: Word, vertex: int) -> frozenset[int]:
     vertices are equal or disjoint, partitioning the vertex set.  Only the
     cycle through the vertex is traced.
     """
-    step = _composed(table, w, vertex)
-    if step is None:
-        return frozenset(_letter_cycle(table, w, vertex))
-    cycle, v = [vertex], step[vertex]
-    while v != vertex:
-        cycle.append(v)
-        v = step[v]
-    return frozenset(cycle)
+    return frozenset(cycle_at(_composed(table, w, vertex), vertex))

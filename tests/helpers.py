@@ -30,7 +30,7 @@ from hsforge.partition import (
     order_rel,
     product,
 )
-from hsforge.perm import PermGroup, Permutation, _cycle_through, transition_group
+from hsforge.perm import PermGroup, Permutation, transition_group
 from hsforge.sampling import random_lifted_partition
 from hsforge.schreier import (
     CapExceeded,
@@ -40,6 +40,7 @@ from hsforge.schreier import (
     _Folder,
     canonicalize,
     coset_of,
+    cycle_at,
     cycles,
     orbit,
     transversal,
@@ -383,7 +384,7 @@ def cyclic_reduce(u: Word) -> tuple[Word, Word]:
 
 def cycle_through(element: Permutation, point: int) -> int:
     """Length of the element's cycle containing point."""
-    return _cycle_through(element.images, point)
+    return len(cycle_at(element.images, point))
 
 
 def contains(spec: CosetSpec, w: Word) -> bool:

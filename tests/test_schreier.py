@@ -207,10 +207,9 @@ def exact_table(rng: random.Random, rank: int, d: int) -> CosetTable:
 
 
 def walk_cases():
-    """Random tables of ranks 1 to 3, the first three of degree 1, then
-    tables of degree 255, 256 and 257, on both sides of the limit of the
-    composed walks; each with the identity, every one-letter word and four
-    random words."""
+    """Random tables of ranks 1 to 3, the first three of degree 1, whose
+    step is (0,), then three larger tables, of degree 255, 256 and 257;
+    each with the identity, every one-letter word and four random words."""
     rng = random.Random(20)
     for n in range(63):
         rank = 1 + n % 3
@@ -259,14 +258,14 @@ def test_walks_agree_with_letter_by_letter_tracing():
 
 @pytest.mark.parametrize("degree", [6, 257])
 def test_walks_check_the_vertex_and_rank_before_any_lookup(degree):
-    # a step in bytes answers index -1 for the last vertex, and so does the
+    # a step tuple answers index -1 for the last vertex, and so does the
     # step the table keeps from w's last walk: cold, then warm
     table = exact_table(random.Random(degree), 2, degree)
-    assert (table.byte_columns is None) == (degree > 256)
     w = parse_word(2, "abA")
     for warm in (False, True):
         if warm:
             assert order_at(table, w, 0) == order_by_iteration(table, w, 0)
+            assert table._last_step[0] == w.columns  # at every degree
         for walk in (order_at, visited_set):
             for vertex in (-1, degree):
                 with pytest.raises(ValueError, match=f"vertex {vertex} out of range"):
@@ -285,8 +284,6 @@ def test_read_columns_leave_equality_hash_and_repr_alone():
         return parse_word(2, "abAB")
 
     assert table().columns == tuple(zip(*K_DELTA))
-    assert table().byte_columns == tuple(
-        bytes(column) + bytes(252) for column in zip(*K_DELTA))
     w = abab()
     assert "columns" not in vars(w)  # a word resolves them on the first walk
     assert w.columns == (0, 2, 1, 3) and "columns" in vars(w)
