@@ -3,14 +3,17 @@
     hsforge validate FILE [--json] [--cap-states N]
     hsforge analyze FILE [--json] [--words w1,w2] [--cap-states N] [--cap-group N]
     hsforge graph FILE --target {sub,hs} [--word W] [--dot-dir DIR]
-                  [--cap-states N] [--cap-group N]
+                  [--cap-states N]
     hsforge zcheck CLASSES [--json]
     hsforge metric FILE1 FILE2 [--json]
 
 Exit codes: 0 the input is consistent, 1 the input is invalid, 2 a fired
 condition or another self-check failed its own verification (a soundness
 bug worth a report), 3 an enumeration cap was hit so the answer is
-unknown.  The HSFORGE_CAP environment variable overrides both default caps.
+unknown.  --cap-states bounds product automata and the search of F/N,
+which gives m and N's table; --cap-group bounds the block groups' own
+searches, which only analyze runs.  The HSFORGE_CAP environment variable
+overrides both default caps.
 """
 
 from __future__ import annotations
@@ -179,7 +182,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_graph(args) -> int:
     p = load_partition(args.file)
-    group_cap, state_cap = _caps(args)
+    _, state_cap = _caps(args)
     outputs: list[tuple[str, str]] = []
     if args.target == "sub":
         seen = set()
@@ -192,7 +195,7 @@ def cmd_graph(args) -> int:
     else:
         word_text = args.word or "1"
         w = parse_word(p.rank, word_text)
-        graph = build_hs_graph(p, w, group_cap, state_cap)
+        graph = build_hs_graph(p, w, state_cap)
         outputs.append((f"hs_{word_text}.dot", hs_dot(graph)))
     if args.dot_dir:
         directory = Path(args.dot_dir)
@@ -287,7 +290,7 @@ def _parser() -> argparse.ArgumentParser:
     graph_cmd.add_argument("--word", default=None, help="word for the hs target")
     graph_cmd.add_argument("--dot-dir", default=None,
                            help="write files here instead of stdout")
-    cap_flags(graph_cmd)
+    cap_flags(graph_cmd, group=False)
     graph_cmd.set_defaults(run=cmd_graph)
 
     zcheck_cmd = sub.add_parser("zcheck", help="check residue classes, e.g. 2:0,4:1,4:3")

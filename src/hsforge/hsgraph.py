@@ -10,7 +10,8 @@ so every loop induces a partition of the integers into residue classes.
 A coset of N is an element g of F/N, ``p.quotient``, acting on the
 distinct tables laid side by side (``partition.quotient_by_n``), and it lies
 in block i when g maps block i's basepoint, its table's offset in the
-partition's layout, to block i's mark.  The w-step is ``word_step``'s image
+partition's layout, to block i's mark.  F/N's search and its m cosets
+are held to the state cap alone.  The w-step is ``word_step``'s image
 tuple on N's table, and its cycles are the loops.
 This graph is what ``hsforge graph --target hs`` draws; ``analyze`` reads
 the same loops off the block tables' product automaton instead
@@ -26,7 +27,6 @@ from math import lcm
 
 from .partition import (
     CosetPartition, DEFAULT_STATE_CAP, big_n, marked_cycle_lengths, quotient_by_n)
-from .perm import DEFAULT_GROUP_CAP
 from .schreier import CosetTable, cycles, word_step
 from .words import Word
 
@@ -77,10 +77,7 @@ class HSColoredGraph:
 
 
 def build_hs_graph(
-    p: CosetPartition,
-    w: Word,
-    group_cap: int = DEFAULT_GROUP_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
+    p: CosetPartition, w: Word, state_cap: int = DEFAULT_STATE_CAP
 ) -> HSColoredGraph:
     """Color the refinement subgroup's table and record the w-step.
 
@@ -88,8 +85,8 @@ def build_hs_graph(
     cross-checked against the lcm of the cycle lengths of w's step on each
     distinct block table.
     """
-    table = big_n(p, group_cap, state_cap)
-    reached = quotient_by_n(p, group_cap, state_cap)
+    table = big_n(p, state_cap)
+    reached = quotient_by_n(p, state_cap)
     color = []
     for v, g in enumerate(reached.states):
         hits = [i for i, (o, mark) in enumerate(zip(p.base, p.marks)) if g[o] == mark]

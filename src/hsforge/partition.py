@@ -14,13 +14,15 @@ words on partitions, a prefix metric, and partitions lifted from finite
 quotient groups.  A partition keeps its validation report, the all-blocks
 orbit size and move counts of ``intersection_conditions``, and F/N's
 closure, each under the cap rule of ``schreier.Capped``: the state cap
-bounds the states each one's search held.  With one table F/N is the
-table's transition group, so m is its order, which the census scan learns
-for S_d and A_d without enumerating them; with several F/N is intransitive
-and runs the plain orbit.  A valid partition of one table marks every
-vertex once, so its all-blocks orbit is that closure too, and a pair index
-asks only whether the group holds the transposition of the pair's marks.
-Otherwise the all-blocks orbit is the product automaton at the marks.
+bounds the states each one's search held.  m and N's table come from F/N's
+search alone, at any number of tables, and N's table needs all m cosets
+under the state cap.  With one table F/N is the table's transition group,
+so m is its order, which the census scan learns for S_d and A_d without
+enumerating them; with several F/N is intransitive and runs the plain
+orbit.  A valid partition of one table marks every vertex once, so its
+all-blocks orbit is that closure too, and a pair index asks only whether
+the group holds the transposition of the pair's marks.  Otherwise the
+all-blocks orbit is the product automaton at the marks.
 """
 
 from __future__ import annotations
@@ -271,44 +273,27 @@ def normal_core(table: CosetTable, cap: int = DEFAULT_GROUP_CAP) -> CosetTable:
     return transition_group(table).cayley_table(cap)
 
 
-def quotient_by_n(
-    p: CosetPartition,
-    group_cap: int = DEFAULT_GROUP_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> Orbit:
+def quotient_by_n(p: CosetPartition, state_cap: int = DEFAULT_STATE_CAP) -> Orbit:
     """F/N's closure, ``p.quotient`` from the identity: its states are the
-    cosets of N, its rows N's table.  Every block group is enumerated under
-    group_cap, then F/N's search is held to state_cap; the partition keeps
-    F/N's closure."""
-    for group in p.groups.values():
-        group.enumerate(group_cap)
-    return p._quotient(state_cap, p.quotient).orbit
+    cosets of N, its rows N's table.  F/N's search and its m elements must
+    fit under state_cap; with one table this resumes the census scan."""
+    if refinement_index(p, state_cap) > state_cap:
+        raise StateCapExceeded(state_cap)
+    return p.quotient.enumerate(state_cap).orbit
 
 
-def big_n(
-    p: CosetPartition,
-    group_cap: int = DEFAULT_GROUP_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> CosetTable:
+def big_n(p: CosetPartition, state_cap: int = DEFAULT_STATE_CAP) -> CosetTable:
     """Table of N = intersection of the normal cores of all blocks: the
     rows of ``quotient_by_n``, kept on the partition after the first success."""
-    reached = quotient_by_n(p, group_cap, state_cap)
+    reached = quotient_by_n(p, state_cap)
     if p._n is None:
         p._n = CosetTable(p.rank, tuple(reached.rows))
     return p._n
 
 
-def refinement_index(
-    p: CosetPartition,
-    group_cap: int = DEFAULT_GROUP_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> int:
-    """m = [F : N], the order of ``p.quotient``.  Every other block group is
-    enumerated under group_cap; with one table F/N is the block group, and
-    a recognized S_d or A_d is not enumerated: both caps bound its census
-    scan alone."""
-    for group in p.groups.values():
-        (group._closed if group is p.quotient else group.enumerate)(group_cap)
+def refinement_index(p: CosetPartition, state_cap: int = DEFAULT_STATE_CAP) -> int:
+    """m = [F : N], the order of ``p.quotient``, which F/N's search finds
+    under state_cap: a recognized S_d or A_d is not enumerated."""
     return p._quotient(state_cap, p.quotient).order
 
 
@@ -349,16 +334,16 @@ def intersection_conditions(
         raise ValueError("needs at least three blocks")
     if not (0 <= j < k < p.size):
         raise ValueError(f"bad pair ({j}, {k})")
-    tables = [spec.table for spec in p.specs]
+    table_j, table_k = p.specs[j].table, p.specs[k].table
     marked = p._marked(cap, p)
     index_all, moved = marked.index_all, marked.moved
     fibre = sum(moved.get(key, 0) for key in ((), (j,), (k,), (j, k)))
     index_without = index_all // fibre
     strict = index_all > index_without
-    pair_lcm = lcm(tables[j].degree, tables[k].degree)
+    pair_lcm = lcm(table_j.degree, table_k.degree)
     obstruction = index_without % pair_lcm != 0
     holds = strict or obstruction
-    equal = (tables[j] == tables[k]) if holds else None
+    equal = (table_j == table_k) if holds else None
     return PairIntersectionReport(
         (j, k), index_all, index_without, strict, obstruction, holds, equal)
 

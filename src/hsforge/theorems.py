@@ -198,9 +198,6 @@ def check_cycle_bounds(
             details={"reason": "transition group enumeration capped"})
     k = max(longest.values())
     details: dict[str, Any] = {"k": k, "indices": list(p.indices)}
-    if k < 2:
-        details["reason"] = "no nontrivial cycles"
-        return TheoremReport("cycle_bounds", SILENT, details=details)
     prime = smallest_prime_factor(k)
     details["smallest_prime"] = prime
     candidates = []
@@ -356,10 +353,7 @@ def check_neighborhood(
 
 
 def loop_consistency(
-    p: CosetPartition,
-    w: Word,
-    group_cap: int = DEFAULT_GROUP_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
+    p: CosetPartition, w: Word, state_cap: int = DEFAULT_STATE_CAP
 ) -> dict[str, Any]:
     """Check every loop that w traces among the cosets of N.
 
@@ -374,7 +368,7 @@ def loop_consistency(
     structural checks, checked once per distinct system.  A problem names
     its loop by a word reaching its start.
     """
-    m = refinement_index(p, group_cap, state_cap)
+    m = refinement_index(p, state_cap)
     report = validate(p, state_cap)
     if not report.valid:
         raise ValueError("partition is not valid; run validation first")
@@ -504,7 +498,7 @@ def analyze(
         return Analysis(False, list(p.indices), [], None, [], [], [], False, [])
     blocks, blocks_capped = _block_summaries(p, group_cap)
     try:
-        m = refinement_index(p, group_cap, state_cap)
+        m = refinement_index(p, state_cap)
     except CapExceeded:
         m = None
     reports = [
@@ -520,7 +514,7 @@ def analyze(
     if m is not None:  # m, validation and F/N are cached under these caps
         sample = words if words is not None else default_word_sample(p, reports)
         for w in sample:
-            check = loop_consistency(p, w, group_cap, state_cap)
+            check = loop_consistency(p, w, state_cap)
             loop_checks.append(check)
             problems.extend(f"{check['word']}: {q}" for q in check["problems"])
     return Analysis(

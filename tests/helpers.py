@@ -564,18 +564,12 @@ def automaton_table(auto: Orbit) -> CosetTable:
     return CosetTable(len(auto.rows[0]) // 2, tuple(auto.rows))
 
 
-def core_product_by_cayley(
-    p, group_cap: int = 10**6, state_cap: int = 10**6
-) -> Orbit:
+def core_product_by_cayley(p, state_cap: int = 10**6) -> Orbit:
     """F/N as the product of the distinct tables' cores (the Cayley tables of
     fresh transition groups) from the identity tuple: its states are the
     cosets of N, each a tuple of group-element positions, and its table is
-    N's.  Every group is enumerated under group_cap before the product runs
-    under state_cap."""
-    groups = [transition_group(table) for table in p.groups]
-    for group in groups:
-        group.enumerate(group_cap)
-    cores = [group.cayley_table(group_cap) for group in groups]
+    N's.  The product runs under state_cap."""
+    cores = [transition_group(table).cayley_table() for table in p.groups]
     return product(cores, [0] * len(cores), state_cap)
 
 
@@ -652,11 +646,10 @@ def intersection_by_products(p, j: int, k: int, cap: int = 10**6) -> PairInterse
         (j, k), index_all, index_without, strict, obstruction, holds, equal)
 
 
-def loop_consistency_by_n(p, w: Word, group_cap: int = 10**6,
-                          state_cap: int = 10**6) -> dict:
+def loop_consistency_by_n(p, w: Word, state_cap: int = 10**6) -> dict:
     """The loop check of w read off every loop of N's colored table, each
     loop's residue classes checked on their own."""
-    graph = build_hs_graph(p, w, group_cap, state_cap)
+    graph = build_hs_graph(p, w, state_cap)
     loops = graph.loops()
     problems = []
     for number, loop in enumerate(loops):

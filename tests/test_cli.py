@@ -159,13 +159,14 @@ def test_usage_errors_exit_with_invalid_code(capsys):
 
 
 def test_flags_no_command_reads_are_usage_errors(capsys):
-    # zcheck and metric take no caps, validate searches no transition
-    # group, and graph prints no JSON
+    # zcheck and metric take no caps, validate and graph search no
+    # transition group, and graph prints no JSON
     for argv in (["zcheck", "2:0,4:1,4:3", "--cap-states", "5"],
                  ["zcheck", "2:0,4:1,4:3", "--cap-group", "5"],
                  ["metric", MIXED, NORMAL, "--cap-states", "5"],
                  ["metric", MIXED, NORMAL, "--cap-group", "5"],
                  ["validate", MIXED, "--cap-group", "5"],
+                 ["graph", MIXED, "--target", "hs", "--cap-group", "5"],
                  ["graph", MIXED, "--target", "sub", "--json"]):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
@@ -416,7 +417,7 @@ def test_malformed_input_gets_a_clean_exit_code(text, classes):
         hs = ["graph", path, "--target", "hs", "--word", "ab"]
         runs = [["validate", path], ["validate", path, "--cap-states", "5"],
                 ["analyze", path, "--json"], ["analyze", path, "--cap-group", "5"],
-                ["graph", path, "--target", "sub"], hs, hs + ["--cap-group", "5"],
+                ["graph", path, "--target", "sub"], hs, hs + ["--cap-states", "5"],
                 ["metric", path, MIXED], ["zcheck", classes]]
         for argv in runs:
             assert _exit_code(argv) in (0, 1, 3), argv

@@ -103,6 +103,10 @@ def test_spec_marked_and_contains(k_table):
     with pytest.raises(ValueError):
         from hsforge.words import parse_word
         CosetSpec(k_table, parse_word(3, "c"))
+    with pytest.raises(ValueError, match="need at least one block"):
+        CosetPartition(2, [])
+    with pytest.raises(ValueError, match="block rank 2 != partition rank 3"):
+        CosetPartition(3, [spec])
 
 
 def test_marked_vertex_is_traced_once_per_block(monkeypatch, k_table):
@@ -209,6 +213,13 @@ def test_product_rejects_base_vertices_out_of_range():
         with pytest.raises(ValueError, match="out of range"):
             product([table, table], [0, v])
     assert product([table], [2]).state_count == 3
+    # and the tables and base must fit each other
+    with pytest.raises(ValueError, match="need at least one table"):
+        product([], [])
+    with pytest.raises(ValueError, match="tables must share one rank"):
+        product([table, CosetTable(1, ((0, 0),))], [0, 0])
+    with pytest.raises(ValueError, match="one base vertex per table required"):
+        product([table, table], [0])
 
 
 def test_product_matches_the_per_column_reference():
@@ -662,54 +673,53 @@ def _outcome(call, p, **caps):
 
 def test_two_table_sym_partition_has_m_d_factorial():
     # F/N of the two-table S_d partition is the side-by-side group, none of
-    # its block groups: its order d! exceeds the state cap d! - 1, and the
-    # block groups are enumerated under a group cap of d! - 1 first, which
-    # S_d's d! elements exceed, while the one-table ladder's m is its census
-    # scan's order, which holds fewer states
+    # its block groups, and the one cap rule holds at any number of tables:
+    # m is F/N's order when its search fits the state cap, which the plain
+    # orbit's d! states exceed under d! - 1 while the ladder's census scan
+    # holds fewer, and N's table needs all d! cosets under the state cap.
+    # No block group of the two tables is searched for m or N
     for d in range(5, 8):
         m = factorial(d)
         p = two_table_sym_partition(d)
+        ladder = sym_ladder_partition(d)
         assert validate(p).valid
         assert p.size == 2 * d - 2 and len(p.groups) == 2
-        assert refinement_index(p) == m
-        if d <= 6:
-            assert big_n(p).degree == m
         assert all(group is not p.quotient for group in p.groups.values())
-        assert _outcome(refinement_index, p, state_cap=m - 1) == (
-            StateCapExceeded, f"product automaton larger than cap ({m - 1})")
-        assert _outcome(refinement_index, p, group_cap=m - 1) == (
-            CapExceeded, f"transition group larger than cap ({m - 1})")
-        assert refinement_index(sym_ladder_partition(d), group_cap=m - 1) == m
+        assert refinement_index(p) == refinement_index(ladder) == m
+        if d <= 6:
+            assert big_n(p).degree == big_n(ladder).degree == m
+        assert all(group._elements is None for group in p.groups.values())
+        too_many = (StateCapExceeded, f"product automaton larger than cap ({m - 1})")
+        assert _outcome(refinement_index, p, state_cap=m - 1) == too_many
+        assert _outcome(refinement_index, ladder, state_cap=m - 1) == m
+        for q in (p, ladder):
+            assert _outcome(big_n, q, state_cap=m - 1) == too_many
 
 
 def test_fn_caps_match_the_product_of_cores():
-    # fresh copies under state_cap m and m - 1 and under a group_cap below
-    # one block group's order answer as the product of the cores does, but
-    # on the S_d ladder: its one group's census scan holds fewer than m
-    # states, so m answers under all three caps, and N's table, which needs
-    # the group enumerated, under both state caps
-    m_of = lambda q, **caps: core_product_by_cayley(q, **caps).state_count
-    n_of = lambda q, **caps: big_n(q, **caps).degree
+    # fresh copies under state_cap m and m - 1 answer as the product of the
+    # cores does, at any number of tables, but m on the S_d ladder: its one
+    # group's census scan holds fewer than m states, so m answers under
+    # both caps, while N's table needs all m cosets.  No block group of
+    # several tables is searched for m or N
+    m_of = lambda q, state_cap: core_product_by_cayley(q, state_cap).state_count
+    n_of = lambda q, state_cap: big_n(q, state_cap).degree
     recognized = 0
     for p in fn_inputs():
-        m = m_of(p)
-        groups = list(p.groups.values())
-        largest = max(group.order() for group in groups)
-        answers = []
-        for caps in ({"state_cap": m}, {"state_cap": m - 1},
-                     {"group_cap": largest - 1}):
-            answers.append((_outcome(m_of, p, **caps),
-                            _outcome(refinement_index, p, **caps),
-                            _outcome(n_of, p, **caps)))
+        m = m_of(p, 10**6)
+        answers = [tuple(_outcome(call, p, state_cap=cap)
+                         for call in (m_of, refinement_index, n_of))
+                   for cap in (m, m - 1)]
         too_many = (StateCapExceeded, f"product automaton larger than cap ({m - 1})")
-        too_large = (CapExceeded, f"transition group larger than cap ({largest - 1})")
         assert answers[0] == (m, m, m)
-        if any(g._elements.state_count < g.order() for g in groups):
+        assert big_n(p).degree == m
+        if len(p.groups) > 1:
+            assert all(group._elements is None for group in p.groups.values())
+        if p._quotient.value.state_count < m:
             recognized += 1
-            assert answers[1:] == [(too_many, m, m), (too_large, m, too_large)]
+            assert answers[1] == (too_many, m, too_many)
         else:
             assert answers[1] == (too_many,) * 3
-            assert answers[2][0][0] is CapExceeded and len(set(answers[2])) == 1
     assert recognized == 1
 
 

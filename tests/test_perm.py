@@ -61,6 +61,10 @@ def test_a_group_needs_a_point():
     # a degree-0 group used to be built and then fail inside schreier.gather
     with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
         PermGroup(0, (Permutation(()),))
+    with pytest.raises(ValueError, match="need at least one generator"):
+        PermGroup(2, ())
+    with pytest.raises(ValueError, match="degree mismatch: 3 != 2"):
+        PermGroup(2, (Permutation((1, 0)), Permutation((0, 1, 2))))
     assert PermGroup(1, (Permutation((0,)),)).order() == 1
 
 

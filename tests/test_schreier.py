@@ -266,7 +266,7 @@ def test_walks_check_the_vertex_and_rank_before_any_lookup(degree):
         if warm:
             assert order_at(table, w, 0) == order_by_iteration(table, w, 0)
             assert table._last_step[0] == w.columns  # at every degree
-        for walk in (order_at, visited_set):
+        for walk in (order_at, visited_set, lambda t, u, v: trace(t, v, u)):
             for vertex in (-1, degree):
                 with pytest.raises(ValueError, match=f"vertex {vertex} out of range"):
                     walk(table, w, vertex)
@@ -439,6 +439,8 @@ def test_canonicalize_is_idempotent_and_rebases(k_table):
     rebased = canonicalize(k_table, 1)
     assert rebased.degree == k_table.degree
     assert canonicalize(rebased) == rebased
+    with pytest.raises(ValueError, match="not connected from the basepoint"):
+        canonicalize(CosetTable(1, ((0, 0), (1, 1))))
     # vertex 1 is the coset of "a": rebasing yields the conjugate subgroup,
     # which contains a^-1 * k * a for every generator k
     for text in K_GENERATORS:

@@ -511,7 +511,7 @@ def test_cached_objects_take_smaller_caps_like_fresh_copies():
         analysis = analyze(p)
         capped["analyze"] += _like_fresh_copy(analyze, p, group_cap=40)
         if analysis.m is not None:
-            capped["big_n"] += _like_fresh_copy(big_n, p, 10**6, analysis.m - 1)
+            capped["big_n"] += _like_fresh_copy(big_n, p, analysis.m - 1)
         if p.size >= 3:
             index = intersection_conditions(p, 0, 1).index_all
             capped["index"] += _like_fresh_copy(
@@ -701,7 +701,7 @@ def test_capped_analysis_matches_the_n_pipeline(monkeypatch):
                               group_cap=40, state_cap=state_cap)
             with monkeypatch.context() as patch:
                 patch.setattr(hsforge.theorems, "refinement_index",
-                              lambda q, g, s: big_n(q, g, s).degree)
+                              lambda q, s: big_n(q, s).degree)
                 patch.setattr(hsforge.theorems, "loop_consistency",
                               loop_consistency_by_n)
                 reference = _outcome(analyze, CosetPartition(p.rank, p.specs),
