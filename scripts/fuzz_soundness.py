@@ -19,11 +19,16 @@ those orders.  The
 census scan, which learns the order of S_d and A_d without enumerating
 them, is checked on every uncapped block group and on the transition group
 of one random table per partition (mostly S_d or A_d): its order, counts
-and witness words against a fresh copy enumerated in full.  Every pair
-index the intersection checker reports is checked against the sizes of its
-own product automata, and so is every pair index of that random table's
-one-table partition, a block per vertex, which is read off its group
-whenever it has three vertices or more.  At every vertex of that table,
+and witness words against a fresh copy enumerated in full, and, once the
+census is kept, the k-cycle search at every k, which answers None off the
+census where no cycle type has a part k.  Every pair index the
+intersection checker reports is checked in the finite quotient Q that the
+partition is lifted from, with no table or automaton: block (K, g) marks
+the coset Kg, whose stabilizer is g^-1 K g, so an index is |Q| over the
+order of the intersection of these conjugates.  Every pair index of that
+random table's one-table partition, a block per vertex, which is read off
+its group whenever it has three vertices or more, is checked against the
+sizes of its own product automata.  At every vertex of that table,
 ``word_step``, ``order_at`` and ``visited_set`` of one random word, which
 share one composed step, must match ``trace``, which walks the word letter
 by letter: the image, and the cycle through the vertex.  The table keeps
@@ -32,10 +37,10 @@ the same cycles, is walked between the word's walks at every vertex.
 The same checks run on N's table with the word of its loop graph: N's
 table is the only one the program steps that can have more than 256
 vertices.
-Fresh copies of each partition are analyzed again under group_cap 40, with
-state_cap m - 1 and with the default state cap: every number they report
-(m, group orders, census counts, pair indices) and every checker status
-must be the uncapped one, or else capped or unknown.  The analysis' JSON report, as
+Fresh copies of each partition are analyzed again under one cap of 40,
+m - 1 and m: every number they report (m, group orders, census counts,
+pair indices) and every checker status must be the uncapped one, or else
+capped or unknown.  The analysis' JSON report, as
 ``hsforge analyze --json`` writes it, must equal ``json.dumps(indent=2,
 sort_keys=True)`` byte for byte.  Each draw also takes one split chain of
 residue classes and a copy with a residue moved, a class duplicated or a
@@ -68,6 +73,7 @@ from hsforge.partition import (  # noqa: E402
     CosetSpec,
     big_n,
     intersection_conditions,
+    lift_partition,
     multiplicity,
     product,
     refinement_index,
@@ -76,15 +82,18 @@ from hsforge.perm import (  # noqa: E402
     CapExceeded,
     PermGroup,
     cycle_type_census,
+    has_k_cycle_at,
     transition_group,
 )
 from hsforge.sampling import (  # noqa: E402
-    random_lifted_partition,
+    random_quotient,
+    random_quotient_partition,
     random_split_chain,
     random_table,
     random_word,
 )
 from hsforge.schreier import (  # noqa: E402
+    cycle_at,
     order_at,
     trace,
     transversal,
@@ -132,10 +141,22 @@ def check_n_path(p, w) -> str | None:
     return None
 
 
+def evaluate(group, w) -> tuple[int, ...]:
+    """The images of w's element of the group, composed letter by letter."""
+    images = tuple(range(group.degree))
+    for c in w.columns:
+        column = group.columns[c]
+        images = tuple(column[v] for v in images)
+    return images
+
+
 def check_group(group) -> str | None:
     """What goes wrong with a group's census scan, if anything: its order,
     counts and witness words against a fresh copy enumerated in full, each
-    element's cycle type taken apart on its own."""
+    element's cycle type taken apart on its own.  Then, with the census
+    kept, the k-cycle search through point 0 at every k: the group is
+    transitive, so it finds a witness exactly when some cycle type has a
+    part k, and the search answers None off the census when none has."""
     try:
         census = cycle_type_census(group)
     except AssertionError as err:  # the scan's own self-check failed
@@ -152,6 +173,13 @@ def check_group(group) -> str | None:
     if group.order() != len(elements) or census != expected:
         return (f"a group of degree {group.degree} and order {len(elements)} "
                 f"was scanned as order {group.order()}")
+    for k in range(1, group.degree + 1):
+        found = has_k_cycle_at(group, k, 0)
+        if (found is None) != all(k not in shape for shape in counts):
+            return (f"a group of degree {group.degree} finds {found} for a "
+                    f"{k}-cycle through 0, against its census")
+        if found is not None and len(cycle_at(evaluate(group, found), 0)) != k:
+            return f"{found} has no {k}-cycle through 0"
     return None
 
 
@@ -169,6 +197,44 @@ def check_pair_indices(p, pairs) -> str | None:
         if indices != (index_all, index_without):
             return (f"pair {pair} has indices {indices}, reported "
                     f"{index_all} and {index_without}")
+    return None
+
+
+def check_lifted_pairs(p, quotient, blocks, pairs) -> str | None:
+    """What goes wrong with a pair index of p, lifted from the quotient Q
+    with the blocks (K, g), if anything: each (pair, index_all,
+    index_without) against |Q| over the order of the intersection of the
+    conjugates g^-1 K g, the stabilizers of the marked cosets Kg, over all
+    blocks and over all but the pair.  A block's position in p is found
+    from its representative, which evaluates to its g; prefix and suffix
+    intersections give every pair in O(s^2) set intersections."""
+    at = {g.images: i for i, (_, g) in enumerate(blocks)}
+    found = [at.get(evaluate(quotient, spec.rep)) for spec in p.specs]
+    if None in found or sorted(found) != list(range(len(blocks))):
+        return f"the blocks' representatives evaluate to blocks {found}"
+    conjugates = []
+    for i in found:
+        sub, g = blocks[i]
+        inverse = g.inverse()
+        conjugates.append(frozenset((inverse * x * g).images for x in sub))
+    every = frozenset(x.images for x in quotient.enumerate())
+    before, after = [every], [every]
+    for j in range(p.size):
+        before.append(before[-1] & conjugates[j])
+        after.append(after[-1] & conjugates[p.size - 1 - j])
+    after.reverse()  # after[j] intersects the conjugates from j on
+    wanted = {tuple(pair): indices for pair, *indices in pairs}
+    whole = len(every) // len(before[p.size])
+    for j in range(p.size):
+        between = every
+        for k in range(j + 1, p.size):
+            if (j, k) in wanted:
+                rest = before[j] & between & after[k + 1]
+                indices = [whole, len(every) // len(rest)]
+                if indices != wanted[j, k]:
+                    return (f"pair {[j, k]} has indices {indices} in the quotient, "
+                            f"reported {wanted[j, k]}")
+            between = between & conjugates[k]
     return None
 
 
@@ -230,19 +296,18 @@ def reported(analysis) -> dict:
 
 
 def check_capped(p, analysis) -> str | None:
-    """What a fresh copy of p, analyzed under group_cap 40 and a state cap
-    of m - 1 or the default, reports that differs from the uncapped
-    analysis, if anything: each answer may only be the uncapped one, capped
-    or unknown."""
+    """What a fresh copy of p, analyzed under a cap of 40, m - 1 or m,
+    reports that differs from the uncapped analysis, if anything: each
+    answer may only be the uncapped one, capped or unknown."""
     expected = reported(analysis)
-    for caps in ({"group_cap": 40, "state_cap": analysis.m - 1}, {"group_cap": 40}):
+    for cap in (40, analysis.m - 1, analysis.m):
         try:
-            capped = analyze(CosetPartition(p.rank, p.specs), **caps)
+            capped = analyze(CosetPartition(p.rank, p.specs), state_cap=cap)
         except CapExceeded:  # validation's product automaton exceeded the cap
             continue
         for key, value in reported(capped).items():
             if value not in (expected.get(key), None, "unknown"):
-                return f"under {caps}, {key} is {value}, not {expected.get(key)}"
+                return f"under cap {cap}, {key} is {value}, not {expected.get(key)}"
     return None
 
 
@@ -297,7 +362,10 @@ def main() -> int:
     failures = 0
     for n in range(args.count):
         rank = rng.choice((2, 2, 3))
-        p = random_lifted_partition(rng, rank, max_order=args.max_order)
+        # sampling.random_lifted_partition's calls, keeping Q and its blocks
+        quotient = random_quotient(rng, rank, 6, args.max_order)
+        blocks = random_quotient_partition(rng, quotient, 3)
+        p = lift_partition(rank, quotient, blocks)
         analysis = analyze(p)
         has_repeat = bool(multiplicity(p))
         for report in analysis.reports:
@@ -322,7 +390,7 @@ def main() -> int:
         table = random_table(tables, 2, 7)
         groups.append(transition_group(table))
         problem = (next(filter(None, map(check_group, groups)), None)
-                   or check_pair_indices(p, reported_pairs(analysis)))
+                   or check_lifted_pairs(p, quotient, blocks, reported_pairs(analysis)))
         if problem:
             print(f"[{n}] read off without a search: {problem}")
             failures += 1

@@ -1,7 +1,7 @@
 """Command-line interface.
 
     hsforge validate FILE [--json] [--cap-states N]
-    hsforge analyze FILE [--json] [--words w1,w2] [--cap-states N] [--cap-group N]
+    hsforge analyze FILE [--json] [--words w1,w2] [--cap-states N]
     hsforge graph FILE --target {sub,hs} [--word W] [--dot-dir DIR]
                   [--cap-states N]
     hsforge zcheck CLASSES [--json]
@@ -10,10 +10,9 @@
 Exit codes: 0 the input is consistent, 1 the input is invalid, 2 a fired
 condition or another self-check failed its own verification (a soundness
 bug worth a report), 3 an enumeration cap was hit so the answer is
-unknown.  --cap-states bounds product automata and the search of F/N,
-which gives m and N's table; --cap-group bounds the block groups' own
-searches, which only analyze runs.  The HSFORGE_CAP environment variable
-overrides both default caps.
+unknown.  --cap-states is the one cap: it bounds every search, the product
+automata, the block groups and F/N, which gives m and N's table.  The
+HSFORGE_CAP environment variable overrides the default cap.
 """
 
 from __future__ import annotations
@@ -28,8 +27,9 @@ from pathlib import Path
 from .dot import hs_dot, table_dot
 from .files import load_partition
 from .hsgraph import build_hs_graph
-from .partition import DEFAULT_STATE_CAP, rho, validate
-from .perm import CapExceeded, DEFAULT_GROUP_CAP
+from .partition import rho, validate
+from .perm import CapExceeded
+from .schreier import DEFAULT_CAP
 from .theorems import analyze
 from .words import parse_word
 from .zcover import InvalidPartition, erdos_checks, parse_zpartition
@@ -46,7 +46,7 @@ class UsageError(Exception):
     """A problem with the invocation itself (bad environment value)."""
 
 
-def _caps(args) -> tuple[int, int]:
+def _cap(args) -> int:
     base = None
     env = os.environ.get("HSFORGE_CAP")
     if env:
@@ -56,9 +56,7 @@ def _caps(args) -> tuple[int, int]:
             base = 0
         if base < 1:
             raise UsageError(f"HSFORGE_CAP={env!r} is not a positive integer")
-    group_cap = getattr(args, "cap_group", None) or base or DEFAULT_GROUP_CAP
-    state_cap = args.cap_states or base or DEFAULT_STATE_CAP
-    return group_cap, state_cap
+    return args.cap_states or base or DEFAULT_CAP
 
 
 def dumps(value) -> str:
@@ -126,8 +124,7 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
 
 def cmd_validate(args) -> int:
     p = load_partition(args.file)
-    _, state_cap = _caps(args)
-    report = validate(p, state_cap)
+    report = validate(p, _cap(args))
     payload = {
         "valid": report.valid,
         "indices": list(p.indices),
@@ -150,12 +147,12 @@ def cmd_validate(args) -> int:
 
 def cmd_analyze(args) -> int:
     p = load_partition(args.file)
-    group_cap, state_cap = _caps(args)
+    cap = _cap(args)
     words = None
     if args.words:
         words = [parse_word(p.rank, t.strip())
                  for t in args.words.split(",") if t.strip()]
-    analysis = analyze(p, words, group_cap, state_cap)
+    analysis = analyze(p, words, cap)
     payload = analysis.to_json()
     lines = [
         f"valid: {analysis.valid}",
@@ -182,7 +179,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_graph(args) -> int:
     p = load_partition(args.file)
-    _, state_cap = _caps(args)
+    cap = _cap(args)
     outputs: list[tuple[str, str]] = []
     if args.target == "sub":
         seen = set()
@@ -195,7 +192,7 @@ def cmd_graph(args) -> int:
     else:
         word_text = args.word or "1"
         w = parse_word(p.rank, word_text)
-        graph = build_hs_graph(p, w, state_cap)
+        graph = build_hs_graph(p, w, cap)
         outputs.append((f"hs_{word_text}.dot", hs_dot(graph)))
     if args.dot_dir:
         directory = Path(args.dot_dir)
@@ -263,17 +260,14 @@ def _parser() -> argparse.ArgumentParser:
         description="validate and analyze coset partitions of free groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cap_flags(cmd, group=True):
+    def cap_flags(cmd):
         cmd.add_argument("--cap-states", type=_positive_int, default=None,
-                         help="max states of a product automaton or F/N search")
-        if group:
-            cmd.add_argument("--cap-group", type=_positive_int, default=None,
-                             help="max states of a transition-group search")
+                         help="max states of any one search")
 
     validate_cmd = sub.add_parser("validate", help="check the partition property")
     validate_cmd.add_argument("file")
     validate_cmd.add_argument("--json", action="store_true", help="JSON output")
-    cap_flags(validate_cmd, group=False)
+    cap_flags(validate_cmd)
     validate_cmd.set_defaults(run=cmd_validate)
 
     analyze_cmd = sub.add_parser("analyze", help="run all condition checkers")
@@ -290,7 +284,7 @@ def _parser() -> argparse.ArgumentParser:
     graph_cmd.add_argument("--word", default=None, help="word for the hs target")
     graph_cmd.add_argument("--dot-dir", default=None,
                            help="write files here instead of stdout")
-    cap_flags(graph_cmd, group=False)
+    cap_flags(graph_cmd)
     graph_cmd.set_defaults(run=cmd_graph)
 
     zcheck_cmd = sub.add_parser("zcheck", help="check residue classes, e.g. 2:0,4:1,4:3")

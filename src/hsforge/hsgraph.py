@@ -11,7 +11,7 @@ A coset of N is an element g of F/N, ``p.quotient``, acting on the
 distinct tables laid side by side (``partition.quotient_by_n``), and it lies
 in block i when g maps block i's basepoint, its table's offset in the
 partition's layout, to block i's mark.  F/N's search and its m cosets
-are held to the state cap alone.  The w-step is ``word_step``'s image
+are held to the one cap.  The w-step is ``word_step``'s image
 tuple on N's table, and its cycles are the loops.
 This graph is what ``hsforge graph --target hs`` draws; ``analyze`` reads
 the same loops off the block tables' product automaton instead
@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
-from .partition import (
-    CosetPartition, DEFAULT_STATE_CAP, big_n, marked_cycle_lengths, quotient_by_n)
-from .schreier import CosetTable, cycles, word_step
+from .partition import CosetPartition, big_n, marked_cycle_lengths, quotient_by_n
+from .schreier import DEFAULT_CAP, CosetTable, cycles, word_step
 from .words import Word
 
 __all__ = ["HSLoop", "HSColoredGraph", "build_hs_graph", "fiber_loop_count"]
@@ -77,7 +76,7 @@ class HSColoredGraph:
 
 
 def build_hs_graph(
-    p: CosetPartition, w: Word, state_cap: int = DEFAULT_STATE_CAP
+    p: CosetPartition, w: Word, state_cap: int = DEFAULT_CAP
 ) -> HSColoredGraph:
     """Color the refinement subgroup's table and record the w-step.
 

@@ -13,10 +13,10 @@ coset's block.  The module also computes normal cores, the right action of
 words on partitions, a prefix metric, and partitions lifted from finite
 quotient groups.  A partition keeps its validation report, the all-blocks
 orbit size and move counts of ``intersection_conditions``, and F/N's
-closure, each under the cap rule of ``schreier.Capped``: the state cap
-bounds the states each one's search held.  m and N's table come from F/N's
+closure, each under the cap rule of ``schreier.Capped``: the cap bounds
+the states each one's search held.  m and N's table come from F/N's
 search alone, at any number of tables, and N's table needs all m cosets
-under the state cap.  With one table F/N is the table's transition group,
+under the cap.  With one table F/N is the table's transition group,
 so m is its order, which the census scan learns for S_d and A_d without
 enumerating them; with several F/N is intransitive and runs the plain
 orbit.  A valid partition of one table marks every vertex once, so its
@@ -35,8 +35,9 @@ from math import lcm
 from operator import add, ne, sub
 from typing import Iterable, Sequence
 
-from .perm import DEFAULT_GROUP_CAP, PermGroup, Permutation, transition_group
+from .perm import PermGroup, Permutation, transition_group
 from .schreier import (
+    DEFAULT_CAP,
     CapExceeded,
     Capped,
     CosetTable,
@@ -74,8 +75,6 @@ __all__ = [
     "rho",
     "lift_partition",
 ]
-
-DEFAULT_STATE_CAP = 10**6
 
 
 class StateCapExceeded(CapExceeded):
@@ -156,7 +155,7 @@ class CosetPartition:
 def product(
     tables: Sequence[CosetTable],
     base: Sequence[int],
-    cap: int = DEFAULT_STATE_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> Orbit:
     """Reachable part of the synchronous product of several tables: the
     orbit of the base tuple, each table stepping its own coordinate: the
@@ -204,7 +203,7 @@ class ValidationReport:
     colors: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
 
-def validate(p: CosetPartition, cap: int = DEFAULT_STATE_CAP) -> ValidationReport:
+def validate(p: CosetPartition, cap: int = DEFAULT_CAP) -> ValidationReport:
     """Every element of the group must lie in exactly one block.
 
     Witness words are the BFS discovery words of the first bad product state:
@@ -266,14 +265,14 @@ def o_max_and_sharp(p: CosetPartition, w: Word) -> tuple[int, int]:
     return o_max, orders.count(o_max)
 
 
-def normal_core(table: CosetTable, cap: int = DEFAULT_GROUP_CAP) -> CosetTable:
+def normal_core(table: CosetTable, cap: int = DEFAULT_CAP) -> CosetTable:
     """Table of the largest normal subgroup inside the table's subgroup: the
     Cayley table of the transition group, so the core's index equals the
     group order.  BFS numbering from the identity makes it canonical."""
     return transition_group(table).cayley_table(cap)
 
 
-def quotient_by_n(p: CosetPartition, state_cap: int = DEFAULT_STATE_CAP) -> Orbit:
+def quotient_by_n(p: CosetPartition, state_cap: int = DEFAULT_CAP) -> Orbit:
     """F/N's closure, ``p.quotient`` from the identity: its states are the
     cosets of N, its rows N's table.  F/N's search and its m elements must
     fit under state_cap; with one table this resumes the census scan."""
@@ -282,7 +281,7 @@ def quotient_by_n(p: CosetPartition, state_cap: int = DEFAULT_STATE_CAP) -> Orbi
     return p.quotient.enumerate(state_cap).orbit
 
 
-def big_n(p: CosetPartition, state_cap: int = DEFAULT_STATE_CAP) -> CosetTable:
+def big_n(p: CosetPartition, state_cap: int = DEFAULT_CAP) -> CosetTable:
     """Table of N = intersection of the normal cores of all blocks: the
     rows of ``quotient_by_n``, kept on the partition after the first success."""
     reached = quotient_by_n(p, state_cap)
@@ -291,7 +290,7 @@ def big_n(p: CosetPartition, state_cap: int = DEFAULT_STATE_CAP) -> CosetTable:
     return p._n
 
 
-def refinement_index(p: CosetPartition, state_cap: int = DEFAULT_STATE_CAP) -> int:
+def refinement_index(p: CosetPartition, state_cap: int = DEFAULT_CAP) -> int:
     """m = [F : N], the order of ``p.quotient``, which F/N's search finds
     under state_cap: a recognized S_d or A_d is not enumerated."""
     return p._quotient(state_cap, p.quotient).order
@@ -316,7 +315,7 @@ class PairIntersectionReport:
 
 
 def intersection_conditions(
-    p: CosetPartition, j: int, k: int, cap: int = DEFAULT_STATE_CAP
+    p: CosetPartition, j: int, k: int, cap: int = DEFAULT_CAP
 ) -> PairIntersectionReport:
     """Compare the intersection of all conjugated blocks against the one
     omitting blocks j and k.
@@ -360,7 +359,7 @@ class _MarkedOrbit:
 
 
 def _marked_moves(p: CosetPartition, cap: int) -> _MarkedOrbit:
-    """The all-blocks orbit of the marked tuple under the state cap.
+    """The all-blocks orbit of the marked tuple under the cap.
 
     A valid partition of one table marks each of its d vertices once, so
     the marked tuple's stabilizer is trivial: the orbit has as many states
@@ -413,14 +412,15 @@ def lift_partition(
     rank: int,
     quotient: PermGroup,
     sub_partition: Sequence[tuple[Iterable[Permutation], Permutation]],
-    cap: int = DEFAULT_GROUP_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> CosetPartition:
     """Pull a coset partition of a finite quotient back to the free group.
 
     ``quotient`` must have one generator per free-group generator; each pair
     (K, g) is a subgroup of the quotient with a coset representative.  The
     pulled-back block is the preimage subgroup's table (the action on right
-    cosets of K) with the witness word of g as representative.
+    cosets of K) with the witness word of g as representative; the blocks
+    of one subgroup share one table object, built and checked once.
     """
     if quotient.rank != rank:
         raise ValueError(f"quotient has {quotient.rank} generators, expected {rank}")
@@ -429,31 +429,34 @@ def lift_partition(
     one = Permutation.identity(quotient.degree)
     covered: set[Permutation] = set()
     total = 0
+    tables: dict[frozenset[Permutation], CosetTable] = {}
     specs = []
     for members, g in sub_partition:
         sub = frozenset(members)
-        if one not in sub:
-            raise NotAPartition("subgroup must contain the identity")
-        if not sub <= every:
-            raise NotAPartition("subgroup leaves the quotient")
-        for x in sub:
-            for y in sub:
-                if x * y not in sub:
-                    raise NotAPartition("subset not closed under multiplication")
+        if sub not in tables:
+            if one not in sub:
+                raise NotAPartition("subgroup must contain the identity")
+            if not sub <= every:
+                raise NotAPartition("subgroup leaves the quotient")
+            for x in sub:
+                for y in sub:
+                    if x * y not in sub:
+                        raise NotAPartition("subset not closed under multiplication")
+            tables[sub] = _coset_action_table(rank, quotient, sub, cap)
         if g not in every:
             raise NotAPartition("representative leaves the quotient")
         coset = frozenset(x * g for x in sub)
         covered |= coset
         total += len(coset)
-        specs.append((_coset_action_table(rank, quotient, sub, cap), elements[g]))
+        specs.append(CosetSpec(tables[sub], elements[g]))
     if covered != every or total != len(every):
         raise NotAPartition("cosets do not partition the quotient")
-    return CosetPartition(rank, [CosetSpec(t, rep) for t, rep in specs])
+    return CosetPartition(rank, specs)
 
 
 def _coset_action_table(
     rank: int, quotient: PermGroup, sub: frozenset[Permutation],
-    cap: int = DEFAULT_GROUP_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> CosetTable:
     """The orbit of the coset K = sub under right multiplication by the
     generators and their inverses, numbered by BFS from K."""

@@ -41,6 +41,7 @@ from itertools import islice
 from math import factorial, isqrt, lcm, prod
 
 from .schreier import (
+    DEFAULT_CAP,
     CapExceeded,
     Capped,
     CosetTable,
@@ -62,7 +63,6 @@ __all__ = [
     "has_k_cycle_at",
 ]
 
-DEFAULT_GROUP_CAP = 10**6
 _GROUP_TOO_LARGE = partial(CapExceeded, message="transition group larger than cap")
 
 
@@ -181,7 +181,7 @@ class PermGroup:
         of ``schreier.Capped``: the cap bounds the states its search held."""
         return self._closure(cap, self)
 
-    def enumerate(self, cap: int = DEFAULT_GROUP_CAP) -> Mapping[Permutation, Word]:
+    def enumerate(self, cap: int = DEFAULT_CAP) -> Mapping[Permutation, Word]:
         """Closure with shortest witness words; cached after first success.
 
         The read-only mapping iterates in BFS order from the identity, the
@@ -199,12 +199,12 @@ class PermGroup:
             resume(closure.orbit, gather(self.columns, self.degree), cap)
         return closure
 
-    def cayley_table(self, cap: int = DEFAULT_GROUP_CAP) -> CosetTable:
+    def cayley_table(self, cap: int = DEFAULT_CAP) -> CosetTable:
         """The group acting on itself by right multiplication, in enumeration
         order: the normal core of any table whose transition group this is."""
         return CosetTable(self.rank, tuple(self.enumerate(cap).orbit.rows))
 
-    def order(self, cap: int = DEFAULT_GROUP_CAP) -> int:
+    def order(self, cap: int = DEFAULT_CAP) -> int:
         """The order the group's search finds, counted or recognized,
         whatever its size; the cap bounds the states the search holds."""
         return self._closed(cap).order
@@ -333,7 +333,7 @@ def transition_group(table: CosetTable) -> PermGroup:
 
 
 def cycle_type_census(
-    group: PermGroup, cap: int = DEFAULT_GROUP_CAP
+    group: PermGroup, cap: int = DEFAULT_CAP
 ) -> tuple[tuple[tuple[int, ...], int, Word], ...]:
     """Multiset of cycle types over the closure, one witness word per type.
 
@@ -379,17 +379,24 @@ def _partitions(n: int, least: int = 1) -> Iterator[tuple[int, ...]]:
 
 
 def has_k_cycle_at(
-    group: PermGroup, k: int, point: int, cap: int = DEFAULT_GROUP_CAP
+    group: PermGroup, k: int, point: int, cap: int = DEFAULT_CAP
 ) -> Word | None:
     """Witness word whose permutation has a k-cycle through point, if any:
     the first in BFS order.  The states the group's search kept are
-    searched first; only when they hold no such permutation is the whole orbit
-    needed, under the cap rule of ``PermGroup.enumerate``."""
+    searched first; only when they hold no such permutation is the whole
+    orbit needed, under the cap rule of ``PermGroup.enumerate``.  A census
+    already computed that has no cycle type with a part k gives that
+    answer without the search: None, or the cap error when the order
+    exceeds the cap."""
     if not 1 <= k <= group.degree:
         raise ValueError(f"cycle length {k} out of range for degree {group.degree}")
     if not 0 <= point < group.degree:
         raise ValueError(f"point {point} out of range")
     closure = group._closed(cap)
+    if closure.census is not None and all(k not in shape for shape, _, _ in closure.census):
+        if closure.order > cap:
+            raise _GROUP_TOO_LARGE(cap)
+        return None
     states = closure.orbit.states  # a resumed scan appends to this list
     for position in range(closure.order):
         if position == closure.state_count:

@@ -10,7 +10,8 @@ state is built from these pointers only when a caller asks for it.  A stop
 predicate ends a search early, and ``resume`` continues it in the same order.
 A cap bounds the states a search holds: ``orbit`` and ``resume`` raise past
 it, and ``Capped`` caches such a search and holds the one rule for answering
-a cap from the cache, successes and failures alike.
+a cap from the cache, successes and failures alike.  ``DEFAULT_CAP`` is the
+one default of every cap.
 
 Folding a subgroup's generator words gives its transition graph; when that is
 complete the subgroup has finite index d and the graph is a complete table on
@@ -37,6 +38,7 @@ from operator import itemgetter
 from .words import Letter, Word, letter_from_column
 
 __all__ = [
+    "DEFAULT_CAP",
     "CapExceeded",
     "Capped",
     "Orbit",
@@ -59,6 +61,8 @@ __all__ = [
     "rows_step",
     "cycle_at",
 ]
+
+DEFAULT_CAP = 10**6
 
 
 class CapExceeded(Exception):
@@ -238,7 +242,11 @@ class StallingsGraph:
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Complete deterministic inverse-consistent table, canonically numbered."""
+    """Complete deterministic inverse-consistent table, canonically numbered.
+
+    A table is a dict key wherever its blocks are grouped, so it hashes
+    ``(rank, delta)`` once, when it is built, and two tables compare their
+    ``delta`` only when they are distinct objects with equal hashes."""
 
     rank: int
     delta: tuple[tuple[int, ...], ...]
@@ -246,6 +254,7 @@ class CosetTable:
     # the letter columns of the last word composed here, and its step
     _last_step: tuple[tuple[int, ...] | None, tuple[int, ...] | None] = field(
         init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rank < 1 or not self.delta:
@@ -265,6 +274,16 @@ class CosetTable:
                     raise ValueError(f"inverse inconsistency at vertex {v}, column {c}")
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "_last_step", (None, None))
+        object.__setattr__(self, "_hash", hash((self.rank, self.delta)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self.rank == other.rank
+                                 and self.delta == other.delta)
 
     @property
     def degree(self) -> int:

@@ -17,7 +17,6 @@ from typing import Any
 
 from .partition import (
     CosetPartition,
-    DEFAULT_STATE_CAP,
     intersection_conditions,
     multiplicity,
     o_max_and_sharp,
@@ -26,8 +25,8 @@ from .partition import (
     rho,
     validate,
 )
-from .perm import CapExceeded, DEFAULT_GROUP_CAP, cycle_type_census, has_k_cycle_at
-from .schreier import cycles, rows_step
+from .perm import CapExceeded, cycle_type_census, has_k_cycle_at
+from .schreier import DEFAULT_CAP, cycles, rows_step
 from .words import Word, parse_word
 from .zcover import (
     InvalidPartition,
@@ -92,7 +91,7 @@ def _require_valid(p: CosetPartition) -> None:
 
 
 def check_full_cycle(
-    p: CosetPartition, cap: int = DEFAULT_GROUP_CAP
+    p: CosetPartition, cap: int = DEFAULT_CAP
 ) -> TheoremReport:
     """A full cycle on a block of maximal index forces that index to repeat.
 
@@ -172,7 +171,7 @@ def _cycle_bound_conditions(
 
 
 def check_cycle_bounds(
-    p: CosetPartition, cap: int = DEFAULT_GROUP_CAP
+    p: CosetPartition, cap: int = DEFAULT_CAP
 ) -> TheoremReport:
     """Long cycles compared against the index ladder force repetitions.
 
@@ -236,7 +235,7 @@ def check_cycle_bounds(
 
 
 def check_intersections(
-    p: CosetPartition, cap: int = DEFAULT_STATE_CAP
+    p: CosetPartition, cap: int = DEFAULT_CAP
 ) -> TheoremReport:
     """Refinement jumps at a pair of blocks force the pair to coincide.
 
@@ -280,7 +279,7 @@ _CONCLUSION_ONLY = frozenset({
 def check_neighborhood(
     p0: CosetPartition,
     p: CosetPartition,
-    cap: int = DEFAULT_GROUP_CAP,
+    cap: int = DEFAULT_CAP,
 ) -> TheoremReport:
     """Conditions transfer from p0 to every partition close enough to it.
 
@@ -353,7 +352,7 @@ def check_neighborhood(
 
 
 def loop_consistency(
-    p: CosetPartition, w: Word, state_cap: int = DEFAULT_STATE_CAP
+    p: CosetPartition, w: Word, state_cap: int = DEFAULT_CAP
 ) -> dict[str, Any]:
     """Check every loop that w traces among the cosets of N.
 
@@ -429,7 +428,7 @@ def default_word_sample(p: CosetPartition, reports: list[TheoremReport]) -> list
 
 
 def _block_summaries(
-    p: CosetPartition, group_cap: int
+    p: CosetPartition, cap: int
 ) -> tuple[list[dict[str, Any]], bool]:
     """Per-block index, representative, and cycle-type census; the blocks of
     one table share its summary, built once."""
@@ -437,11 +436,11 @@ def _block_summaries(
     for table, group in p.groups.items():
         try:
             summaries[table] = {
-                "group_order": group.order(group_cap),
+                "group_order": group.order(cap),
                 "cycle_types": [
                     {"type": "+".join(map(str, shape)), "count": count,
                      "witness": str(wit)}
-                    for shape, count, wit in cycle_type_census(group, group_cap)]}
+                    for shape, count, wit in cycle_type_census(group, cap)]}
         except CapExceeded:
             summaries[table] = {"capped": True}
     blocks = [{"block": i, "index": spec.index, "rep": str(spec.rep),
@@ -489,21 +488,22 @@ class Analysis:
 def analyze(
     p: CosetPartition,
     words: list[Word] | None = None,
-    group_cap: int = DEFAULT_GROUP_CAP,
-    state_cap: int = DEFAULT_STATE_CAP,
+    state_cap: int = DEFAULT_CAP,
 ) -> Analysis:
-    """Validate, run every condition checker, and stress the loop structure."""
+    """Validate, run every condition checker, and stress the loop structure.
+    One cap bounds every search, since none needs more states than m, F/N's
+    order: validation raises past it, any other search is left unknown."""
     report = validate(p, state_cap)
     if not report.valid:
         return Analysis(False, list(p.indices), [], None, [], [], [], False, [])
-    blocks, blocks_capped = _block_summaries(p, group_cap)
+    blocks, blocks_capped = _block_summaries(p, state_cap)
     try:
         m = refinement_index(p, state_cap)
     except CapExceeded:
         m = None
     reports = [
-        check_full_cycle(p, group_cap),
-        check_cycle_bounds(p, group_cap),
+        check_full_cycle(p, state_cap),
+        check_cycle_bounds(p, state_cap),
         check_intersections(p, state_cap),
     ]
     problems = [f"{theorem.name}: condition fired but prediction failed"

@@ -573,10 +573,10 @@ def core_product_by_cayley(p, state_cap: int = 10**6) -> Orbit:
     return product(cores, [0] * len(cores), state_cap)
 
 
-def big_n_by_cores(p, group_cap: int = 10**6, state_cap: int = 10**6) -> CosetTable:
+def big_n_by_cores(p, cap: int = 10**6) -> CosetTable:
     """Product of every block's core (duplicates included), canonicalized."""
-    cores = [normal_core_by_cayley(spec.table, group_cap) for spec in p.specs]
-    return canonicalize(automaton_table(product(cores, [0] * len(cores), state_cap)), 0)
+    cores = [normal_core_by_cayley(spec.table, cap) for spec in p.specs]
+    return canonicalize(automaton_table(product(cores, [0] * len(cores), cap)), 0)
 
 
 def coset_action_table_by_cosets(

@@ -142,14 +142,13 @@ def test_cap_env_must_be_positive_integer(capsys, monkeypatch):
 def test_cap_flags_override_environment(capsys, monkeypatch):
     monkeypatch.setenv("HSFORGE_CAP", "1")
     code, out, _ = run_cli(capsys, ["analyze", MIXED, "--json",
-                                    "--cap-group", "100",
                                     "--cap-states", "100"])
     assert code == 0
     assert json.loads(out)["unknown"] is False
 
 
 def test_usage_errors_exit_with_invalid_code(capsys):
-    for argv in (["analyze", MIXED, "--cap-group", "0"],
+    for argv in (["analyze", MIXED, "--cap-states", "0"],
                  ["bogus"],
                  ["graph", MIXED]):
         with pytest.raises(SystemExit) as excinfo:
@@ -159,13 +158,14 @@ def test_usage_errors_exit_with_invalid_code(capsys):
 
 
 def test_flags_no_command_reads_are_usage_errors(capsys):
-    # zcheck and metric take no caps, validate and graph search no
-    # transition group, and graph prints no JSON
+    # zcheck and metric take no caps, no command takes a second cap besides
+    # --cap-states, and graph prints no JSON
     for argv in (["zcheck", "2:0,4:1,4:3", "--cap-states", "5"],
                  ["zcheck", "2:0,4:1,4:3", "--cap-group", "5"],
                  ["metric", MIXED, NORMAL, "--cap-states", "5"],
                  ["metric", MIXED, NORMAL, "--cap-group", "5"],
                  ["validate", MIXED, "--cap-group", "5"],
+                 ["analyze", MIXED, "--cap-group", "5"],
                  ["graph", MIXED, "--target", "hs", "--cap-group", "5"],
                  ["graph", MIXED, "--target", "sub", "--json"]):
         with pytest.raises(SystemExit) as excinfo:
@@ -416,7 +416,7 @@ def test_malformed_input_gets_a_clean_exit_code(text, classes):
         Path(path).write_text(text, encoding="utf-8")
         hs = ["graph", path, "--target", "hs", "--word", "ab"]
         runs = [["validate", path], ["validate", path, "--cap-states", "5"],
-                ["analyze", path, "--json"], ["analyze", path, "--cap-group", "5"],
+                ["analyze", path, "--json"], ["analyze", path, "--cap-states", "5"],
                 ["graph", path, "--target", "sub"], hs, hs + ["--cap-states", "5"],
                 ["metric", path, MIXED], ["zcheck", classes]]
         for argv in runs:

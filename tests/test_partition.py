@@ -522,6 +522,28 @@ def test_lift_partition_builds_coset_tables_under_its_own_cap(monkeypatch):
     assert validate(lifted).valid
 
 
+def test_lift_partition_builds_one_table_per_subgroup(monkeypatch):
+    # the blocks of one subgroup share one table object, built once, and
+    # the tables are the right-coset actions built element by element
+    built = []
+
+    def counted(rank, quotient, sub, cap, original=_coset_action_table):
+        built.append(sub)
+        return original(rank, quotient, sub, cap)
+    monkeypatch.setattr(hsforge.partition, "_coset_action_table", counted)
+    shared = 0
+    for rank, quotient, blocks in lifted_draws(307, 60):
+        built.clear()
+        p = lift_partition(rank, quotient, blocks)
+        subgroups = {frozenset(sub) for sub, _ in blocks}
+        assert len(built) == len(set(built)) and set(built) == subgroups
+        assert len({id(spec.table) for spec in p.specs}) == len(p.groups) == len(subgroups)
+        assert set(p.groups) == {coset_action_table_by_cosets(rank, quotient, sub)
+                                 for sub in subgroups}
+        shared += len(subgroups) < p.size
+    assert shared > 10
+
+
 def test_lift_partition_symmetric_group(g_table):
     # S_3 partitioned into the three right cosets of a point stabilizer
     quotient = transition_group(g_table)

@@ -472,6 +472,26 @@ def test_a_recognized_order_answers_every_cap_its_scan_fits(monkeypatch):
             assert has_k_cycle_at(group, 6, 0, cap) is None
 
 
+def test_a_census_without_part_k_answers_without_a_search(monkeypatch):
+    # once a census is computed, a k that no cycle type has as a part is
+    # answered off it: None when the order fits the cap, else the cap error,
+    # as the search past the kept states would answer.  A_7 has no 6-cycle,
+    # and its census scan keeps 108 of its 2520 elements.  Every k of groups
+    # with a census is checked against the element scans above and in
+    # _scan_agrees_with_full_enumeration
+    group = alternating(7)
+    census = cycle_type_census(group)
+    assert all(6 not in shape for shape, _, _ in census)
+    with monkeypatch.context() as patch:
+        patch.setattr(hsforge.perm, "resume", None)  # no search past the scan
+        patch.setattr(hsforge.perm, "cycle_at", None)  # no kept state walked
+        assert has_k_cycle_at(group, 6, 0) is None
+        assert has_k_cycle_at(group, 6, 3, 2520) is None
+        with pytest.raises(CapExceeded, match="transition group larger than cap \\(2519\\)"):
+            has_k_cycle_at(group, 6, 0, 2519)
+    assert group._elements.orbit.state_count == 108  # never resumed
+
+
 def _group_outcome(call, group: PermGroup, cap: int):
     try:
         return call(group, cap)

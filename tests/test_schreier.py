@@ -293,6 +293,9 @@ def test_read_columns_leave_equality_hash_and_repr_alone():
         assert read == fresh and hash(read) == hash(fresh)
         assert repr(read) == repr(fresh) and "columns" not in repr(read)
         assert {read: 1}[fresh] == 1
+    # a table's hash is that of (rank, delta), and it equals no other kind
+    assert hash(table()) == hash((2, K_DELTA))
+    assert table() != K_DELTA and table() != CosetTable(1, ((0, 0),))
     # the step kept from the last walk is no part of the value, and copies
     # walk like the table
     warm, ba = table(), parse_word(2, "ba")

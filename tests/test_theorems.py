@@ -346,6 +346,15 @@ def _assert_report_shape(report: TheoremReport) -> None:
             assert type(entry["pair"]) is list
 
 
+def _reports_under(p: CosetPartition, cap: int) -> list[TheoremReport]:
+    """The reports of p's analysis under the cap; none when validation's
+    automaton exceeds it, which raises."""
+    try:
+        return analyze(p, state_cap=cap).reports
+    except CapExceeded:
+        return []
+
+
 def test_every_report_applies_exactly_when_verified(p44, p77):
     pool = [load_partition(path) for path in sorted(DATA.glob("*.partition"))]
     pool += list(fuzz_partitions(60))
@@ -354,7 +363,7 @@ def test_every_report_applies_exactly_when_verified(p44, p77):
     for p in pool:
         # fresh copies under small caps reach the unknown statuses
         reports = [*analyze(p).reports,
-                   *analyze(CosetPartition(p.rank, p.specs), group_cap=40).reports,
+                   *_reports_under(CosetPartition(p.rank, p.specs), 40),
                    check_intersections(CosetPartition(p.rank, p.specs), 2)]
         for report in reports:
             _assert_report_shape(report)
@@ -447,10 +456,15 @@ def test_cycle_bound_k_is_read_off_the_census(g_table, m_table, k_table, h1_tabl
 
 
 def test_analyze_with_tiny_cap_reports_unknown(p44):
-    fresh = coset_partition(2, list(p44.specs))
-    analysis = analyze(fresh, group_cap=1)
+    # validation's automaton holds 4 states and the index-4 block group has
+    # order 8 = m: a cap of 1 stops validation, which raises, and a cap of
+    # 4 leaves the block groups, both cycle checkers and m unknown
+    with pytest.raises(CapExceeded):
+        analyze(coset_partition(2, list(p44.specs)), state_cap=1)
+    analysis = analyze(coset_partition(2, list(p44.specs)), state_cap=4)
     assert analysis.exit_code == 3
-    assert analysis.unknown
+    assert analysis.unknown and analysis.m is None
+    assert [r.status for r in analysis.reports][:2] == ["unknown", "unknown"]
 
 
 def test_checkers_never_fire_without_multiplicity(p44, p77, p22, p333):
@@ -494,6 +508,14 @@ def _like_fresh_copy(call, p, *args, **kwargs) -> bool:
     return isinstance(answer, tuple) or (isinstance(answer, dict) and answer["unknown"])
 
 
+def _capped_or_unknown(p: CosetPartition, cap: int) -> bool:
+    """Whether p's analysis under the cap raises or is left unknown."""
+    try:
+        return analyze(p, state_cap=cap).unknown
+    except CapExceeded:
+        return True
+
+
 def test_cached_objects_take_smaller_caps_like_fresh_copies():
     # a partition that holds its validation report, closures, N and
     # all-blocks index answers a smaller cap as a fresh copy of it does, and
@@ -509,7 +531,7 @@ def test_cached_objects_take_smaller_caps_like_fresh_copies():
         validate(p)
         capped["validate"] += _like_fresh_copy(validate, p, 5)
         analysis = analyze(p)
-        capped["analyze"] += _like_fresh_copy(analyze, p, group_cap=40)
+        capped["analyze"] += _like_fresh_copy(analyze, p, state_cap=40)
         if analysis.m is not None:
             capped["big_n"] += _like_fresh_copy(big_n, p, analysis.m - 1)
         if p.size >= 3:
@@ -517,12 +539,12 @@ def test_cached_objects_take_smaller_caps_like_fresh_copies():
             capped["index"] += _like_fresh_copy(
                 intersection_conditions, p, 0, 2, index - 1)
         q = act(p, random_word(rng, p.rank, 4))
-        capped["act"] += _like_fresh_copy(analyze, q, group_cap=40)
+        capped["act"] += _like_fresh_copy(analyze, q, state_cap=40)
         failed = CosetPartition(p.rank, p.specs)
-        if analyze(failed, group_cap=40).unknown:
+        if _capped_or_unknown(failed, 40):
             for cap in (40, 12):
-                capped["failed group"] += _like_fresh_copy(
-                    analyze, failed, group_cap=cap)
+                capped["failed search"] += _like_fresh_copy(
+                    analyze, failed, state_cap=cap)
             assert not _like_fresh_copy(analyze, failed)
         if p.size >= 3:
             failed = CosetPartition(p.rank, p.specs)
@@ -531,16 +553,17 @@ def test_cached_objects_take_smaller_caps_like_fresh_copies():
                     intersection_conditions, failed, 0, 2, cap)
     assert min(capped[kind] for kind in
                ("validate", "analyze", "big_n", "index", "act",
-                "failed group", "failed index")) > 0
+                "failed search", "failed index")) > 0
 
 
 def test_a_cap_is_hit_once_not_once_per_caller(monkeypatch):
-    # on the d = 6 ladder both caps are 100: one census scan of the single
-    # table's group serves every block, the two cycle checkers, m and the
-    # pairs, and the scan of S_6 holds 135 states, so it fails once and
-    # every later caller raises at once; the pairs read their indices off
-    # that closure too, so they run no product of their own.  The other
-    # orbit is the primitivity test's orbit of point 0, which holds 6 states
+    # on the d = 6 ladder one cap of 40 or 100 bounds every search: one
+    # census scan of the single table's group serves every block, the two
+    # cycle checkers, m and the pairs, and the scan of S_6 holds 135 states,
+    # so it fails once and every later caller raises at once; the pairs read
+    # their indices off that closure too, so they run no product of their
+    # own.  The other orbit is the primitivity test's orbit of point 0,
+    # which holds 6 states
     searches = Counter()
     for module, name in ((hsforge.perm, "orbit"), (hsforge.partition, "product"),
                          (hsforge.partition, "orbit")):
@@ -549,14 +572,20 @@ def test_a_cap_is_hit_once_not_once_per_caller(monkeypatch):
             searches[key] += 1
             return original(*args)
         monkeypatch.setattr(module, name, counted)
-    analysis = analyze(sym_ladder_partition(6), group_cap=100, state_cap=100)
-    assert analysis.exit_code == 3 and analysis.m is None
-    assert all(block["capped"] for block in analysis.blocks)
-    pairs = analysis.to_json()["per_theorem"]["intersection"]["details"]["pairs"]
-    assert len(pairs) == 15 and all(pair["capped"] for pair in pairs)
-    # the one partition.orbit is validation's, which steps the partition's
-    # own side-by-side layout, so no product runs
-    assert searches == {"hsforge.perm.orbit": 2, "hsforge.partition.orbit": 1}
+    for cap in (40, 100):
+        searches.clear()
+        analysis = analyze(sym_ladder_partition(6), state_cap=cap)
+        assert analysis.exit_code == 3 and analysis.m is None
+        assert all(block["capped"] for block in analysis.blocks)
+        reports = analysis.to_json()["per_theorem"]
+        assert {name: report["status"] for name, report in reports.items()} == {
+            "full_cycle": "unknown", "cycle_bounds": "unknown",
+            "intersection": "unknown"}
+        pairs = reports["intersection"]["details"]["pairs"]
+        assert len(pairs) == 15 and all(pair["capped"] for pair in pairs)
+        # the one partition.orbit is validation's, which steps the
+        # partition's own side-by-side layout, so no product runs
+        assert searches == {"hsforge.perm.orbit": 2, "hsforge.partition.orbit": 1}
 
 
 def test_one_closure_answers_the_census_and_every_pair(monkeypatch):
@@ -691,21 +720,21 @@ def _outcome(call, *args, **kwargs):
 
 
 def test_capped_analysis_matches_the_n_pipeline(monkeypatch):
-    # with group_cap 40 and a state cap at and below m, analyze answers as
-    # when m comes from N's table and the loops are walked on it
+    # with a cap of 40, of m and below m, analyze answers as when m comes
+    # from N's table and the loops are walked on it
     outcomes = Counter()
     for p in fuzz_partitions(60):
         m = analyze(p).m
-        for state_cap in (m, m - 1):
+        for cap in (40, m, m - 1):
             answer = _outcome(analyze, CosetPartition(p.rank, p.specs),
-                              group_cap=40, state_cap=state_cap)
+                              state_cap=cap)
             with monkeypatch.context() as patch:
                 patch.setattr(hsforge.theorems, "refinement_index",
                               lambda q, s: big_n(q, s).degree)
                 patch.setattr(hsforge.theorems, "loop_consistency",
                               loop_consistency_by_n)
                 reference = _outcome(analyze, CosetPartition(p.rank, p.specs),
-                                     group_cap=40, state_cap=state_cap)
+                                     state_cap=cap)
             assert answer == reference
             if isinstance(answer, dict):
                 outcomes["m" if answer["m"] else "m capped"] += 1
