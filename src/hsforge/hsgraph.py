@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
-from .partition import CosetPartition, big_n, marked_cycle_lengths, quotient_by_n
+from .partition import CosetPartition, big_n, quotient_by_n, relative_orders
 from .schreier import DEFAULT_CAP, CosetTable, cycles, word_step
 from .words import Word
 
@@ -82,7 +82,7 @@ def build_hs_graph(
 
     The loops must have one length, the order of w modulo N, and it is
     cross-checked against the lcm of the cycle lengths of w's step on each
-    distinct block table.
+    distinct block table, the step each table kept from ``relative_orders``.
     """
     table = big_n(p, state_cap)
     reached = quotient_by_n(p, state_cap)
@@ -93,13 +93,12 @@ def build_hs_graph(
             raise ValueError(f"coset of {reached.word(v)} lies in "
                              f"{len(hits)} blocks; partition invalid")
         color.append(hits[0])
-    steps = {t: word_step(t, w) for t in p.groups}
-    graph = HSColoredGraph(p, w, table, tuple(color), word_step(table, w),
-                           tuple(marked_cycle_lengths(p, steps)))
+    orders = tuple(relative_orders(p, w))
+    graph = HSColoredGraph(p, w, table, tuple(color), word_step(table, w), orders)
     lengths = {loop.length for loop in graph._loops}
     if len(lengths) != 1:
         raise AssertionError(f"normal table has uneven loop lengths {lengths}")
-    per_block = lcm(*(len(c) for s in steps.values() for c in cycles(s)))
+    per_block = lcm(*(len(c) for t in p.groups for c in cycles(word_step(t, w))))
     if per_block != graph.o_n:
         raise AssertionError(
             f"order of w modulo N is {graph.o_n} but blockwise lcm is {per_block}")

@@ -62,7 +62,6 @@ __all__ = [
     "multiplicity",
     "order_rel",
     "relative_orders",
-    "marked_cycle_lengths",
     "o_max_and_sharp",
     "normal_core",
     "side_by_side",
@@ -249,13 +248,7 @@ def order_rel(p: CosetPartition, i: int, w: Word) -> int:
 def relative_orders(p: CosetPartition, w: Word) -> list[int]:
     """``order_rel`` of every block, in block order: w's step is composed
     once per distinct table, and each block reads its cycle at its mark."""
-    return marked_cycle_lengths(p, {t: word_step(t, w) for t in p.groups})
-
-
-def marked_cycle_lengths(
-    p: CosetPartition, steps: dict[CosetTable, Sequence[int]]
-) -> list[int]:
-    """Each block's cycle length at its marked vertex, in its table's step."""
+    steps = {t: word_step(t, w) for t in p.groups}
     return [len(cycle_at(steps[spec.table], spec.marked)) for spec in p.specs]
 
 

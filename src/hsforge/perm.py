@@ -14,25 +14,25 @@ are the group's Cayley table, which is the normal core of any table whose
 transition group it is.
 
 A primitive group of degree at least 5 is searched by its census scan: the
-orbit with the cycle-type census as its stop predicate.  The census
-recognizes S_d and A_d by Jordan's theorem as their elements go by, which
-gives the order and the counts (the class sizes) without enumerating them;
-the scan then stops at the first witness of the last cycle type.  Jordan's
-test can fire on no other group, so any other group runs the plain orbit,
-and its census is counted element by element over the kept states, in BFS
-order, only when it is asked for; a primitive group that the scan does not
-recognize is enumerated in full and counted on the way.  A cap bounds the
-states a search holds: the order and the census are answered whenever the
-search fits under the cap, whatever their size, while a caller that needs
-elements past the scan's own needs the whole orbit, so the order must fit
-too.  A scan that stopped early is then resumed, in the same order.  The
-closure is cached under the cap rule of ``schreier.Capped`` and keeps its
-census, computed once.
+orbit with the cycle-type census as its stop predicate.  Jordan's test can
+fire on no other group, and the search decides before the scan starts what
+it would recognize: S_d when some generator is odd, else A_d.  The census
+recognizes that group by Jordan's theorem as its elements go by, which gives
+the order and the counts (the class sizes) without enumerating them; the
+scan then stops at the first witness of the last cycle type.  Any other
+group runs the plain orbit, and its census is counted element by element
+over the kept states, in BFS order, only when it is asked for; a primitive
+group that the scan does not recognize is enumerated in full and counted on
+the way.  A cap bounds the states a search holds: the order and the census
+are answered whenever the search fits under the cap, whatever their size,
+while a caller that needs elements past the scan's own needs the whole
+orbit, so the order must fit too.  A scan that stopped early is then
+resumed, in the same order.  The closure is cached under the cap rule of
+``schreier.Capped`` and keeps its census, computed once.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -124,7 +124,7 @@ class _Closure(Mapping[Permutation, Word]):
     def __init__(self, reached: Orbit, scan: _Census | None):
         self.orbit = reached
         self.state_count = reached.state_count
-        self.order = reached.state_count if reached.complete else scan.order
+        self.order = reached.state_count if reached.complete else scan.jordan_order
         self.scan = scan
         self.census: tuple[tuple[tuple[int, ...], int, Word], ...] | None = None
 
@@ -217,8 +217,14 @@ class PermGroup:
 def _close(group: PermGroup, cap: int) -> _Closure:
     """The group's orbit from the identity.  Where Jordan's test can fire,
     on a primitive group of degree >= 5, it is the census scan, with the
-    census as its stop predicate, so it ends early on S_d and A_d."""
-    census = _Census(group) if group.degree >= 5 and group.primitive else None
+    census as its stop predicate, so it ends early on S_d and A_d: the
+    census is given the order it would recognize, d! when some generator
+    is odd, else d!/2."""
+    census = None
+    if group.degree >= 5 and group.primitive:
+        full = factorial(group.degree)
+        odd = any(map(_odd, group.columns[::2]))
+        census = _Census(group.degree, full if odd else full // 2)
     reached = orbit(tuple(range(group.degree)), gather(group.columns, group.degree),
                     cap, census)
     return _Closure(reached, census)
@@ -233,33 +239,33 @@ class _Census:
     Thm 13.9): a primitive group of degree d that holds a p-cycle, p a prime
     <= d - 3, contains A_d.  A power of an element with exactly one cycle of
     length p and no other cycle length divisible by p is such a p-cycle.
-    The group is then S_d when some generator is odd, else A_d; its order
-    is kept as ``order``, and its counts are the class sizes.  As a stop
-    predicate, a call returns true once the group is recognized and each
-    of its cycle types has a witness.  An element of a cycle type that the
-    recognized group lacks, or a complete scan that misses one of its
-    types, fails the self-check with an AssertionError."""
+    The search decides which group that is, S_d or A_d, and passes its
+    order as ``jordan_order``, None where the test cannot fire or cannot
+    recognize; once it fires, the counts are the class sizes.  As a stop
+    predicate, a call returns true once the group is recognized and each of
+    its cycle types has a witness.  An element of a cycle type that the
+    recognized group lacks, or a complete scan that misses one of its types,
+    fails the self-check with an AssertionError."""
 
-    def __init__(self, group: PermGroup):
-        # the group's closure keeps this census; a weak reference back
-        # leaves no cycle for the garbage collector to find
-        self.group = weakref.proxy(group)
-        self.order: int | None = None
+    def __init__(self, degree: int, jordan_order: int | None = None):
+        self.degree = degree
+        self.jordan_order = jordan_order
         self.seen = 0
         self.first: dict[tuple[int, ...], int] = {}
         self.counts: dict[tuple[int, ...], int] = {}
         self.sizes: dict[tuple[int, ...], int] | None = None
-        self(tuple(range(group.degree)))
+        self(tuple(range(degree)))
 
     def __call__(self, images: tuple[int, ...]) -> bool:
         shape = tuple(sorted(map(len, cycles(images))))
         if shape not in self.first:
             self.first[shape] = self.seen
-            if self.sizes is None and _jordan(shape, self.group.degree):
-                self._recognize()
+            if (self.sizes is None and self.jordan_order is not None
+                    and _jordan(shape, self.degree)):
+                self.sizes = _class_sizes(self.degree, self.jordan_order)
             if self.sizes is not None and not self.first.keys() <= self.sizes.keys():
                 raise AssertionError(
-                    f"a group of degree {self.group.degree} recognized as one of "
+                    f"a group of degree {self.degree} recognized as one of "
                     f"order {sum(self.sizes.values())} has an element of another "
                     "cycle type")
         self.seen += 1
@@ -268,18 +274,11 @@ class _Census:
             return False
         return len(self.first) == len(self.sizes)
 
-    def _recognize(self) -> None:
-        group, d = self.group, self.group.degree
-        if group.primitive:
-            odd = any(_odd(g.images) for g in group.gens)
-            self.order = factorial(d) if odd else factorial(d) // 2
-            self.sizes = _class_sizes(d, self.order)
-
     def census(self, reached: Orbit) -> tuple[tuple[tuple[int, ...], int, Word], ...]:
         counts = self.counts if self.sizes is None else self.sizes
         if len(self.first) < len(counts):
             raise AssertionError(
-                f"a group of degree {self.group.degree} recognized as one of "
+                f"a group of degree {self.degree} recognized as one of "
                 f"order {sum(counts.values())} lacks some of its cycle types")
         return tuple((shape, counts[shape], reached.word(self.first[shape]))
                      for shape in sorted(counts))
@@ -350,7 +349,7 @@ def cycle_type_census(
     if closure.census is None:
         scan = closure.scan
         if scan is None:
-            scan = _Census(group)
+            scan = _Census(group.degree)
             for images in islice(closure.orbit.states, 1, None):
                 scan(images)
         closure.census = scan.census(closure.orbit)

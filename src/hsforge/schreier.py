@@ -402,15 +402,6 @@ def canonicalize(table: CosetTable, basepoint: int = 0) -> CosetTable:
     return CosetTable(table.rank, rows)
 
 
-def _walker(table: CosetTable, w: Word, start: int = 0) -> list[tuple[int, ...]]:
-    """The table's columns of w's letters, once w's rank and start are checked."""
-    if w.rank != table.rank:
-        raise ValueError(f"word rank {w.rank} != table rank {table.rank}")
-    if not 0 <= start < table.degree:
-        raise ValueError(f"vertex {start} out of range")
-    return [table.columns[c] for c in w.columns]
-
-
 def _compose(columns: Sequence[Sequence[int]], w: Word, degree: int) -> tuple[int, ...]:
     """w's step on degree vertices from the letter columns, one C-level
     ``itemgetter`` per letter: new[v] = column[step[v]], as ``gather`` steps
@@ -426,7 +417,7 @@ def _compose(columns: Sequence[Sequence[int]], w: Word, degree: int) -> tuple[in
 
 def _composed(table: CosetTable, w: Word, start: int = 0) -> tuple[int, ...]:
     """w's step on the table's vertices, once w's rank and start are checked
-    (as ``_walker`` checks them, inline: a caller may ask at every vertex):
+    (as ``trace`` checks them, inline: a caller may ask at every vertex):
     the step kept from the last word composed on the table when it has w's
     columns, else ``_compose``'s, kept in its place."""
     d = len(table.delta)
@@ -442,9 +433,14 @@ def _composed(table: CosetTable, w: Word, start: int = 0) -> tuple[int, ...]:
 
 
 def trace(table: CosetTable, start: int, w: Word) -> int:
-    v = start
-    for column in _walker(table, w, start):
-        v = column[v]
+    """The vertex that w leads to from start, one column per letter."""
+    if w.rank != table.rank:
+        raise ValueError(f"word rank {w.rank} != table rank {table.rank}")
+    if not 0 <= start < table.degree:
+        raise ValueError(f"vertex {start} out of range")
+    v, columns = start, table.columns
+    for c in w.columns:
+        v = columns[c][v]
     return v
 
 

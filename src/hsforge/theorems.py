@@ -1,11 +1,12 @@
 """Sufficient conditions for a repeated index in a coset partition.
 
-Each checker inspects a validated partition and reports one of four statuses:
-"applies" (the condition fires, so some index must repeat), "does_not_apply",
-"not_applicable" (the partition is too small for the condition to be stated),
-or "unknown" (an enumeration cap was hit).  Whenever a checker reports
-"applies" it also verifies the predicted repetition on the spot; a fired
-condition without the repetition is a soundness bug, never a valid outcome.
+Each checker inspects a validated partition, validating a fresh one under
+its own cap, and reports one of four statuses: "applies" (the condition
+fires, so some index must repeat), "does_not_apply", "not_applicable" (the
+partition is too small for the condition to be stated), or "unknown" (an
+enumeration cap was hit).  Whenever a checker reports "applies" it also
+verifies the predicted repetition on the spot; a fired condition without
+the repetition is a soundness bug, never a valid outcome.
 """
 
 from __future__ import annotations
@@ -84,9 +85,9 @@ def _report(
     return TheoremReport(name, status, predicted, verified, details)
 
 
-def _require_valid(p: CosetPartition) -> None:
-    # any cached report shows validity; only a fresh validation needs a cap
-    if not (p._checked.value or validate(p)).valid:
+def _require_valid(p: CosetPartition, cap: int) -> None:
+    # any cached report shows validity; a fresh one runs under the checker's cap
+    if not (p._checked.value or validate(p, cap)).valid:
         raise ValueError("partition is not valid; run validation first")
 
 
@@ -100,7 +101,7 @@ def check_full_cycle(
     smallest prime factor of d_s.  All blocks of maximal index share that
     index, hence have equal rank as subgroups (rank d_s*(n-1)+1).
     """
-    _require_valid(p)
+    _require_valid(p, cap)
     d_max = p.indices[-1]
     if d_max < 2:
         return TheoremReport(
@@ -181,7 +182,7 @@ def check_cycle_bounds(
     for some 2 <= r <= s-1, k exceeds the r-th largest distinct position
     d_{s-r} and the (r, p, #) side conditions hold.
     """
-    _require_valid(p)
+    _require_valid(p, cap)
     if p.size < 3:
         return TheoremReport(
             "cycle_bounds", NOT_APPLICABLE,
@@ -243,7 +244,7 @@ def check_intersections(
     of the other blocks strictly increases the index, or lcm(d_j, d_k) fails
     to divide the index of the partial intersection, then H_j = H_k.
     """
-    _require_valid(p)
+    _require_valid(p, cap)
     if p.size < 3:
         return TheoremReport(
             "intersection", NOT_APPLICABLE,
@@ -288,8 +289,8 @@ def check_neighborhood(
     the two (r=3, even prime) variants only transfer their conclusion, a
     repeated index.  Every assertion in range is executed on p, never assumed.
     """
-    _require_valid(p0)
-    _require_valid(p)
+    _require_valid(p0, cap)
+    _require_valid(p, cap)
     distance = rho(p0, p)
     assertions = []
     statuses = []

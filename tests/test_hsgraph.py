@@ -13,6 +13,7 @@ from helpers import (
     coloring_by_words,
     coset_partition,
     loop_z_partition,
+    symmetric,
     table_permutation,
 )
 from hsforge.files import load_partition
@@ -21,10 +22,19 @@ from hsforge.partition import (
     CosetPartition,
     CosetSpec,
     big_n,
+    lift_partition,
     validate,
 )
+from hsforge.perm import Permutation
 from hsforge.sampling import random_lifted_partition, random_word
-from hsforge.schreier import table_from_generators
+from hsforge.schreier import (
+    order_at,
+    table_from_generators,
+    trace,
+    visited_set,
+    word_step,
+)
+from hsforge.theorems import analyze
 from hsforge.words import identity
 from hsforge.zcover import erdos_checks, format_zpartition, validate_z
 
@@ -205,3 +215,36 @@ def test_colors_match_word_tracing_reference():
             assert str(got.value) == str(expected.value)
             invalid += 1
     assert invalid > 100
+
+
+def test_n_table_wider_than_256_vertices():
+    # S_6 on the 360 cosets of a subgroup of order 2 that holds a
+    # transposition: one table of degree 360, one block per vertex, and
+    # N's table, S_6's Cayley table, has m = 720 vertices
+    group = symmetric(6)
+    swap = Permutation((1, 0, 2, 3, 4, 5))
+    sub = (Permutation.identity(6), swap)
+    covered, blocks = set(), []
+    for g in group.enumerate():
+        if g not in covered:
+            covered |= {g, swap * g}
+            blocks.append((sub, g))
+    p = lift_partition(2, group, blocks)
+    assert p.size == 360 and [t.degree for t in p.groups] == [360]
+    analysis = analyze(p)
+    assert analysis.exit_code == 0 and analysis.m == 720
+    table = big_n(p)
+    assert table.degree == 720
+    for w in (P("ab"), P("aB"), P("abAB")):
+        graph = build_hs_graph(p, w)
+        for i in range(p.size):
+            fiber_loop_count(graph, i)
+        step = word_step(table, w)
+        for vertex in range(table.degree):
+            cycle, v = [vertex], trace(table, vertex, w)
+            while v != vertex:
+                cycle.append(v)
+                v = trace(table, v, w)
+            assert step[vertex] == trace(table, vertex, w)
+            assert order_at(table, w, vertex) == len(cycle)
+            assert visited_set(table, w, vertex) == frozenset(cycle)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import weakref
 from collections import Counter
 from math import factorial
 
@@ -532,3 +534,17 @@ def test_warm_groups_take_every_cap_like_fresh_copies():
                 fresh = PermGroup(d, group.gens)
                 assert (_group_outcome(call, group, cap)
                         == _group_outcome(call, fresh, cap)), (d, name, cap)
+
+
+def test_a_group_is_freed_without_the_cycle_collector():
+    # its closure keeps the census scan, which holds no reference back to
+    # the group, so dropping the group frees it by reference counting alone
+    gc.disable()
+    try:
+        group = symmetric(6)
+        assert cycle_type_census(group) and has_k_cycle_at(group, 6, 0)
+        freed = weakref.ref(group)
+        del group
+        assert freed() is None
+    finally:
+        gc.enable()

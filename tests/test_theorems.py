@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import json
 import random
 import re
+import weakref
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
@@ -28,6 +30,7 @@ from helpers import (
     reduced_words_up_to,
     residue_partition,
     sym_ladder_partition,
+    two_table_sym_partition,
 )
 from hsforge import cli
 from hsforge.files import load_partition
@@ -36,6 +39,7 @@ from hsforge.partition import (
     CosetPartition,
     CosetSpec,
     PairIntersectionReport,
+    StateCapExceeded,
     act,
     big_n,
     intersection_conditions,
@@ -355,16 +359,25 @@ def _reports_under(p: CosetPartition, cap: int) -> list[TheoremReport]:
         return []
 
 
+def _validated(p: CosetPartition) -> CosetPartition:
+    """A fresh copy of p, validated under the default cap."""
+    copy = CosetPartition(p.rank, p.specs)
+    validate(copy)
+    return copy
+
+
 def test_every_report_applies_exactly_when_verified(p44, p77):
     pool = [load_partition(path) for path in sorted(DATA.glob("*.partition"))]
     pool += list(fuzz_partitions(60))
     pool += [sym_ladder_partition(5), sym_ladder_partition(6)]
     statuses = Counter()
     for p in pool:
-        # fresh copies under small caps reach the unknown statuses
+        # fresh copies under small caps reach the unknown statuses; a
+        # checker validates a fresh copy under its own cap, so this one is
+        # validated first
         reports = [*analyze(p).reports,
                    *_reports_under(CosetPartition(p.rank, p.specs), 40),
-                   check_intersections(CosetPartition(p.rank, p.specs), 2)]
+                   check_intersections(_validated(p), 2)]
         for report in reports:
             _assert_report_shape(report)
             statuses[report.name, report.status] += 1
@@ -372,8 +385,8 @@ def test_every_report_applies_exactly_when_verified(p44, p77):
     pairs = [(p44, p44), (p44, p77), (p77, p77), (p44, moved)]
     pairs += neighborhood_pairs()
     for p0, q in pairs:
-        for cap in (10**6, 2):
-            report = check_neighborhood(p0, CosetPartition(q.rank, q.specs), cap)
+        for cap in (10**6, 2):  # p0 is validated under the first cap
+            report = check_neighborhood(p0, _validated(q), cap)
             _assert_report_shape(report)
             statuses[report.name, report.status] += 1
     for name in ("full_cycle", "cycle_bounds", "intersection", "neighborhood"):
@@ -465,6 +478,46 @@ def test_analyze_with_tiny_cap_reports_unknown(p44):
     assert analysis.exit_code == 3
     assert analysis.unknown and analysis.m is None
     assert [r.status for r in analysis.reports][:2] == ["unknown", "unknown"]
+
+
+def test_a_checker_validates_a_fresh_partition_under_its_own_cap(p44):
+    # validation's automaton holds 30 states on the two-table S_6 partition:
+    # a checker used to validate a fresh copy under the default cap, and so
+    # reported unknown under a cap of 5 where validate raises
+    checkers = (check_full_cycle, check_cycle_bounds, check_intersections,
+                lambda q, cap: check_neighborhood(q, q, cap))
+    for p in (two_table_sym_partition(6), p44):
+        states = validate(CosetPartition(p.rank, p.specs)).state_count
+        for cap in (1, 5, states - 1, states, 10**6):
+            try:
+                validate(CosetPartition(p.rank, p.specs), cap)
+                raised = False
+            except StateCapExceeded:
+                raised = True
+            assert raised == (cap < states)
+            for checker in checkers:
+                fresh = CosetPartition(p.rank, p.specs)
+                if raised:
+                    with pytest.raises(StateCapExceeded):
+                        checker(fresh, cap)
+                else:
+                    _assert_report_shape(checker(fresh, cap))
+
+
+def test_a_partition_is_freed_without_the_cycle_collector():
+    # nothing that analyze caches on the partition or on its groups refers
+    # back to them, so dropping the partition frees F/N's group and the two
+    # block groups with it by reference counting
+    gc.disable()
+    try:
+        p = two_table_sym_partition(5)
+        assert analyze(p).exit_code == 0
+        freed = [weakref.ref(p), weakref.ref(p.quotient),
+                 *map(weakref.ref, p.groups.values())]
+        del p
+        assert [ref() for ref in freed] == [None] * 4
+    finally:
+        gc.enable()
 
 
 def test_checkers_never_fire_without_multiplicity(p44, p77, p22, p333):
