@@ -47,7 +47,6 @@ from .partition import (
     lift_partition,
     multiplicity,
     normal_core,
-    o_max_and_sharp,
     order_rel,
     product,
     quotient_by_n,

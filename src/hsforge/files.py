@@ -19,14 +19,8 @@ starting with '#' are ignored; '#' also starts a trailing comment.
 from __future__ import annotations
 
 from .partition import CosetPartition, CosetSpec
-from .schreier import (
-    CosetTable,
-    InfiniteIndex,
-    canonicalize,
-    fold_from_generators,
-    try_complete,
-)
-from .words import Word, WordError, parse_word
+from .schreier import CosetTable, InfiniteIndex, canonicalize, table_from_generators
+from .words import WordError, parse_word
 
 __all__ = ["FileFormatError", "parse_partition_file", "load_partition"]
 
@@ -70,7 +64,7 @@ def parse_partition_file(text: str) -> CosetPartition:
                 except WordError as err:
                     raise FileFormatError(line_number, str(err)) from None
             try:
-                tables[name] = try_complete(fold_from_generators(rank, words))
+                tables[name] = table_from_generators(rank, words)
             except InfiniteIndex as err:
                 raise FileFormatError(line_number, f"subgroup {name}: {err}") from None
         elif head == "table":

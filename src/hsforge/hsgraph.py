@@ -14,9 +14,9 @@ partition's layout, to block i's mark.  F/N's search and its m cosets
 are held to the one cap.  The w-step is ``word_step``'s image
 tuple on N's table, and its cycles are the loops.
 This graph is what ``hsforge graph --target hs`` draws; ``analyze`` reads
-the same loops off the block tables' product automaton instead
-(``theorems.loop_consistency``), since a coset's color depends only on its
-block-table coordinates.
+the same loops off validation's product automaton P instead, the coset
+table of the blocks' intersection (``theorems.loop_consistency``), since a
+coset's color depends only on its block-table coordinates.
 """
 
 from __future__ import annotations

@@ -5,10 +5,12 @@ representative word; its marked vertex is the coset containing alpha.  A
 partition lays its distinct tables side by side once; a block's basepoint
 is its table's offset there, and its mark that offset plus its marked
 vertex.  A family of blocks partitions the group exactly when, in the
-product automaton, the orbit of the basepoints under the side-by-side
-columns, every state sits at the mark of exactly one block.  The common
-refinement subgroup N is the kernel of that action, so F/N is the group of
-those columns, ``p.quotient``, and its closure gives m, N's table and each
+product automaton P, the orbit of the basepoints under the side-by-side
+columns, every state sits at the mark of exactly one block.  P's states
+are the cosets of the blocks' intersection, so a valid partition keeps P
+as that subgroup's checked coset table.  The common refinement subgroup N
+is the kernel of the side-by-side action, so F/N is the group of those
+columns, ``p.quotient``, and its closure gives m, N's table and each
 coset's block.  The module also computes normal cores, the right action of
 words on partitions, a prefix metric, and partitions lifted from finite
 quotient groups.  A partition keeps its validation report, the all-blocks
@@ -21,8 +23,9 @@ so m is its order, which the census scan learns for S_d and A_d without
 enumerating them; with several F/N is intransitive and runs the plain
 orbit.  A valid partition of one table marks every vertex once, so its
 all-blocks orbit is that closure too, and a pair index asks only whether
-the group holds the transposition of the pair's marks.  Otherwise the
-all-blocks orbit is the product automaton at the marks.
+the group holds the transposition of the pair's marks: S_d holds every
+one, any other group those its closure reached.  Otherwise the all-blocks
+orbit is the product automaton at the marks.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
+from math import factorial, lcm
 from operator import add, ne, sub
 from typing import Iterable, Sequence
 
@@ -62,7 +65,6 @@ __all__ = [
     "multiplicity",
     "order_rel",
     "relative_orders",
-    "o_max_and_sharp",
     "normal_core",
     "side_by_side",
     "quotient_by_n",
@@ -197,8 +199,9 @@ class ValidationReport:
     state_count: int
     gap_witness: Word | None = None
     overlap_witness: tuple[Word, int, int] | None = None
-    # of a valid partition: P, its states side-by-side points, and their blocks
-    automaton: Orbit | None = field(default=None, compare=False, repr=False)
+    # of a valid partition: P as the table of the blocks' intersection, and
+    # the block of each of its vertices
+    table: CosetTable | None = field(default=None, compare=False, repr=False)
     colors: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
 
@@ -225,8 +228,9 @@ def _check(p: CosetPartition, cap: int) -> ValidationReport:
                 False, auto.state_count,
                 overlap_witness=(auto.word(position), hits[0], hits[1]))
         colors.append(hits[0])
-    return ValidationReport(
-        True, auto.state_count, automaton=auto, colors=tuple(colors))
+    return ValidationReport(True, auto.state_count,
+                            table=CosetTable(p.rank, tuple(auto.rows)),
+                            colors=tuple(colors))
 
 
 def multiplicity(p: CosetPartition) -> set[int]:
@@ -250,12 +254,6 @@ def relative_orders(p: CosetPartition, w: Word) -> list[int]:
     once per distinct table, and each block reads its cycle at its mark."""
     steps = {t: word_step(t, w) for t in p.groups}
     return [len(cycle_at(steps[spec.table], spec.marked)) for spec in p.specs]
-
-
-def o_max_and_sharp(p: CosetPartition, w: Word) -> tuple[int, int]:
-    orders = relative_orders(p, w)
-    o_max = max(orders)
-    return o_max, orders.count(o_max)
 
 
 def normal_core(table: CosetTable, cap: int = DEFAULT_CAP) -> CosetTable:
@@ -359,19 +357,23 @@ def _marked_moves(p: CosetPartition, cap: int) -> _MarkedOrbit:
     as the group has elements, none of them moves exactly one coordinate,
     and the one state that moves exactly j and k, if any, is the image
     under the transposition of their marked vertices.  Its search is the
-    group's closure, whose census scan need not reach that transposition.
-    Otherwise the orbit is the product automaton at the marks, where each
-    state is reached once.
+    group's closure: S_d holds every transposition, and any other group
+    holds those its closure reached, since a census scan stops early only
+    on S_d or on A_d, which holds none.  Otherwise the orbit is the product
+    automaton at the marks, where each state is reached once.
     """
     degree = p.specs[0].index
     if len(p.groups) == 1 and sorted(p.marks) == list(range(degree)):
         closure = p.quotient._closed(cap)
+        symmetric = closure.order == factorial(degree)
         moved = {(): 1}
         for j, k in combinations(range(p.size), 2):
-            swap = list(range(degree))
-            swap[p.marks[j]], swap[p.marks[k]] = p.marks[k], p.marks[j]
-            if closure.holds(tuple(swap)):
-                moved[j, k] = 1
+            if not symmetric:
+                swap = list(range(degree))
+                swap[p.marks[j]], swap[p.marks[k]] = p.marks[k], p.marks[j]
+                if tuple(swap) not in closure.orbit.index:
+                    continue
+            moved[j, k] = 1
         return _MarkedOrbit(closure.order, moved, closure.state_count)
     reached = orbit(p.marks, gather(p.columns, p.size), cap)
     moved = {}

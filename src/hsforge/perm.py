@@ -18,16 +18,17 @@ orbit with the cycle-type census as its stop predicate.  Jordan's test can
 fire on no other group, and the search decides before the scan starts what
 it would recognize: S_d when some generator is odd, else A_d.  The census
 recognizes that group by Jordan's theorem as its elements go by, which gives
-the order and the counts (the class sizes) without enumerating them; the
-scan then stops at the first witness of the last cycle type.  Any other
-group runs the plain orbit, and its census is counted element by element
-over the kept states, in BFS order, only when it is asked for; a primitive
-group that the scan does not recognize is enumerated in full and counted on
-the way.  A cap bounds the states a search holds: the order and the census
-are answered whenever the search fits under the cap, whatever their size,
-while a caller that needs elements past the scan's own needs the whole
-orbit, so the order must fit too.  A scan that stopped early is then
-resumed, in the same order.  The closure is cached under the cap rule of
+the order, the number of cycle types and the counts (the class sizes)
+without enumerating them or listing the types; the scan then stops at the
+first witness of the last cycle type.  Any other group runs the plain
+orbit, and its census is counted element by element over the kept states,
+in BFS order, only when it is asked for; a primitive group that the scan
+does not recognize is enumerated in full and counted on the way.  A cap
+bounds the states a search holds: the order and the census are answered
+whenever the search fits under the cap, whatever their size, while a
+caller that needs elements past the scan's own needs the whole orbit, so
+the order must fit too.  A scan that stopped early is then resumed, in the
+same order.  The closure is cached under the cap rule of
 ``schreier.Capped`` and keeps its census, computed once.
 """
 
@@ -116,9 +117,8 @@ class _Closure(Mapping[Permutation, Word]):
     counted or recognized, and ``state_count`` the states its search held,
     which a cap bounds; the orbit holds fewer than ``order`` elements only
     while a scan that stopped early on S_d or A_d is not resumed
-    (``PermGroup.enumerate`` resumes it), and ``holds`` answers for every
-    element, kept or not.  ``scan`` is the census scan's census, None for a
-    group that ran the plain orbit.
+    (``PermGroup.enumerate`` resumes it).  ``scan`` is the census scan's
+    census, None for a group that ran the plain orbit.
     """
 
     def __init__(self, reached: Orbit, scan: _Census | None):
@@ -136,14 +136,6 @@ class _Closure(Mapping[Permutation, Word]):
     def __contains__(self, element: object) -> bool:
         return (isinstance(element, Permutation)
                 and element.images in self.orbit.index)
-
-    def holds(self, images: tuple[int, ...]) -> bool:
-        """Whether the group holds the permutation with these images, kept
-        or not: looked up in the orbit once it is complete, else read off
-        its parity, as a scan stops early only on S_d or A_d."""
-        if self.orbit.complete:
-            return images in self.orbit.index
-        return self.order == factorial(len(images)) or not _odd(images)
 
     def __iter__(self) -> Iterator[Permutation]:
         return map(Permutation, self.orbit.states)
@@ -241,45 +233,53 @@ class _Census:
     length p and no other cycle length divisible by p is such a p-cycle.
     The search decides which group that is, S_d or A_d, and passes its
     order as ``jordan_order``, None where the test cannot fire or cannot
-    recognize; once it fires, the counts are the class sizes.  As a stop
-    predicate, a call returns true once the group is recognized and each of
-    its cycle types has a witness.  An element of a cycle type that the
-    recognized group lacks, or a complete scan that misses one of its types,
-    fails the self-check with an AssertionError."""
+    recognize.  Once it fires, ``types`` is that group's number of cycle
+    types, and when the census is read the counts are the class sizes of
+    the types seen: in S_d the type with m_k cycles of length k has
+    d!/prod(k^m_k m_k!) elements, and A_d has as many of each even type.
+    As a stop predicate, a call returns true once the group is recognized
+    and each of its cycle types has a witness.  An odd element of a group
+    taken for A_d, or class sizes that do not sum to the recognized order,
+    fail the self-check with an AssertionError."""
 
     def __init__(self, degree: int, jordan_order: int | None = None):
         self.degree = degree
         self.jordan_order = jordan_order
+        self.alternating = jordan_order is not None and jordan_order < factorial(degree)
         self.seen = 0
         self.first: dict[tuple[int, ...], int] = {}
         self.counts: dict[tuple[int, ...], int] = {}
-        self.sizes: dict[tuple[int, ...], int] | None = None
+        self.types: int | None = None
         self(tuple(range(degree)))
 
     def __call__(self, images: tuple[int, ...]) -> bool:
         shape = tuple(sorted(map(len, cycles(images))))
         if shape not in self.first:
             self.first[shape] = self.seen
-            if (self.sizes is None and self.jordan_order is not None
-                    and _jordan(shape, self.degree)):
-                self.sizes = _class_sizes(self.degree, self.jordan_order)
-            if self.sizes is not None and not self.first.keys() <= self.sizes.keys():
+            if self.alternating and (self.degree - len(shape)) % 2:
                 raise AssertionError(
-                    f"a group of degree {self.degree} recognized as one of "
-                    f"order {sum(self.sizes.values())} has an element of another "
-                    "cycle type")
+                    f"a group of degree {self.degree} taken for one of order "
+                    f"{self.jordan_order} has an odd element")
+            if (self.types is None and self.jordan_order is not None
+                    and _jordan(shape, self.degree)):
+                self.types = _type_count(self.degree, self.alternating)
         self.seen += 1
-        if self.sizes is None:
+        if self.types is None:
             self.counts[shape] = self.counts.get(shape, 0) + 1
             return False
-        return len(self.first) == len(self.sizes)
+        return len(self.first) == self.types
 
     def census(self, reached: Orbit) -> tuple[tuple[tuple[int, ...], int, Word], ...]:
-        counts = self.counts if self.sizes is None else self.sizes
-        if len(self.first) < len(counts):
-            raise AssertionError(
-                f"a group of degree {self.degree} recognized as one of "
-                f"order {sum(counts.values())} lacks some of its cycle types")
+        counts = self.counts
+        if self.types is not None:
+            full = factorial(self.degree)
+            counts = {shape: full // prod(k**m * factorial(m)
+                                          for k, m in Counter(shape).items())
+                      for shape in self.first}
+            if sum(counts.values()) != self.jordan_order:
+                raise AssertionError(
+                    f"a group of degree {self.degree} recognized as one of "
+                    f"order {self.jordan_order} lacks some of its cycle types")
         return tuple((shape, counts[shape], reached.word(self.first[shape]))
                      for shape in sorted(counts))
 
@@ -356,25 +356,20 @@ def cycle_type_census(
     return closure.census
 
 
-def _class_sizes(degree: int, order: int) -> dict[tuple[int, ...], int]:
-    """Elements per cycle type of S_d (order d!) or A_d (order d!/2).  In
-    S_d the type with m_k cycles of length k has d!/prod(k^m_k m_k!)
-    elements; A_d has as many of each even type and none of the others."""
-    full = factorial(degree)
-    return {shape: full // prod(k**m * factorial(m) for k, m in Counter(shape).items())
-            for shape in _partitions(degree)
-            if order == full or (degree - len(shape)) % 2 == 0}
-
-
-def _partitions(n: int, least: int = 1) -> Iterator[tuple[int, ...]]:
-    """The partitions of n into parts >= least, as ascending tuples."""
-    if n == 0:
-        yield ()
-    for part in range(least, n // 2 + 1):
-        for rest in _partitions(n - part, part):
-            yield (part, *rest)
-    if n >= least:
-        yield (n,)
+def _type_count(degree: int, alternating: bool) -> int:
+    """The number of cycle types of S_d, the partitions of d, or of A_d,
+    the even ones, by the partition-counting recurrence in O(d^2) steps.
+    A type is even when d minus its number of parts is, and a part k adds
+    k - 1 to that."""
+    # count[n][e]: partitions of n into the parts so far, by that parity e
+    count = [[1, 0]] + [[0, 0] for _ in range(degree)]
+    for k in range(1, degree + 1):
+        flip = (k - 1) % 2
+        for n in range(k, degree + 1):
+            count[n][0] += count[n - k][flip]
+            count[n][1] += count[n - k][1 - flip]
+    even, odd = count[degree]
+    return even if alternating else even + odd
 
 
 def has_k_cycle_at(

@@ -20,12 +20,14 @@ are equal as values exactly when they describe the same subgroup.  A table
 keeps its letter columns' image tuples and a word its letters' columns, so
 ``trace`` and ``coset_of`` step ``v = column[v]`` once per letter, and
 ``_compose`` builds w's whole step with one ``itemgetter`` per letter, as
-``gather`` steps a state.  Every w-step comes from it: ``word_step``,
-``order_at`` and ``visited_set`` on a table, ``rows_step`` on rows.  A
-table keeps the step of the last word composed on it, keyed by the word's
-columns, so a caller that asks w at every vertex composes it once; tables
-and words are immutable, so the kept step is never stale.  ``cycle_at``
-walks the cycle of a step through one point, for every caller.
+``gather`` steps a state.  Every w-step comes from it, through
+``word_step``, ``order_at`` and ``visited_set`` on a table: a block's
+table, N's, or validation's product automaton P, the table of the blocks'
+intersection.  A table keeps the step of the last word composed on it,
+keyed by the word's columns, so a caller that asks w at every vertex
+composes it once; tables and words are immutable, so the kept step is
+never stale.  ``cycle_at`` walks the cycle of a step through one point,
+for every caller.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ __all__ = [
     "order_at",
     "visited_set",
     "word_step",
-    "rows_step",
     "cycle_at",
 ]
 
@@ -386,8 +387,7 @@ def try_complete(graph: StallingsGraph) -> CosetTable:
         raise InfiniteIndex(
             f"no transition at vertex {missing[0]}, column {missing[1]}: "
             "subgroup has infinite index")
-    return CosetTable(graph.rank, tuple(
-        tuple(t for t in row if t is not None) for row in graph.rows))
+    return CosetTable(graph.rank, graph.rows)
 
 
 def table_from_generators(rank: int, generators: list[Word]) -> CosetTable:
@@ -463,13 +463,6 @@ def word_step(table: CosetTable, w: Word) -> tuple[int, ...]:
     """The permutation of vertices induced by one application of w: the
     step kept on the table, or composed and kept there."""
     return _composed(table, w)
-
-
-def rows_step(rows: Sequence[Sequence[int]], w: Word) -> tuple[int, ...]:
-    """``word_step`` on complete rows of w's rank that need no check, such
-    as the rows of an orbit under a complete table's columns; nothing is
-    kept."""
-    return _compose(tuple(zip(*rows)), w, len(rows))
 
 
 def cycle_at(step: Sequence[int], vertex: int) -> list[int]:

@@ -20,14 +20,13 @@ from .partition import (
     CosetPartition,
     intersection_conditions,
     multiplicity,
-    o_max_and_sharp,
     refinement_index,
     relative_orders,
     rho,
     validate,
 )
 from .perm import CapExceeded, cycle_type_census, has_k_cycle_at
-from .schreier import DEFAULT_CAP, cycles, rows_step
+from .schreier import DEFAULT_CAP, cycles, transversal, word_step
 from .words import Word, parse_word
 from .zcover import (
     InvalidPartition,
@@ -210,7 +209,9 @@ def check_cycle_bounds(
             raise AssertionError(
                 f"block {i}: a {k}-cycle exists but none passes the marked "
                 "vertex of a transitive group")
-        o_max, sharp = o_max_and_sharp(p, u)
+        orders = relative_orders(p, u)
+        o_max = max(orders)
+        sharp = orders.count(o_max)
         if o_max != k:
             raise AssertionError(
                 f"witness {u} has maximal relative order {o_max}, expected {k}")
@@ -358,22 +359,22 @@ def loop_consistency(
     """Check every loop that w traces among the cosets of N.
 
     A coset's block depends only on its coordinates in the block tables,
-    which range over the validated product automaton P.  P's states are the
-    cosets of the blocks' intersection, whose core is N, so F acts on them
-    with kernel N and o_N is the lcm of the lengths of P's w-cycles.  Each
-    of the m/o_N loops of length o_N repeats, from some start, the blocks
-    along one w-cycle of P and reads the same residue classes off it.  Per
-    cycle: each participating block i appears length/o_i times at gaps of
-    o_i, and the classes partition the integers and pass all four
-    structural checks, checked once per distinct system.  A problem names
-    its loop by a word reaching its start.
+    which range over the validated product automaton P.  P is the coset
+    table of the blocks' intersection, whose core is N, so F acts on its
+    vertices with kernel N and o_N is the lcm of the lengths of the cycles
+    of w's step on P.  Each of the m/o_N loops of length o_N repeats, from
+    some start, the blocks along one w-cycle of P and reads the same residue
+    classes off it.  Per cycle: each participating block i appears
+    length/o_i times at gaps of o_i, and the classes partition the integers
+    and pass all four structural checks, checked once per distinct system.  A problem names
+    its loop by P's transversal word of its start.
     """
     m = refinement_index(p, state_cap)
     report = validate(p, state_cap)
     if not report.valid:
         raise ValueError("partition is not valid; run validation first")
     orders = relative_orders(p, w)
-    loops = cycles(rows_step(report.automaton.rows, w))
+    loops = cycles(word_step(report.table, w))
     o_n = lcm(*map(len, loops))
     verdicts: dict[Any, str] = {}
     problems = []
@@ -393,7 +394,7 @@ def loop_consistency(
                     verdicts[z] = "do not partition Z"
             problem = verdicts[z] and f"classes {z} {verdicts[z]}"
         if problem:
-            problems.append(f"loop at {report.automaton.word(cycle[0])}: {problem}")
+            problems.append(f"loop at {transversal(report.table)[cycle[0]]}: {problem}")
     return {
         "word": str(w),
         "m": m,

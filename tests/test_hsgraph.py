@@ -27,13 +27,7 @@ from hsforge.partition import (
 )
 from hsforge.perm import Permutation
 from hsforge.sampling import random_lifted_partition, random_word
-from hsforge.schreier import (
-    order_at,
-    table_from_generators,
-    trace,
-    visited_set,
-    word_step,
-)
+from hsforge.schreier import order_at, trace, visited_set, word_step
 from hsforge.theorems import analyze
 from hsforge.words import identity
 from hsforge.zcover import erdos_checks, format_zpartition, validate_z

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from pathlib import Path
 
 import pytest
@@ -42,6 +42,7 @@ from helpers import (
     two_table_sym_partition,
 )
 from hsforge.files import load_partition
+from hsforge.hsgraph import build_hs_graph
 from hsforge.partition import (
     CosetPartition,
     CosetSpec,
@@ -53,7 +54,6 @@ from hsforge.partition import (
     lift_partition,
     multiplicity,
     normal_core,
-    o_max_and_sharp,
     order_rel,
     product,
     quotient_by_n,
@@ -72,7 +72,8 @@ from hsforge.sampling import (
     random_word,
 )
 from hsforge.schreier import (
-    CapExceeded, CosetTable, coset_of, table_from_generators, transversal)
+    CapExceeded, CosetTable, coset_of, cycles, table_from_generators, transversal,
+    word_step)
 from hsforge.theorems import analyze
 from hsforge.words import Word, identity, letter_from_column, multiply, parse_word
 
@@ -179,6 +180,20 @@ def test_validate_agrees_with_word_coverage_oracle(p44, p77, p333):
         assert set(covering_counts(p.specs, all_words)) == {1}
 
 
+def test_validation_keeps_p_as_the_table_of_the_blocks_intersection():
+    # P is the orbit of the basepoints, so it is the blocks' product from
+    # vertex 0 of each table, and F acts on it with kernel N: the lcm of the
+    # lengths of w's cycles on P is the order of w modulo N
+    rng = random.Random(28)
+    pool = [load_partition(str(path)) for path in BUNDLED] + list(fuzz_partitions(60))
+    for p in pool:
+        table = validate(p).table
+        assert table == automaton_table(product([s.table for s in p.specs], [0] * p.size))
+        one_letter = [Word(p.rank, (letter_from_column(c),)) for c in range(2 * p.rank)]
+        for w in [*one_letter, *(random_word(rng, p.rank, 8) for _ in range(3))]:
+            assert lcm(*map(len, cycles(word_step(table, w)))) == build_hs_graph(p, w).o_n
+
+
 def test_single_block_partition_is_the_whole_group():
     table = table_from_generators(2, [P("a"), P("b")])
     p = coset_partition(2, [CosetSpec(table, P("1"))])
@@ -279,10 +294,10 @@ def test_relative_orders_reject_a_block_out_of_range(p44):
 
 def test_relative_orders(p44, p77):
     assert [order_rel(p44, i, P("ab")) for i in range(3)] == [2, 4, 4]
-    assert o_max_and_sharp(p44, P("ab")) == (4, 2)
+    assert relative_orders(p44, P("ab")) == [2, 4, 4]
     assert [order_rel(p77, i, P("ab")) for i in range(3)] == [2, 2, 2]
-    assert o_max_and_sharp(p77, P("ab")) == (2, 3)
-    assert o_max_and_sharp(p44, identity(2)) == (1, 3)
+    assert relative_orders(p77, P("ab")) == [2, 2, 2]
+    assert relative_orders(p44, identity(2)) == [1, 1, 1]
 
 
 def test_relative_orders_compose_each_table_once():
@@ -475,6 +490,18 @@ def test_pair_indices_match_per_pair_products():
                 with pytest.raises(StateCapExceeded):
                     intersection_conditions(copy, 1, 2, index - 1)
     assert stopped_early == 4
+
+
+def test_pair_indices_survive_a_resumed_scan():
+    # S_6's census scan stops early; enumerating F/N resumes it, and the
+    # pair indices read off the complete closure are still the products'
+    p = sym_ladder_partition(6)
+    assert p.quotient.order() == 720 and not p.quotient._elements.orbit.complete
+    p.quotient.enumerate()
+    assert p.quotient._elements.orbit.complete
+    for j in range(p.size):
+        for k in range(j + 1, p.size):
+            assert intersection_conditions(p, j, k) == intersection_by_products(p, j, k)
 
 
 def klein_quotient() -> PermGroup:
